@@ -10,7 +10,6 @@
      ALPHA         — the alpha in {0.1..0.5} sensitivity sweep (Sec. VII)
      ABLATION-C6   — lazy vs full Constraint-6 generation
      ABLATION-HEUR — greedy heuristic vs MILP on random workloads
-     ABLATION-ENGINE — best-first vs depth-first diving branch-and-bound
      PARALLEL      — portfolio racing and batch-sweep speedup vs jobs
      ABLATION-P3   — paper's Constraint 10 vs the strict Property-3 bound
      EXT-MULTIDMA  — the protocol on 1/2/4 parallel DMA channels
@@ -47,6 +46,13 @@ let time_limit =
 
 let section name =
   Fmt.pr "@.%s@.== %s ==@.%s@.@." (String.make 72 '=') name (String.make 72 '=')
+
+(* Solver status as the PRICING and WARMSTART tables (and their committed
+   BENCH_*.json baselines) spell it: a limit-hit incumbent reads
+   "feasible(limit)". *)
+let status_name = function
+  | Milp.Branch_bound.Feasible -> "feasible(limit)"
+  | st -> Milp.Branch_bound.status_name st
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable results: a dependency-free JSON emitter             *)
@@ -282,38 +288,6 @@ let ablation_heuristic () =
     [ 1; 7; 42 ]
 
 (* ------------------------------------------------------------------ *)
-(* ABLATION: branch-and-bound engine (best-first vs DFS diving)        *)
-(* ------------------------------------------------------------------ *)
-
-let ablation_engine app =
-  section "ABLATION-ENGINE: best-first vs depth-first diving branch-and-bound";
-  let groups = Groups.compute app in
-  match Rt_analysis.Sensitivity.gammas app ~alpha:0.2 with
-  | None -> Fmt.pr "unschedulable@."
-  | Some s ->
-    let gamma = s.Rt_analysis.Sensitivity.gamma in
-    let warm = Letdma.Heuristic.solve_unchecked app groups ~gamma in
-    (* NO-OBJ runs cold (can the engine synthesize a feasible plan?);
-       OBJ-DEL runs warm (can it improve the heuristic incumbent?) *)
-    List.iter
-      (fun (oname, objective, warm) ->
-        List.iter
-          (fun (ename, engine) ->
-            let r =
-              Letdma.Solve.solve ~engine ~time_limit_s:time_limit ?warm
-                objective app groups ~gamma
-            in
-            Fmt.pr "  %-12s %-10s: %a@." oname ename Letdma.Solve.pp_stats
-              r.Letdma.Solve.stats)
-          [
-            ("best-first", Letdma.Solve.Best_first); ("dfs", Letdma.Solve.Dfs);
-          ])
-      [
-        ("NO-OBJ/cold", Letdma.Formulation.No_obj, None);
-        ("OBJ-DEL/warm", Letdma.Formulation.Min_delay_ratio, warm);
-      ]
-
-(* ------------------------------------------------------------------ *)
 (* ABLATION: paper's Constraint 10 vs strict Property 3                *)
 (* ------------------------------------------------------------------ *)
 
@@ -470,13 +444,6 @@ let pricing_section () =
       ("devex", Milp.Simplex.Devex);
       ("bland", Milp.Simplex.Bland);
     ]
-  in
-  let status_name = function
-    | Milp.Branch_bound.Optimal -> "optimal"
-    | Milp.Branch_bound.Feasible -> "feasible(limit)"
-    | Milp.Branch_bound.Infeasible -> "infeasible"
-    | Milp.Branch_bound.Unbounded -> "unbounded"
-    | Milp.Branch_bound.Unknown -> "unknown"
   in
   (* 1. LP relaxations of the WATERS models: TABLE1 granularity (x1)
      under all three paper objectives, SCALING granularity (x2) under the
@@ -681,13 +648,6 @@ let pricing_section () =
 let warmstart_section () =
   section "WARMSTART: cold vs warm-basis B&B node reoptimization (jobs=1)";
   let rows = ref [] in
-  let status_name = function
-    | Milp.Branch_bound.Optimal -> "optimal"
-    | Milp.Branch_bound.Feasible -> "feasible(limit)"
-    | Milp.Branch_bound.Infeasible -> "infeasible"
-    | Milp.Branch_bound.Unbounded -> "unbounded"
-    | Milp.Branch_bound.Unknown -> "unknown"
-  in
   let compare_runs iname ?incumbent ?(node_limit = 200_000) ?(presolve = true)
       ~limit_s p =
     Fmt.pr "    %s (%d vars x %d rows, node budget %d):@." iname
@@ -980,8 +940,7 @@ let resilience_section () =
          (* through the on-disk format, as a real resume would go *)
          let doc =
            Resilience.Checkpoint.make
-             ~fingerprint:(Resilience.Checkpoint.fingerprint p)
-             (Resilience.Checkpoint.Best_first ck)
+             ~fingerprint:(Resilience.Checkpoint.fingerprint p) ck
          in
          let bytes = String.length (Resilience.Checkpoint.to_string doc) in
          let ck =
@@ -989,8 +948,8 @@ let resilience_section () =
              Resilience.Checkpoint.of_string
                (Resilience.Checkpoint.to_string doc)
            with
-           | Ok { Resilience.Checkpoint.ck_state = Best_first bf; _ } -> bf
-           | _ -> ck
+           | Ok d -> d.Resilience.Checkpoint.ck_state
+           | Error _ -> ck
          in
          let wres = solve ~resume:ck () in
          let identical =
@@ -1365,7 +1324,6 @@ let () =
     run_section "ALPHA" (fun () -> alpha app);
     run_section "ABLATION_C6" ablation_c6;
     run_section "ABLATION_HEUR" ablation_heuristic;
-    run_section "ABLATION_ENGINE" (fun () -> ablation_engine app);
     run_section "ABLATION_P3" (fun () -> ablation_p3 app);
     run_section "EXT_MULTIDMA" (fun () -> extension_multi_dma app);
     run_section "EXT_AUTOMOTIVE" extension_automotive;

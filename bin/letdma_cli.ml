@@ -442,13 +442,6 @@ let make_workload ~labels_per_edge ~seed = function
   | `Small ->
     Workload.Generator.random ~seed ~config:Workload.Generator.small_config ()
 
-let status_name = function
-  | Milp.Branch_bound.Optimal -> "optimal"
-  | Milp.Branch_bound.Feasible -> "feasible"
-  | Milp.Branch_bound.Infeasible -> "infeasible"
-  | Milp.Branch_bound.Unbounded -> "unbounded"
-  | Milp.Branch_bound.Unknown -> "unknown"
-
 (* Durable solve path: direct [Solve.solve] (or [solve_supervised]) on the
    WATERS workload so the checkpoint/retry plumbing is reachable from the
    command line. Output is line-oriented and greppable — the CI chaos gate
@@ -466,13 +459,6 @@ let durable_solve ~time_limit ~objective ~alpha ~presolve ~checkpoint
     exit_unschedulable
   | Some s ->
     let gamma = s.Rt_analysis.Sensitivity.gamma in
-    let engine =
-      match resume with
-      | Some ck
-        when List.assoc_opt "engine" ck.Resilience.Checkpoint.ck_meta
-             = Some "dfs" -> Letdma.Solve.Dfs
-      | _ -> Letdma.Solve.Best_first
-    in
     let r =
       if retries > 0 then
         Letdma.Solve.solve_supervised
@@ -482,15 +468,16 @@ let durable_solve ~time_limit ~objective ~alpha ~presolve ~checkpoint
               Resilience.Retry.attempts = retries + 1;
               backoff_s = backoff;
             }
-          ~time_limit_s:time_limit ~engine ~presolve ?checkpoint_file:checkpoint
+          ~time_limit_s:time_limit ~presolve ?checkpoint_file:checkpoint
           ~checkpoint_every ?resume objective app groups ~gamma
       else
-        Letdma.Solve.solve ~time_limit_s:time_limit ~engine ~jobs:1 ~presolve
+        Letdma.Solve.solve ~time_limit_s:time_limit ~jobs:1 ~presolve
           ?checkpoint_file:checkpoint ~checkpoint_every ?resume
           ?interrupt_after_nodes:interrupt_after objective app groups ~gamma
     in
     let st = r.Letdma.Solve.stats in
-    Fmt.pr "status: %s@." (status_name st.Letdma.Solve.status);
+    let status = Milp.Branch_bound.status_name st.Letdma.Solve.status in
+    Fmt.pr "status: %s@." status;
     (match r.Letdma.Solve.x with
      | Some x ->
        let _, e =
@@ -520,7 +507,7 @@ let durable_solve ~time_limit ~objective ~alpha ~presolve ~checkpoint
          err "solution failed certification";
          exit_no_solution
        | None, _ ->
-         err "no solution (%s)" (status_name st.Letdma.Solve.status);
+         err "no solution (%s)" status;
          exit_no_solution)
 
 let solve_cmd =

@@ -10,6 +10,12 @@
 set -eu
 cd "$(dirname "$0")"
 
+# Scratch space for the smoke artifacts and the gates' output files: the
+# committed BENCH_*.json baselines in the repo root are read, never
+# rewritten, by this script.
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT
+
 echo "== dune build =="
 dune build
 
@@ -19,24 +25,25 @@ dune runtest
 echo "== bench smoke (parallel paths) =="
 dune build bench/main.exe
 OCAMLRUNPARAM="s=8M${OCAMLRUNPARAM:+,$OCAMLRUNPARAM}" \
-  timeout 300 ./_build/default/bench/main.exe --smoke --json BENCH
+  timeout 300 ./_build/default/bench/main.exe --smoke --json "$TMP/BENCH"
 
 echo "== perf smoke guard (FIG1 wall clock) =="
 # The smoke writes machine-readable per-section timings (BENCH_FIG1.json,
-# BENCH_PARALLEL.json). Guard against gross LP hot-path regressions: the
-# FIG1 smoke solves in well under a second on the CI container, so a 60 s
-# ceiling only trips on gross slowdowns, never on machine jitter.
-fig1_time=$(sed -n 's/.*"time_s": *\([0-9.eE+-]*\).*/\1/p' BENCH_FIG1.json)
+# BENCH_PARALLEL.json, under $TMP). Guard against gross LP hot-path
+# regressions: the FIG1 smoke solves in well under a second on the CI
+# container, so a 60 s ceiling only trips on gross slowdowns, never on
+# machine jitter.
+fig1_time=$(sed -n 's/.*"time_s": *\([0-9.eE+-]*\).*/\1/p' "$TMP/BENCH_FIG1.json")
 echo "FIG1 smoke time: ${fig1_time}s (ceiling 60s)"
 awk -v t="$fig1_time" 'BEGIN { exit !(t > 0 && t < 60.0) }' || {
   echo "FAIL: FIG1 smoke took ${fig1_time}s (ceiling 60s)"; exit 1; }
 
 echo "== warm-start guard (WARMSTART pivots) =="
-# BENCH_WARMSTART.json (written by the smoke above) records cold vs warm
-# best-first B&B on the WATERS OBJ-DMAT instance. The warm run must land
-# on the same objective with at least 25% fewer total simplex pivots.
+# The smoke's BENCH_WARMSTART.json records cold vs warm best-first B&B on
+# the WATERS OBJ-DMAT instance. The warm run must land on the same
+# objective with at least 25% fewer total simplex pivots.
 ws_field() { # $1 = mode, $2 = field name
-  tr '{' '\n' < BENCH_WARMSTART.json \
+  tr '{' '\n' < "$TMP/BENCH_WARMSTART.json" \
     | grep '"instance":"waters-x1/OBJ-DMAT"' \
     | grep "\"mode\":\"$1\"" \
     | sed -n "s/.*\"$2\":\([0-9.eE+-]*\).*/\1/p"
@@ -51,15 +58,16 @@ awk -v c="$cold_p" -v w="$warm_p" 'BEGIN { exit !(c > 0 && w <= 0.75 * c) }' || 
 
 echo "== trace smoke (structured JSONL events) =="
 # A tiny traced solve end-to-end, then validate every machine-readable
-# artifact: the solve trace, the bench FIG1 trace, and all BENCH_*.json
-# files. trace-check parses each line/document with a strict JSON reader
-# (NaN/Infinity are not JSON and are rejected) and checks per-domain
-# timestamp monotonicity on .jsonl traces.
+# artifact: the solve trace, the bench FIG1 trace, the smoke's fresh
+# BENCH_*.json files and the committed BENCH_*.json baselines. trace-check
+# parses each line/document with a strict JSON reader (NaN/Infinity are
+# not JSON and are rejected) and checks per-domain timestamp monotonicity
+# on .jsonl traces.
 timeout 120 ./_build/default/bin/letdma_cli.exe solve \
-  --time-limit 5 --jobs 1 --trace ci_trace.jsonl >/dev/null
+  --time-limit 5 --jobs 1 --trace "$TMP/ci_trace.jsonl" >/dev/null
 ./_build/default/bin/letdma_cli.exe trace-check \
-  ci_trace.jsonl BENCH_FIG1_TRACE.jsonl BENCH_*.json
-rm -f ci_trace.jsonl
+  "$TMP/ci_trace.jsonl" "$TMP/BENCH_FIG1_TRACE.jsonl" "$TMP"/BENCH_*.json \
+  BENCH_*.json
 
 echo "== chaos gate (checkpoint / interrupt / resume) =="
 # Durable-solve round trip through the CLI: an uninterrupted baseline, a
@@ -70,26 +78,25 @@ echo "== chaos gate (checkpoint / interrupt / resume) =="
 # than 0 — the gate tolerates exactly that and compares the greppable
 # solver lines instead.
 CLI=./_build/default/bin/letdma_cli.exe
-CK=ci_chaos_ck.json
+CK=$TMP/ci_chaos_ck.json
 CHAOS="--workload small --seed 5 --objective dmat --time-limit 120"
-rm -f "$CK"
-$CLI solve $CHAOS --checkpoint "$CK" > ci_chaos_base.out || [ $? -eq 5 ]
-grep -q '^status: optimal$' ci_chaos_base.out || {
+$CLI solve $CHAOS --checkpoint "$CK" > "$TMP/ci_chaos_base.out" || [ $? -eq 5 ]
+grep -q '^status: optimal$' "$TMP/ci_chaos_base.out" || {
   echo "FAIL: baseline durable solve not optimal"; exit 1; }
 [ ! -f "$CK" ] || {
   echo "FAIL: conclusive solve left its checkpoint behind"; exit 1; }
 $CLI solve $CHAOS --checkpoint "$CK" --interrupt-after 300 \
-  > ci_chaos_int.out && rc=0 || rc=$?
+  > "$TMP/ci_chaos_int.out" && rc=0 || rc=$?
 [ "$rc" -eq 7 ] || {
   echo "FAIL: interrupted solve exited $rc, want 7"; exit 1; }
 [ -f "$CK" ] || { echo "FAIL: interrupt left no checkpoint"; exit 1; }
-$CLI resume $CHAOS --checkpoint "$CK" > ci_chaos_res.out || [ $? -eq 5 ]
-grep -q '^status: optimal$' ci_chaos_res.out || {
+$CLI resume $CHAOS --checkpoint "$CK" > "$TMP/ci_chaos_res.out" || [ $? -eq 5 ]
+grep -q '^status: optimal$' "$TMP/ci_chaos_res.out" || {
   echo "FAIL: resumed solve not optimal"; exit 1; }
-base_obj=$(sed -n 's/^objective: //p' ci_chaos_base.out)
-res_obj=$(sed -n 's/^objective: //p' ci_chaos_res.out)
-base_nodes=$(sed -n 's/^nodes: //p' ci_chaos_base.out)
-res_nodes=$(sed -n 's/^nodes: //p' ci_chaos_res.out)
+base_obj=$(sed -n 's/^objective: //p' "$TMP/ci_chaos_base.out")
+res_obj=$(sed -n 's/^objective: //p' "$TMP/ci_chaos_res.out")
+base_nodes=$(sed -n 's/^nodes: //p' "$TMP/ci_chaos_base.out")
+res_nodes=$(sed -n 's/^nodes: //p' "$TMP/ci_chaos_res.out")
 echo "chaos gate: baseline obj ${base_obj} (${base_nodes} nodes), resumed obj ${res_obj} (${res_nodes} nodes)"
 [ -n "$base_obj" ] && [ "$base_obj" = "$res_obj" ] || {
   echo "FAIL: resumed objective '${res_obj}' != baseline '${base_obj}'"; exit 1; }
@@ -97,7 +104,6 @@ echo "chaos gate: baseline obj ${base_obj} (${base_nodes} nodes), resumed obj ${
   echo "FAIL: resumed node count '${res_nodes}' != baseline '${base_nodes}'"; exit 1; }
 [ ! -f "$CK" ] || {
   echo "FAIL: conclusive resume left its checkpoint behind"; exit 1; }
-rm -f ci_chaos_base.out ci_chaos_int.out ci_chaos_res.out
 
 echo "== service smoke (daemon, cache hit, malformed request) =="
 # One daemon session over stdin/stdout: the same solve twice, one
@@ -109,19 +115,18 @@ printf '%s\n' \
   '{"id":"s1","op":"solve","workload":"small","seed":7,"deadline_s":120,"class":"gold"}' \
   '{"id":"s2","op":"solve","workload":"small","seed":7,"deadline_s":120,"class":"gold"}' \
   '{"id":"s3","op":"solve","oops":true}' \
-  | timeout 200 $CLI serve --jobs 1 > ci_service.out || {
+  | timeout 200 $CLI serve --jobs 1 > "$TMP/ci_service.out" || {
     echo "FAIL: serve exited $? (want 0 after EOF drain)"; exit 1; }
-[ "$(wc -l < ci_service.out)" -eq 3 ] || {
-  echo "FAIL: expected 3 responses, got:"; cat ci_service.out; exit 1; }
-grep -q '"id":"s2".*"cache":"hit"' ci_service.out || {
-  echo "FAIL: repeated solve was not a cache hit"; cat ci_service.out; exit 1; }
-s1_core=$(sed -n 's/.*"id":"s1".*\("tier".*\)/\1/p' ci_service.out)
-s2_core=$(sed -n 's/.*"id":"s2".*\("tier".*\)/\1/p' ci_service.out)
+[ "$(wc -l < "$TMP/ci_service.out")" -eq 3 ] || {
+  echo "FAIL: expected 3 responses, got:"; cat "$TMP/ci_service.out"; exit 1; }
+grep -q '"id":"s2".*"cache":"hit"' "$TMP/ci_service.out" || {
+  echo "FAIL: repeated solve was not a cache hit"; cat "$TMP/ci_service.out"; exit 1; }
+s1_core=$(sed -n 's/.*"id":"s1".*\("tier".*\)/\1/p' "$TMP/ci_service.out")
+s2_core=$(sed -n 's/.*"id":"s2".*\("tier".*\)/\1/p' "$TMP/ci_service.out")
 echo "service smoke: cached core ${s2_core}"
 [ -n "$s1_core" ] && [ "$s1_core" = "$s2_core" ] || {
-  echo "FAIL: cache hit not byte-identical:"; cat ci_service.out; exit 1; }
-grep -q '"id":"s3","status":"error"' ci_service.out || {
-  echo "FAIL: malformed request did not get a structured error"; cat ci_service.out; exit 1; }
-rm -f ci_service.out
+  echo "FAIL: cache hit not byte-identical:"; cat "$TMP/ci_service.out"; exit 1; }
+grep -q '"id":"s3","status":"error"' "$TMP/ci_service.out" || {
+  echo "FAIL: malformed request did not get a structured error"; cat "$TMP/ci_service.out"; exit 1; }
 
 echo "== ci.sh: all green =="

@@ -102,7 +102,6 @@ let pp_outcome app ppf o =
 
 type milp_solver =
   deadline_s:float ->
-  engine:Solve.engine ->
   jobs:int ->
   presolve:bool ->
   cancel:Parallel.Pool.Token.t option ->
@@ -115,14 +114,14 @@ type milp_solver =
   gamma:Time.t array ->
   Solve.result
 
-let default_milp_solve ~deadline_s ~engine ~jobs ~presolve ~cancel ~warm ~chain
+let default_milp_solve ~deadline_s ~jobs ~presolve ~cancel ~warm ~chain
     ~options objective app groups ~gamma =
   (* [chain] carries the root LP basis between consecutive rungs: read it
      as this solve's warm-start offer, leave this solve's own root basis
      behind for the next rung (structure mismatches fall back cold inside
      the kernel, so a stale basis costs one fingerprint check) *)
   let root_basis = !chain in
-  Solve.solve ~options ~deadline_s ~engine ~jobs ~presolve ?cancel ?warm
+  Solve.solve ~options ~deadline_s ~jobs ~presolve ?cancel ?warm
     ?root_basis ~basis_out:chain objective app groups ~gamma
 
 (* Perturbed retry: tighten every gamma by 0.1% — a solution meeting the
@@ -132,10 +131,6 @@ let default_milp_solve ~deadline_s ~engine ~jobs ~presolve ~cancel ~warm ~chain
 let perturb_gamma =
   Array.map (fun g ->
       Time.of_ns (int_of_float (0.999 *. float_of_int (Time.to_ns g))))
-
-let flip_engine = function
-  | Solve.Dfs -> Solve.Best_first
-  | Solve.Best_first -> Solve.Dfs
 
 let status_name = function
   | Milp.Branch_bound.Optimal -> "optimal"
@@ -157,15 +152,15 @@ let violations_summary app vs =
    iteration budgets) between attempts. The supervised path runs
    jobs=1 and does not thread the basis [chain] — escalations may
    disable warm starts, so a chained basis would be misleading. *)
-let supervised_milp_solve ~policy ~deadline_s ~engine ~jobs:_ ~presolve ~cancel
-    ~warm ~chain:_ ~options objective app groups ~gamma =
-  Solve.solve_supervised ~policy ~options ~deadline_s ~engine ?cancel ~presolve
-    ?warm objective app groups ~gamma
+let supervised_milp_solve ~policy ~deadline_s ~jobs:_ ~presolve ~cancel ~warm
+    ~chain:_ ~options objective app groups ~gamma =
+  Solve.solve_supervised ~policy ~options ~deadline_s ?cancel ~presolve ?warm
+    objective app groups ~gamma
 
 let run ?milp_solve ?(objective = Formulation.No_obj)
-    ?(options = Formulation.default_options) ?(engine = Solve.Best_first)
-    ?(warm_start = true) ?(budget_s = 60.0) ?(alpha = 0.2) ?(jobs = 1)
-    ?(presolve = true) ?(retries = 0) ?(backoff_s = 0.1) app =
+    ?(options = Formulation.default_options) ?(warm_start = true)
+    ?(budget_s = 60.0) ?(alpha = 0.2) ?(jobs = 1) ?(presolve = true)
+    ?(retries = 0) ?(backoff_s = 0.1) app =
   let milp_solve =
     match milp_solve with
     | Some f -> f
@@ -227,12 +222,12 @@ let run ?milp_solve ?(objective = Formulation.No_obj)
         in
         (* one MILP rung: solve against [gamma_solve], then re-certify the
            result against the ORIGINAL gamma, never trusting the hook *)
-        let try_milp rung ~engine ~jobs ~cancel ~gamma_solve ~warm ~chain =
+        let try_milp rung ~jobs ~cancel ~gamma_solve ~warm ~chain =
           Obs.span ~cat:"pipeline" (rung_name rung) @@ fun () ->
           let ta = Milp.Clock.now () in
           let r =
-            milp_solve ~deadline_s:deadline ~engine ~jobs ~presolve ~cancel
-              ~warm ~chain ~options objective app groups ~gamma:gamma_solve
+            milp_solve ~deadline_s:deadline ~jobs ~presolve ~cancel ~warm
+              ~chain ~options objective app groups ~gamma:gamma_solve
           in
           let dt = Milp.Clock.now () -. ta in
           match r.Solve.solution with
@@ -281,16 +276,14 @@ let run ?milp_solve ?(objective = Formulation.No_obj)
              so its root LP reoptimizes from the primary's root basis *)
           let chain = ref None in
           match
-            try_milp Milp ~engine ~jobs:1 ~cancel:None ~gamma_solve:gamma ~warm
-              ~chain
+            try_milp Milp ~jobs:1 ~cancel:None ~gamma_solve:gamma ~warm ~chain
           with
           | Some acc -> Some (Milp, acc)
           | None ->
             if Milp.Clock.remaining ~deadline > 1.0 then begin
               match
-                try_milp Milp_perturbed ~engine:(flip_engine engine) ~jobs:1
-                  ~cancel:None ~gamma_solve:(perturb_gamma gamma) ~warm:None
-                  ~chain
+                try_milp Milp_perturbed ~jobs:1 ~cancel:None
+                  ~gamma_solve:(perturb_gamma gamma) ~warm:None ~chain
               with
               | Some acc -> Some (Milp_perturbed, acc)
               | None -> None
@@ -313,13 +306,13 @@ let run ?milp_solve ?(objective = Formulation.No_obj)
              chain ref — bases are never shared across domains *)
           let primary_fut =
             Parallel.Pool.async pl (fun () ->
-                try_milp Milp ~engine ~jobs:branch_jobs ~cancel:None
-                  ~gamma_solve:gamma ~warm ~chain:(ref None))
+                try_milp Milp ~jobs:branch_jobs ~cancel:None ~gamma_solve:gamma
+                  ~warm ~chain:(ref None))
           in
           let perturbed_fut =
             Parallel.Pool.async pl (fun () ->
-                try_milp Milp_perturbed ~engine:(flip_engine engine)
-                  ~jobs:branch_jobs ~cancel:(Some cancel_perturbed)
+                try_milp Milp_perturbed ~jobs:branch_jobs
+                  ~cancel:(Some cancel_perturbed)
                   ~gamma_solve:(perturb_gamma gamma) ~warm:None
                   ~chain:(ref None))
           in

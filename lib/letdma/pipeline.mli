@@ -10,10 +10,11 @@
 
     + {b MILP} — the lazy-Constraint-6 branch-and-bound driver;
     + {b MILP, perturbed} — on timeout, numerical failure or a failed
-      certificate: one retry with slightly tightened gamma bounds, the
-      alternate branch-and-bound engine and no warm start (a different
-      search trajectory that dodges the failure mode while any solution
-      it finds is still certified against the {e original} deadlines);
+      certificate: one retry with every gamma bound tightened by 0.1 %
+      and no warm start (the shifted right-hand sides move the simplex
+      off the degenerate vertex or tolerance edge that broke the first
+      attempt, while any solution it finds is still certified against
+      the {e original} deadlines);
     + {b heuristic} — the greedy scheduler/allocator;
     + {b baseline} — identity allocation with singleton Giotto transfers,
       which exists whenever the model is valid and communications exist.
@@ -66,7 +67,6 @@ val pp_outcome : App.t -> Format.formatter -> outcome -> unit
     it. *)
 type milp_solver =
   deadline_s:float ->
-  engine:Solve.engine ->
   jobs:int ->
   presolve:bool ->
   cancel:Parallel.Pool.Token.t option ->
@@ -81,7 +81,7 @@ type milp_solver =
 
 (** [run app] validates, computes gamma at [alpha] (default [0.2]) and
     walks the ladder under [budget_s] (default [60] s) of total wall
-    time. [objective], [options], [engine] configure the MILP rungs;
+    time. [objective] and [options] configure the MILP rungs;
     [warm_start] (default true) seeds them with the heuristic.
 
     [jobs] (default 1) enables multicore solving: with [jobs >= 2] the
@@ -110,7 +110,6 @@ val run :
   ?milp_solve:milp_solver ->
   ?objective:Formulation.objective ->
   ?options:Formulation.options ->
-  ?engine:Solve.engine ->
   ?warm_start:bool ->
   ?budget_s:float ->
   ?alpha:float ->

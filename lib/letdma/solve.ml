@@ -37,29 +37,19 @@ type result = {
   instance : Formulation.instance;
 }
 
-(* Which branch-and-bound engine explores the tree. Best-first (default)
-   re-solves every node's LP from scratch and proved the more robust
-   choice on this formulation: its fresh primal solves frequently land on
-   integral vertices, which matters for the feasibility-style NO-OBJ
-   models. The depth-first diving engine repairs one live tableau with the
-   bounded dual simplex — far cheaper per node, but its repaired vertices
-   tend to stay fractional here; it is kept as a measured alternative
-   (see the ABLATION-ENGINE bench section). *)
-type engine = Dfs | Best_first
-
-(* One branch-and-bound round: sequential engine at [jobs <= 1], else a
-   portfolio race over a pool of [jobs] domains (the diversified panel
-   includes both engines, so [engine] only selects the sequential one).
+(* One branch-and-bound round: sequential best-first search at
+   [jobs <= 1], else a portfolio race over a pool of [jobs] domains.
    [cancel] lets an outer racer — the pipeline running primary and
    perturbed models concurrently — abort the round between nodes.
-   [stop_after_nodes] interrupts the sequential engine after that many
+   [stop_after_nodes] interrupts the sequential search after that many
    explored nodes — the controlled-interrupt half of the chaos gate
    (checkpoint, kill, resume). Checkpoint/resume arguments are
-   sequential-only and engine-specific; [bb_solve] receives them
-   pre-dispatched as [bf_ck] (best-first) / [dfs_ck] (coarse). *)
+   sequential-only; [ck] bundles them as (writer, every, every_s,
+   resume). *)
 let bb_solve ~jobs ~cancel ~presolve ?root_basis ?basis_out ?basis_pool
-    ?pricing ?max_lp_iters ?stop_after_nodes ?bf_ck ?dfs_ck engine =
-  if jobs > 1 then fun ~deadline ~node_limit ?incumbent p ->
+    ?pricing ?max_lp_iters ?stop_after_nodes ?ck ~deadline ~node_limit
+    ?incumbent p =
+  if jobs > 1 then
     (* portfolio workers each own a private basis pool; cross-solve basis
        chaining is a sequential-only feature (no sharing across domains) *)
     let r =
@@ -93,25 +83,14 @@ let bb_solve ~jobs ~cancel ~presolve ?root_basis ?basis_out ?basis_pool
         }
     in
     let hooks = Obs.Solver_hooks.wrap hooks in
-    match engine with
-    | Dfs -> fun ~deadline ~node_limit ?incumbent p ->
-        let on_checkpoint, checkpoint_every, resume =
-          match dfs_ck with
-          | Some (f, every, resume) -> (Some f, every, resume)
-          | None -> (None, 0, None)
-        in
-        Milp.Dfs_solver.solve ~deadline ~node_limit ?incumbent ~hooks ~presolve
-          ?root_basis ?basis_out ?pricing ?max_lp_iters ~checkpoint_every
-          ?on_checkpoint ?resume p
-    | Best_first -> fun ~deadline ~node_limit ?incumbent p ->
-        let on_checkpoint, checkpoint_every, checkpoint_every_s, resume =
-          match bf_ck with
-          | Some (f, every, every_s, resume) -> (Some f, every, every_s, resume)
-          | None -> (None, 0, None, None)
-        in
-        Milp.Branch_bound.solve ~deadline ~node_limit ?incumbent ~hooks
-          ~presolve ?root_basis ?basis_out ?basis_pool ?pricing ?max_lp_iters
-          ~checkpoint_every ?checkpoint_every_s ?on_checkpoint ?resume p
+    let on_checkpoint, checkpoint_every, checkpoint_every_s, resume =
+      match ck with
+      | Some (f, every, every_s, resume) -> (Some f, every, every_s, resume)
+      | None -> (None, 0, None, None)
+    in
+    Milp.Branch_bound.solve ~deadline ~node_limit ?incumbent ~hooks ~presolve
+      ?root_basis ?basis_out ?basis_pool ?pricing ?max_lp_iters
+      ~checkpoint_every ?checkpoint_every_s ?on_checkpoint ?resume p
 
 (* (pattern, class) blocks whose projected transfers break contiguity. *)
 let find_violations inst (sol : Solution.t) =
@@ -137,9 +116,9 @@ let find_violations inst (sol : Solution.t) =
   !violations
 
 let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
-    ?deadline_s ?(node_limit = 200_000) ?(max_rounds = 50) ?(engine = Best_first)
-    ?(jobs = 1) ?cancel ?(presolve = true) ?warm ?root_basis ?basis_out
-    ?basis_pool ?pricing ?max_lp_iters ?checkpoint_file ?(checkpoint_every = 64)
+    ?deadline_s ?(node_limit = 200_000) ?(max_rounds = 50) ?(jobs = 1)
+    ?cancel ?(presolve = true) ?warm ?root_basis ?basis_out ?basis_pool
+    ?pricing ?max_lp_iters ?checkpoint_file ?(checkpoint_every = 64)
     ?checkpoint_every_s ?resume ?interrupt_after_nodes objective app groups
     ~gamma =
   let t0 = Milp.Clock.now () in
@@ -160,27 +139,21 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
     invalid_arg "Solve.solve: interrupt_after_nodes requires jobs = 1";
   let fp = if durable then Checkpoint.fingerprint inst.Formulation.problem
     else "" in
-  (* Validate and dispatch a resume checkpoint to the matching engine. *)
-  let bf_resume, dfs_resume =
-    match resume with
-    | None -> (None, None)
-    | Some (ck : Checkpoint.t) ->
-      if ck.Checkpoint.ck_fingerprint <> fp then
-        invalid_arg
-          (Fmt.str
-             "Solve.solve: checkpoint fingerprint %s does not match the model \
-              (%s) — different workload, objective, options or a later lazy \
-              round"
-             ck.Checkpoint.ck_fingerprint fp);
-      (match (ck.Checkpoint.ck_state, engine) with
-       | Checkpoint.Best_first bf, Best_first -> (Some bf, None)
-       | Checkpoint.Dfs d, Dfs -> (None, Some d)
-       | Checkpoint.Best_first _, Dfs | Checkpoint.Dfs _, Best_first ->
-         invalid_arg
-           "Solve.solve: checkpoint was taken by the other engine \
-            (best-first vs dfs)")
+  (* Validate a resume checkpoint against the model. *)
+  let resume =
+    Option.map
+      (fun (ck : Checkpoint.t) ->
+        if ck.Checkpoint.ck_fingerprint <> fp then
+          invalid_arg
+            (Fmt.str
+               "Solve.solve: checkpoint fingerprint %s does not match the \
+                model (%s) — different workload, objective, options or a \
+                later lazy round"
+               ck.Checkpoint.ck_fingerprint fp);
+        ck.Checkpoint.ck_state)
+      resume
   in
-  (* Writer: wrap each engine snapshot in a versioned file. Only round 1
+  (* Writer: wrap each solver snapshot in a versioned file. Only round 1
      checkpoints are written — later lazy rounds solve a model grown by
      Constraint-6 cuts that a fresh process cannot reproduce without
      replaying the earlier rounds, so their fingerprint would never match
@@ -189,12 +162,7 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
     match checkpoint_file with
     | None -> ()
     | Some file ->
-      let meta =
-        [
-          ("objective", Formulation.objective_name objective);
-          ("engine", match engine with Best_first -> "best_first" | Dfs -> "dfs");
-        ]
-      in
+      let meta = [ ("objective", Formulation.objective_name objective) ] in
       (match Checkpoint.save file (Checkpoint.make ~meta ~fingerprint:fp state)
        with
        | Ok () -> ()
@@ -227,30 +195,16 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
     if remaining <= 0.5 || round > max_rounds then
       (None, Milp.Branch_bound.Unknown, None, round - 1)
     else begin
-      let bf_ck, dfs_ck =
-        if (not durable) || round > 1 then (None, None)
-        else
-          match engine with
-          | Best_first ->
-            ( Some
-                ( (fun ck -> write_state (Checkpoint.Best_first ck)),
-                  checkpoint_every,
-                  checkpoint_every_s,
-                  bf_resume ),
-              None )
-          | Dfs ->
-            ( None,
-              Some
-                ( (fun ck -> write_state (Checkpoint.Dfs ck)),
-                  checkpoint_every,
-                  dfs_resume ) )
+      let ck =
+        if (not durable) || round > 1 then None
+        else Some (write_state, checkpoint_every, checkpoint_every_s, resume)
       in
       let bb =
         Obs.span ~cat:"solver" "round" ~fields:[ ("round", Obs.Int round) ]
         @@ fun () ->
         bb_solve ~jobs ~cancel ~presolve ?root_basis ?basis_out ?basis_pool
-          ?pricing ?max_lp_iters ?stop_after_nodes:interrupt_after_nodes
-          ?bf_ck ?dfs_ck engine ~deadline ~node_limit
+          ?pricing ?max_lp_iters ?stop_after_nodes:interrupt_after_nodes ?ck
+          ~deadline ~node_limit
           ?incumbent:(encode_warm ()) inst.Formulation.problem
       in
       nodes_total := !nodes_total + bb.Milp.Branch_bound.stats.Milp.Branch_bound.nodes;
@@ -357,9 +311,9 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
    checkpoint instead of restarting — with the serialized basis pool
    dropped if the escalation rung disables warm starts. *)
 let solve_supervised ?policy ?options ?(time_limit_s = 60.0) ?deadline_s
-    ?node_limit ?max_rounds ?(engine = Best_first) ?cancel ?(presolve = true)
-    ?warm ?basis_pool ?pricing ?max_lp_iters ?checkpoint_file
-    ?checkpoint_every ?checkpoint_every_s ?resume objective app groups ~gamma =
+    ?node_limit ?max_rounds ?cancel ?(presolve = true) ?warm ?basis_pool
+    ?pricing ?max_lp_iters ?checkpoint_file ?checkpoint_every
+    ?checkpoint_every_s ?resume objective app groups ~gamma =
   let deadline =
     match deadline_s with
     | Some d -> d
@@ -384,28 +338,23 @@ let solve_supervised ?policy ?options ?(time_limit_s = 60.0) ?deadline_s
         | Some file when Sys.file_exists file -> (
           match Checkpoint.load file with
           | Ok ck ->
-            let ck =
-              if not esc.Retry.disable_warm then ck
-              else
-                match ck.Checkpoint.ck_state with
-                | Checkpoint.Best_first bf ->
-                  {
-                    ck with
-                    Checkpoint.ck_state =
-                      Checkpoint.Best_first
-                        { bf with Milp.Branch_bound.ck_pool = [] };
-                  }
-                | Checkpoint.Dfs _ -> ck
-            in
-            Some ck
+            if not esc.Retry.disable_warm then Some ck
+            else
+              let bf = ck.Checkpoint.ck_state in
+              Some
+                {
+                  ck with
+                  Checkpoint.ck_state =
+                    { bf with Milp.Branch_bound.ck_pool = [] };
+                }
           | Error m ->
             Log.warn (fun f ->
                 f "retry: checkpoint unreadable (%s); restarting" m);
             resume)
         | Some _ | None -> resume
     in
-    solve ?options ~deadline_s:deadline ?node_limit ?max_rounds ~engine
-      ~jobs:1 ?cancel ~presolve ?warm ?basis_pool ?pricing ?max_lp_iters
+    solve ?options ~deadline_s:deadline ?node_limit ?max_rounds ~jobs:1
+      ?cancel ~presolve ?warm ?basis_pool ?pricing ?max_lp_iters
       ?checkpoint_file ?checkpoint_every ?checkpoint_every_s ?resume objective
       app groups ~gamma
   in
@@ -425,11 +374,8 @@ let pp_stats ppf s =
      warm: hits=%d misses=%d pivots-saved=%d evictions=%d \
      presolve: rounds=%d rows-dropped=%d bounds-tightened=%d"
     (match s.status with
-     | Milp.Branch_bound.Optimal -> "optimal"
      | Milp.Branch_bound.Feasible -> "feasible(limit)"
-     | Milp.Branch_bound.Infeasible -> "infeasible"
-     | Milp.Branch_bound.Unbounded -> "unbounded"
-     | Milp.Branch_bound.Unknown -> "unknown")
+     | st -> Milp.Branch_bound.status_name st)
     s.time_s s.rounds s.nodes s.c6_constraints s.milp_vars s.milp_constraints
     Fmt.(option (fun ppf g -> pf ppf " gap=%.1f%%" (100.0 *. g)))
     s.gap lp.Milp.Branch_bound.lp_pivots lp.Milp.Branch_bound.lp_dual_pivots

@@ -12,6 +12,13 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type status = Optimal | Feasible | Infeasible | Unbounded | Unknown
 
+let status_name = function
+  | Optimal -> "optimal"
+  | Feasible -> "feasible"
+  | Infeasible -> "infeasible"
+  | Unbounded -> "unbounded"
+  | Unknown -> "unknown"
+
 (* LP-engine work counters aggregated over a whole search, plus the root
    presolve reductions. *)
 type lp_stats = {
@@ -242,8 +249,7 @@ end
 
 
 (* Pure feasibility problems (constant objective) with a feasible warm
-   incumbent are already solved — no search needed. Shared with the DFS
-   solver. *)
+   incumbent are already solved — no search needed. *)
 let feasibility_shortcut (p : Problem.t) incumbent =
   let _, obj_expr = Problem.objective p in
   match incumbent with

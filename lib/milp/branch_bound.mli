@@ -18,6 +18,11 @@ type status =
   | Unbounded
   | Unknown     (** limit hit before any incumbent was found *)
 
+(** ["optimal"], ["feasible"], ["infeasible"], ["unbounded"] or
+    ["unknown"]: the status as the CLI, the service and the portfolio
+    print it. *)
+val status_name : status -> string
+
 (** LP-engine work counters aggregated over the whole search, plus the
     root presolve reductions: the machine-readable account of where the
     solve time went. *)
@@ -42,7 +47,7 @@ val lp_zero : lp_stats
 val lp_add : lp_stats -> lp_stats -> lp_stats
 
 (** Package raw kernel counters (plus LP wall-clock and presolve
-    reductions) as an [lp_stats]. Shared with {!Dfs_solver}. *)
+    reductions) as an [lp_stats]. *)
 val lp_of_counters :
   Simplex_core.counters ->
   lp_time_s:float ->
@@ -162,8 +167,7 @@ type checkpoint = {
 }
 
 (** Pure feasibility problems (constant objective) with a feasible
-    incumbent need no search: returns the incumbent as [Optimal].
-    Shared with {!Dfs_solver}. *)
+    incumbent need no search: returns the incumbent as [Optimal]. *)
 val feasibility_shortcut : Problem.t -> float array option -> solution option
 
 (** [solve ?time_limit_s ?deadline ?node_limit ?int_eps ?incumbent

@@ -1,11 +1,11 @@
-(* Persistent simplex state shared by the one-shot LP solver ({!Simplex})
-   and the diving MILP solver ({!Dfs_solver}).
+(* Simplex tableau state behind the one-shot LP solver ({!Simplex}) and
+   the warm-basis reoptimization of branch-and-bound nodes.
 
-   The tableau survives across bound changes: {!set_var_bounds} adjusts
-   the basic values for a variable's new domain, and {!dual_restore} runs
-   the bounded dual simplex to re-establish primal feasibility while the
-   (unchanged) reduced costs keep the basis dual feasible — the standard
-   warm-start mechanism of branch-and-bound diving.
+   A node LP restarts from a saved {!Basis}: {!restore} rebuilds the
+   tableau under the node's bounds, crashes the basis in and runs
+   {!dual_restore}, the bounded dual simplex, to re-establish primal
+   feasibility while the reduced costs keep the basis (near) dual
+   feasible.
 
    Hot-path engineering (measured in the PRICING bench section):
    - every tableau row carries its nonzero support (a superset compacted
@@ -16,8 +16,8 @@
      classic Dantzig and Bland selectable per solve ({!pricing});
      optimality is only ever declared after a full refresh scan comes up
      empty, so partial pricing never weakens the optimality claim;
-   - [row_of_col] inverts the basis so {!col_value} and bound moves on
-     basic columns are O(1) instead of an O(m) basis scan.
+   - [row_of_col] inverts the basis so {!col_value} and the basis crash's
+     basic-column lookups are O(1) instead of an O(m) basis scan.
 
    Conventions: every structural column has lower bound 0 after a per-
    variable shift; nonbasic columns rest at a bound; [beta] holds the
@@ -97,8 +97,8 @@ let set_counters ~into c =
   into.basis_evictions <- c.basis_evictions
 
 (* How an original variable maps to solver columns. The shift of Shifted /
-   Flipped columns lives in the mutable [shift] array so branching can
-   move bounds without rebuilding. *)
+   Flipped columns is the variable's finite bound under the bounds the
+   tableau was built with ([build ?bounds] takes a node's overrides). *)
 type var_map =
   | Fixed                          (* lo = hi; value = shift *)
   | Shifted of int                 (* x = shift + y_col *)
@@ -959,51 +959,8 @@ let objective_value tb =
   Linexpr.eval obj_expr (solution tb)
 
 (* ------------------------------------------------------------------ *)
-(* Warm restarts: bound changes + bounded dual simplex                 *)
+(* Warm restarts: bounded dual simplex                                 *)
 (* ------------------------------------------------------------------ *)
-
-(* Move variable [j]'s domain to [lo, hi]. Only supported for variables
-   built as [Shifted] (every finitely-bounded variable — in particular
-   all integers branch-and-bound touches). The basis is untouched; basic
-   values are adjusted and may leave their bounds, to be repaired by
-   {!dual_restore}. *)
-let set_var_bounds tb j ~lo ~hi =
-  match tb.vmap.(j) with
-  | Shifted col ->
-    let old_lo = tb.shift.(j) in
-    let old_hi = old_lo +. tb.upper.(col) in
-    let dx =
-      match tb.stat.(col) with
-      | At_lower -> lo -. old_lo
-      | At_upper -> hi -. old_hi
-      | Basic -> 0.0
-    in
-    if dx <> 0.0 then begin
-      (* the nonbasic variable's actual value moves by dx *)
-      for i = 0 to tb.m - 1 do
-        let a = tb.tab.(i).(col) in
-        if a <> 0.0 then tb.beta.(i) <- tb.beta.(i) -. (a *. dx)
-      done
-    end;
-    (match tb.stat.(col) with
-     | Basic ->
-       (* y = x - shift: re-shift the stored basic value *)
-       let r = tb.row_of_col.(col) in
-       if r >= 0 then tb.beta.(r) <- tb.beta.(r) -. (lo -. old_lo)
-     | At_lower | At_upper -> ());
-    tb.shift.(j) <- lo;
-    tb.upper.(col) <- hi -. lo
-  | Fixed | Flipped _ | Split _ ->
-    invalid_arg "Simplex_core.set_var_bounds: variable is not Shifted"
-
-let var_bounds_of tb j =
-  match tb.vmap.(j) with
-  | Shifted col -> (tb.shift.(j), tb.shift.(j) +. tb.upper.(col))
-  | Fixed -> (tb.shift.(j), tb.shift.(j))
-  | Flipped col ->
-    ignore col;
-    (neg_infinity, tb.shift.(j))
-  | Split _ -> (neg_infinity, infinity)
 
 (* Bounded dual simplex: repair primal feasibility after bound changes
    while the reduced costs (unchanged by bound moves) stay dual feasible.

@@ -319,10 +319,10 @@ let pp_metrics ppf () =
 
 (* --- solver hook taps ------------------------------------------------- *)
 
-(* Observability taps over the MILP engines' cooperation hooks. Node
-   events are sampled past the first [node_sample] nodes (DFS dives
-   explore millions); the sampling is deterministic, so jobs=1 traces
-   stay byte-stable. *)
+(* Observability taps over the branch-and-bound cooperation hooks. Node
+   events are sampled past the first [node_sample] nodes (long searches
+   explore hundreds of thousands); the sampling is deterministic, so
+   jobs=1 traces stay byte-stable. *)
 module Solver_hooks = struct
   let node_sample = 64
 

@@ -1,11 +1,11 @@
-(* Portfolio racing over the two branch-and-bound engines.
+(* Portfolio racing of diversified branch-and-bound configurations.
 
    Cooperation is a single lock-free cell holding the best known
    (objective, solution) pair: workers publish improvements with a CAS
    loop through Branch_bound.hooks.on_incumbent and poll it at every
    node through get_incumbent. The cell stores immutable pairs — arrays
-   are copied on publish (by the engines' incumbent bookkeeping) and on
-   import (by the engines), so no array is ever written by two domains.
+   are copied on publish (by the solver's incumbent bookkeeping) and on
+   import (by the solver), so no array is ever written by two domains.
 
    The input Problem.t is shared read-only; see portfolio.mli for the
    confinement contract. *)
@@ -14,43 +14,36 @@ let src = Logs.Src.create "parallel.portfolio" ~doc:"MILP portfolio racing"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type engine = Best_first | Depth_first
-
 type config = {
   name : string;
-  engine : engine;
   branch_seed : int;
   use_warm : bool;
   pricing : Milp.Simplex.pricing;
 }
 
-let engine_name = function Best_first -> "bf" | Depth_first -> "dfs"
-
-let make_config ?(pricing = Milp.Simplex.Devex) i engine use_warm =
+let make_config ?(pricing = Milp.Simplex.Devex) i use_warm =
   {
     name =
-      Fmt.str "%s-s%d-%s-%s" (engine_name engine) i
+      Fmt.str "s%d-%s-%s" i
         (if use_warm then "warm" else "cold")
         (Milp.Simplex.pricing_name pricing);
-    engine;
     branch_seed = i;
     use_warm;
     pricing;
   }
 
-(* Engines alternate; the first pair starts warm (sprint from the
-   heuristic incumbent), the second cold (unbiased search); beyond four,
-   alternate warm/cold with fresh seeds. Devex pricing dominates the
+(* Every worker branches with its own seed; the first pair starts warm
+   (sprint from the heuristic incumbent), the second cold (unbiased
+   search); beyond four, alternate warm/cold. Devex pricing dominates the
    panel; every fourth worker runs Dantzig so a pathology of the devex
    trajectory cannot stall the whole portfolio. *)
 let default_configs ~jobs =
   List.init (max 1 jobs) (fun i ->
-      let engine = if i mod 2 = 0 then Best_first else Depth_first in
       let use_warm = if i < 4 then i < 2 else i mod 2 = 0 in
       let pricing =
         if i mod 4 = 3 then Milp.Simplex.Dantzig else Milp.Simplex.Devex
       in
-      make_config ~pricing i engine use_warm)
+      make_config ~pricing i use_warm)
 
 type report = {
   config : config;
@@ -78,13 +71,6 @@ type stats = {
 
 type result = { solution : Milp.Branch_bound.solution; stats : stats }
 
-let status_name = function
-  | Milp.Branch_bound.Optimal -> "optimal"
-  | Milp.Branch_bound.Feasible -> "feasible"
-  | Milp.Branch_bound.Infeasible -> "infeasible"
-  | Milp.Branch_bound.Unbounded -> "unbounded"
-  | Milp.Branch_bound.Unknown -> "unknown"
-
 let pp_stats ppf s =
   Fmt.pf ppf
     "jobs=%d%s%s time=%.2fs winner=%s exchanges=%d published/%d imported \
@@ -100,7 +86,8 @@ let pp_stats ppf s =
     s.incumbents_published s.incumbents_imported s.foreign_prunes
     Fmt.(
       list ~sep:(any ";@ ") (fun ppf r ->
-          pf ppf "%s:%s%a" r.config.name (status_name r.status)
+          pf ppf "%s:%s%a" r.config.name
+            (Milp.Branch_bound.status_name r.status)
             (option (fun ppf o -> pf ppf "(%g)" o))
             r.obj))
     s.reports
@@ -188,7 +175,7 @@ let solve ?pool ?jobs ?configs ?(deterministic = false) ?cancel ?deadline
   let imported = Atomic.make 0 in
   (* pre-seed the shared cell so every worker starts from the same
      cutoff; the warm incumbent is validated first — a portfolio must
-     not launder an infeasible vector into every engine *)
+     not launder an infeasible vector into every worker *)
   (match incumbent with
    | Some x
      when (not deterministic) && Milp.Problem.check_solution ~eps:1.0e-6 p x = []
@@ -210,7 +197,6 @@ let solve ?pool ?jobs ?configs ?(deterministic = false) ?cancel ?deadline
       ~fields:
         [
           ("name", Obs.Str cfg.name);
-          ("engine", Obs.Str (engine_name cfg.engine));
           ("seed", Obs.Int cfg.branch_seed);
           ("warm", Obs.Bool cfg.use_warm);
           ("pricing", Obs.Str (Milp.Simplex.pricing_name cfg.pricing));
@@ -276,26 +262,20 @@ let solve ?pool ?jobs ?configs ?(deterministic = false) ?cancel ?deadline
     let hooks = Obs.Solver_hooks.wrap ~worker:cfg.name hooks in
     let inc = if cfg.use_warm then incumbent else None in
     let sol =
-      match cfg.engine with
-      | Best_first ->
-        Milp.Branch_bound.solve ~deadline ?node_limit ?incumbent:inc
-          ~branch_seed:cfg.branch_seed ~hooks ~pricing:cfg.pricing
-          ~presolve:false p
-      | Depth_first ->
-        Milp.Dfs_solver.solve ~deadline ?node_limit ?incumbent:inc
-          ~branch_seed:cfg.branch_seed ~hooks ~pricing:cfg.pricing
-          ~presolve:false p
+      Milp.Branch_bound.solve ~deadline ?node_limit ?incumbent:inc
+        ~branch_seed:cfg.branch_seed ~hooks ~pricing:cfg.pricing
+        ~presolve:false p
     in
     if (not deterministic) && conclusive sol.Milp.Branch_bound.status then begin
       if Atomic.compare_and_set winner (-1) i then begin
+        let status =
+          Milp.Branch_bound.status_name sol.Milp.Branch_bound.status
+        in
         Log.info (fun f ->
             f "%s finished conclusively (%s); cancelling the rest" cfg.name
-              (status_name sol.Milp.Branch_bound.status));
+              status);
         Obs.point ~cat:"portfolio" "cancel"
-          [
-            ("winner", Obs.Str cfg.name);
-            ("status", Obs.Str (status_name sol.Milp.Branch_bound.status));
-          ]
+          [ ("winner", Obs.Str cfg.name); ("status", Obs.Str status) ]
       end;
       Pool.Token.cancel token
     end;

@@ -1,13 +1,12 @@
 (** Portfolio racing for MILP solves: diversified solver configurations
     attack the {e same} problem concurrently across domains.
 
-    Each worker runs one {!config} — an engine (best-first
-    {!Milp.Branch_bound} or depth-first {!Milp.Dfs_solver}), a branching
-    perturbation seed and a warm/cold start choice — against the same
-    absolute monotonic deadline. Workers cooperate through a shared
-    atomic incumbent cell: any worker's new incumbent immediately
-    tightens every other worker's pruning cutoff (counted in {!stats} as
-    incumbent exchanges, and by the engines as
+    Each worker runs {!Milp.Branch_bound} under one {!config} — a
+    branching perturbation seed, a warm/cold start choice and a pricing
+    rule — against the same absolute monotonic deadline. Workers
+    cooperate through a shared atomic incumbent cell: any worker's new
+    incumbent immediately tightens every other worker's pruning cutoff
+    (counted in {!stats} as incumbent exchanges, and by the workers as
     [Branch_bound.stats.foreign_prunes]), and the first worker to reach
     a {e conclusive} status — proven optimality, infeasibility or
     unboundedness — cancels the rest.
@@ -29,19 +28,16 @@
     designated configs finish — under a binding deadline the set of
     finished configs depends on scheduling. *)
 
-type engine = Best_first | Depth_first
-
 type config = {
   name : string;
-  engine : engine;
   branch_seed : int;  (** branching-order perturbation; 0 = classic rule *)
   use_warm : bool;  (** receive the caller's warm incumbent at start *)
   pricing : Milp.Simplex.pricing;  (** LP entering-variable rule *)
 }
 
-(** The default diversified panel: engines alternate, seeds differ, the
-    first pair starts warm and the second cold; devex pricing dominates,
-    with every fourth worker on Dantzig. *)
+(** The default diversified panel: seeds differ, the first pair starts
+    warm and the second cold; devex pricing dominates, with every fourth
+    worker on Dantzig. *)
 val default_configs : jobs:int -> config list
 
 (** Per-worker outcome, in config order. *)

@@ -22,15 +22,11 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 let version = 1
 
-type state =
-  | Best_first of Milp.Branch_bound.checkpoint
-  | Dfs of Milp.Dfs_solver.coarse_checkpoint
-
 type t = {
   ck_version : int;
   ck_fingerprint : string;
   ck_meta : (string * string) list;
-  ck_state : state;
+  ck_state : Milp.Branch_bound.checkpoint;
 }
 
 (* FNV-1a (64-bit) over the model's LP-format text: any change to a
@@ -149,19 +145,11 @@ let add_best_first b (ck : Milp.Branch_bound.checkpoint) =
     ck.ck_pool;
   Buffer.add_string b (Printf.sprintf ",\"pool_tick\":%d}" ck.ck_pool_tick)
 
-let add_dfs b (ck : Milp.Dfs_solver.coarse_checkpoint) =
-  Buffer.add_string b
-    (Printf.sprintf "{\"nodes\":%d,\"best\":" ck.Milp.Dfs_solver.dck_nodes);
-  add_best b ck.Milp.Dfs_solver.dck_best;
-  Buffer.add_char b '}'
-
 let to_string t =
   let b = Buffer.create 4096 in
-  Buffer.add_string b (Printf.sprintf "{\"version\":%d,\"kind\":" t.ck_version);
-  (match t.ck_state with
-   | Best_first _ -> Buffer.add_string b "\"best_first\""
-   | Dfs _ -> Buffer.add_string b "\"dfs\"");
-  Buffer.add_string b ",\"fingerprint\":";
+  Buffer.add_string b
+    (Printf.sprintf "{\"version\":%d,\"kind\":\"best_first\",\"fingerprint\":"
+       t.ck_version);
   add_json_string b t.ck_fingerprint;
   Buffer.add_string b ",\"meta\":{";
   List.iteri
@@ -172,9 +160,7 @@ let to_string t =
       add_json_string b v)
     t.ck_meta;
   Buffer.add_string b "},\"state\":";
-  (match t.ck_state with
-   | Best_first ck -> add_best_first b ck
-   | Dfs ck -> add_dfs b ck);
+  add_best_first b t.ck_state;
   Buffer.add_string b "}\n";
   Buffer.contents b
 
@@ -318,13 +304,6 @@ let best_first_of_json j =
     ck_pool_tick = as_int "state.pool_tick" (fi "pool_tick");
   }
 
-let dfs_of_json j =
-  let ms = as_obj "state" j in
-  {
-    Milp.Dfs_solver.dck_nodes = as_int "state.nodes" (field "state" ms "nodes");
-    dck_best = best_of_json "state.best" (field "state" ms "best");
-  }
-
 let of_string s =
   match parse s with
   | Error m -> Error ("checkpoint: " ^ m)
@@ -335,7 +314,9 @@ let of_string s =
       if v <> version then
         invalid "unsupported checkpoint version %d (this build reads %d)" v
           version;
-      let kind = as_string "kind" (field "checkpoint" ms "kind") in
+      (match as_string "kind" (field "checkpoint" ms "kind") with
+       | "best_first" -> ()
+       | k -> invalid "unknown checkpoint kind %S" k);
       let fingerprint =
         as_string "fingerprint" (field "checkpoint" ms "fingerprint")
       in
@@ -343,13 +324,7 @@ let of_string s =
         as_obj "meta" (field "checkpoint" ms "meta")
         |> List.map (fun (k, v) -> (k, as_string ("meta." ^ k) v))
       in
-      let state_json = field "checkpoint" ms "state" in
-      let state =
-        match kind with
-        | "best_first" -> Best_first (best_first_of_json state_json)
-        | "dfs" -> Dfs (dfs_of_json state_json)
-        | k -> invalid "unknown checkpoint kind %S" k
-      in
+      let state = best_first_of_json (field "checkpoint" ms "state") in
       Ok
         {
           ck_version = v;

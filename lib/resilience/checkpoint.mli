@@ -1,9 +1,10 @@
 (** Versioned, deterministic checkpoint files for interrupted solves.
 
-    A checkpoint wraps a solver-state snapshot — {!Milp.Branch_bound}'s
-    full frontier/incumbent/basis-pool state, or {!Milp.Dfs_solver}'s
-    coarse incumbent — together with a format version and a model
-    fingerprint, and (de)serializes it to strict JSON.
+    A checkpoint wraps {!Milp.Branch_bound}'s full
+    frontier/incumbent/basis-pool snapshot together with a format version
+    and a model fingerprint, and (de)serializes it to strict JSON. Files
+    carry ["kind":"best_first"]; any other kind (such as the ["dfs"]
+    files of the retired depth-first engine) is refused on load.
 
     Properties the test suite pins down:
     - {b deterministic}: [to_string] is a pure function of the snapshot
@@ -24,26 +25,25 @@
 val version : int
 (** Current file-format version (1). {!of_string} rejects any other. *)
 
-type state =
-  | Best_first of Milp.Branch_bound.checkpoint
-      (** trajectory-identical resume (see {!Milp.Branch_bound.solve}) *)
-  | Dfs of Milp.Dfs_solver.coarse_checkpoint
-      (** incumbent-only resume (see {!Milp.Dfs_solver.solve}) *)
-
 type t = {
   ck_version : int;
   ck_fingerprint : string;
   ck_meta : (string * string) list;
       (** free-form provenance (objective name, solver parameters…);
           order is preserved *)
-  ck_state : state;
+  ck_state : Milp.Branch_bound.checkpoint;
+      (** trajectory-identical resume state (see {!Milp.Branch_bound.solve}) *)
 }
 
 val fingerprint : Milp.Problem.t -> string
 (** FNV-1a hash of the model's LP-format text: stable across runs,
     changed by any bound/coefficient/objective edit. *)
 
-val make : ?meta:(string * string) list -> fingerprint:string -> state -> t
+val make :
+  ?meta:(string * string) list ->
+  fingerprint:string ->
+  Milp.Branch_bound.checkpoint ->
+  t
 (** Wrap a snapshot at the current {!version}. *)
 
 val to_string : t -> string

@@ -54,13 +54,6 @@ let shutdown t = Parallel.Pool.shutdown t.pool
 
 let count t f = Mutex.protect t.m (fun () -> f t)
 
-let status_name = function
-  | Milp.Branch_bound.Optimal -> "optimal"
-  | Milp.Branch_bound.Feasible -> "feasible"
-  | Milp.Branch_bound.Infeasible -> "infeasible"
-  | Milp.Branch_bound.Unbounded -> "unbounded"
-  | Milp.Branch_bound.Unknown -> "unknown"
-
 (* The cache family deliberately omits [alpha] (and the QoS fields):
    two requests differing only in alpha denote perturbed variants of
    one model family, and that is exactly the pair the warm-seed path
@@ -142,7 +135,8 @@ let solve_milp t ~id ~deadline ~t0 (s : Protocol.solve) app groups gamma =
       let core =
         [
           ("tier", Protocol.S "milp");
-          ("solver", Protocol.S (status_name st.Letdma.Solve.status));
+          ( "solver",
+            Protocol.S (Milp.Branch_bound.status_name st.Letdma.Solve.status) );
           ("objective", Protocol.F obj);
           ("transfers", Protocol.I (Letdma.Solution.num_transfers sol));
           ("certified", Protocol.B certified);
@@ -157,7 +151,7 @@ let solve_milp t ~id ~deadline ~t0 (s : Protocol.solve) app groups gamma =
         ~nodes:st.Letdma.Solve.nodes ~t0 core
     | _ ->
       error_response t ~id "no solution (%s)"
-        (status_name st.Letdma.Solve.status))
+        (Milp.Branch_bound.status_name st.Letdma.Solve.status))
 
 (* --- shed tiers ------------------------------------------------------ *)
 

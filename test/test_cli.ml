@@ -1,7 +1,8 @@
 (* Black-box tests for bin/letdma_cli: structured rejection of invalid
-   --jobs values (exit code 1 + one-line error on stderr), as opposed to
-   cmdliner's own parse failures (exit 124). Runs the built executable;
-   cwd during [dune runtest] is [_build/default/test]. *)
+   --jobs values and of unreadable checkpoints (exit code 1 + one-line
+   error on stderr), as opposed to cmdliner's own parse failures (exit
+   124). Runs the built executable; cwd during [dune runtest] is
+   [_build/default/test]. *)
 
 let exe = Filename.concat (Filename.concat ".." "bin") "letdma_cli.exe"
 
@@ -44,6 +45,29 @@ let test_jobs_ok () =
     "no jobs complaint" false
     (contains ~needle:"jobs must be" out)
 
+(* A checkpoint as the retired depth-first engine wrote it: [resume] must
+   refuse it by kind, before building any model. *)
+let test_resume_dfs_checkpoint () =
+  let file = Filename.temp_file "letdma_cli_dfs" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      let oc = open_out_bin file in
+      output_string oc
+        "{\"version\":1,\"kind\":\"dfs\",\
+         \"fingerprint\":\"fnv1a64:9b2ae0b73dfd3492\",\
+         \"meta\":{\"objective\":\"dmat\",\"engine\":\"dfs\"},\
+         \"state\":{\"nodes\":3,\"best\":{\"obj\":9,\"x\":[1,0,1]}}}\n";
+      close_out oc;
+      let code, out =
+        run ("resume --workload small --seed 5 --checkpoint "
+             ^ Filename.quote file)
+      in
+      Alcotest.(check int) "resume exits 1" 1 code;
+      Alcotest.(check bool)
+        "names the unknown kind" true
+        (contains ~needle:"checkpoint: unknown checkpoint kind \"dfs\"" out))
+
 let () =
   Alcotest.run "cli"
     [
@@ -52,5 +76,10 @@ let () =
           Alcotest.test_case "--jobs 0 rejected" `Quick test_jobs_zero;
           Alcotest.test_case "--jobs -3 rejected" `Quick test_jobs_negative;
           Alcotest.test_case "--jobs 2 accepted" `Slow test_jobs_ok;
+        ] );
+      ( "checkpoint",
+        [
+          Alcotest.test_case "resume refuses a dfs checkpoint" `Quick
+            test_resume_dfs_checkpoint;
         ] );
     ]

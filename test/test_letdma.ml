@@ -277,23 +277,6 @@ let test_solve_without_warm () =
     Alcotest.(check (result unit string)) "validates" (Ok ())
       (Solution.validate app groups sol)
 
-let test_solve_dfs_engine () =
-  let app = fixture () in
-  let groups = Groups.compute app in
-  let gamma = gamma_for app 0.3 in
-  let warm = Heuristic.solve_unchecked app groups ~gamma in
-  let r =
-    Solve.solve ~engine:Solve.Dfs ~time_limit_s:20.0 ?warm Formulation.No_obj
-      app groups ~gamma
-  in
-  match r.Solve.solution with
-  | None -> Alcotest.fail "dfs engine found no solution"
-  | Some sol ->
-    Alcotest.(check (result unit string)) "validates" (Ok ())
-      (Solution.validate app groups sol);
-    check_bool "optimal (feasibility shortcut)" true
-      (r.Solve.stats.Solve.status = Milp.Branch_bound.Optimal)
-
 (* presolve is on by default; the reduction must not change what the
    solver returns on the seed example — the perturbation is keyed on
    stable row ids precisely so reduced and original models solve along
@@ -799,33 +782,37 @@ let test_pipeline_accepts_fixture () =
     check_bool "renders" true
       (String.length (Fmt.str "%a" (Pipeline.pp_outcome app) o) > 0)
 
+(* A lying MILP result: the corrupted solution carrying a forged
+   certificate. *)
+let forged_result corrupted ~options objective app groups ~gamma =
+  let forged =
+    { Certify.source = Certify.Milp_optimal; checks = 9999; warnings = [];
+      time_s = 0.0 }
+  in
+  let inst = Formulation.make ~options objective app groups ~gamma in
+  {
+    Solve.solution = Some corrupted;
+    x = None;
+    certificate = Some (Ok forged);
+    stats =
+      {
+        Solve.rounds = 1; c6_constraints = 0; nodes = 0; time_s = 0.0;
+        status = Milp.Branch_bound.Optimal; gap = None;
+        milp_vars = Milp.Problem.num_vars inst.Formulation.problem;
+        milp_constraints = Milp.Problem.num_constrs inst.Formulation.problem;
+        lp = Milp.Branch_bound.lp_zero;
+      };
+    instance = inst;
+  }
+
 (* a solver that lies: returns a corrupted solution carrying a forged
    certificate. The pipeline must re-certify, reject both MILP rungs and
    degrade to the heuristic. *)
 let test_pipeline_lying_solver_falls_back () =
   let app, _groups, _gamma, _sol, corrupted = corrupted_fixture () in
-  let forged =
-    { Certify.source = Certify.Milp_optimal; checks = 9999; warnings = [];
-      time_s = 0.0 }
-  in
-  let lying ~deadline_s:_ ~engine:_ ~jobs:_ ~presolve:_ ~cancel:_ ~warm:_
-      ~chain:_ ~options
-      objective app groups ~gamma:g =
-    let inst = Formulation.make ~options objective app groups ~gamma:g in
-    {
-      Solve.solution = Some corrupted;
-      x = None;
-      certificate = Some (Ok forged);
-      stats =
-        {
-          Solve.rounds = 1; c6_constraints = 0; nodes = 0; time_s = 0.0;
-          status = Milp.Branch_bound.Optimal; gap = None;
-          milp_vars = Milp.Problem.num_vars inst.Formulation.problem;
-          milp_constraints = Milp.Problem.num_constrs inst.Formulation.problem;
-          lp = Milp.Branch_bound.lp_zero;
-        };
-      instance = inst;
-    }
+  let lying ~deadline_s:_ ~jobs:_ ~presolve:_ ~cancel:_ ~warm:_ ~chain:_
+      ~options objective app groups ~gamma =
+    forged_result corrupted ~options objective app groups ~gamma
   in
   match Pipeline.run ~milp_solve:lying ~budget_s:30.0 app with
   | Error f -> Alcotest.fail (Pipeline.failure_to_string f)
@@ -846,6 +833,63 @@ let test_pipeline_lying_solver_falls_back () =
     (* the accepted solution really is certified *)
     check_bool "own certificate, not the forged one" true
       (o.Pipeline.certificate.Certify.source = Certify.Heuristic)
+
+(* a solver that lies on its first call (the primary rung) and solves
+   honestly on its second (the perturbed rung, handed the 0.1 %-tightened
+   gamma). The ladder must reject the primary, accept the perturbed rung,
+   and the accepted plan must certify against the ORIGINAL gamma.
+
+   The honest call seeds Solve.solve with the heuristic plan for the gamma
+   it is handed. The pipeline's own perturbed rung starts cold, and a cold
+   NO-OBJ answer on this fixture violates a Constraint-5 row by 1.02e-6,
+   just past the certifier's 1e-6 residual tolerance (solver and
+   certifier do not share one tolerance yet): that would reject the rung
+   whatever the ladder does, so it is not what this test is about. *)
+let test_pipeline_perturbed_rung_accepted () =
+  let app, _groups, _gamma, _sol, corrupted = corrupted_fixture () in
+  let gammas = ref [] in
+  let flaky ~deadline_s ~jobs ~presolve ~cancel ~warm:_ ~chain:_ ~options
+      objective app groups ~gamma =
+    gammas := gamma :: !gammas;
+    if List.length !gammas = 1 then
+      forged_result corrupted ~options objective app groups ~gamma
+    else
+      let warm = Heuristic.solve_unchecked app groups ~gamma in
+      Solve.solve ~options ~deadline_s ~jobs ~presolve ?cancel ?warm objective
+        app groups ~gamma
+  in
+  match Pipeline.run ~milp_solve:flaky ~budget_s:30.0 app with
+  | Error f -> Alcotest.fail (Pipeline.failure_to_string f)
+  | Ok o ->
+    check_bool "perturbed rung accepted" true
+      (o.Pipeline.rung = Pipeline.Milp_perturbed);
+    Alcotest.(check (list (pair string bool)))
+      "milp rejected, then milp-perturbed accepted"
+      [ ("milp", false); ("milp-perturbed", true) ]
+      (List.map
+         (fun (a : Pipeline.attempt) ->
+           (Pipeline.rung_name a.Pipeline.rung, a.Pipeline.accepted))
+         o.Pipeline.attempts);
+    let gamma = gamma_for app 0.2 in
+    (match List.rev !gammas with
+     | [ primary; perturbed ] ->
+       check_bool "primary solved against the original gamma" true
+         (primary = gamma);
+       check_bool "perturbed rung solved against a tightened gamma" true
+         (perturbed <> gamma
+         && Array.for_all2 (fun p g -> Time.compare p g <= 0) perturbed gamma)
+     | _ -> Alcotest.fail "expected exactly two MILP solves");
+    check_bool "outcome reports the original gamma" true
+      (o.Pipeline.gamma = gamma);
+    match
+      Certify.certify ~source:Certify.Milp_optimal app (Groups.compute app)
+        ~gamma o.Pipeline.solution
+    with
+    | Ok _ -> ()
+    | Error vs ->
+      Alcotest.fail
+        (Fmt.str "accepted plan fails the original gamma: %a"
+           (Certify.pp_violation app) (List.hd vs))
 
 let test_pipeline_no_comms () =
   let platform = Platform.make ~n_cores:2 () in
@@ -991,7 +1035,6 @@ let () =
           Alcotest.test_case "OBJ-DEL" `Slow test_solve_min_delay;
           Alcotest.test_case "OBJ-DMAT" `Slow test_solve_min_transfers;
           Alcotest.test_case "without warm start" `Slow test_solve_without_warm;
-          Alcotest.test_case "dfs engine" `Quick test_solve_dfs_engine;
           Alcotest.test_case "presolve default unchanged" `Slow
             test_solve_presolve_default_unchanged;
           Alcotest.test_case "infeasible gamma" `Quick test_solve_infeasible_gamma;
@@ -1041,6 +1084,8 @@ let () =
             test_pipeline_accepts_fixture;
           Alcotest.test_case "lying solver falls back" `Quick
             test_pipeline_lying_solver_falls_back;
+          Alcotest.test_case "perturbed rung accepted" `Quick
+            test_pipeline_perturbed_rung_accepted;
           Alcotest.test_case "no communications" `Quick test_pipeline_no_comms;
           Alcotest.test_case "presolve default unchanged" `Slow
             test_pipeline_presolve_default_unchanged;

@@ -453,28 +453,40 @@ let test_core_solve_and_extract () =
   check_float "x" 4.0 sol.(x);
   check_float "y" 2.0 sol.(y)
 
+(* [restore ~bounds] re-solves a node LP from a saved basis under new
+   variable bounds: the branch-and-bound warm start *)
+let bounds_with p j ~lo ~hi =
+  let n = P.num_vars p in
+  let los = Array.init n (fun v -> fst (P.var_bounds p v)) in
+  let his = Array.init n (fun v -> snd (P.var_bounds p v)) in
+  los.(j) <- lo;
+  his.(j) <- hi;
+  (los, his)
+
+let restore_optimal p b bounds =
+  match C.restore ~bounds ~max_iters:1_000 ~deadline:infinity b p with
+  | `Optimal tb -> tb
+  | `Cold_needed -> Alcotest.fail "restore fell back to a cold solve"
+  | `Infeasible_bounds -> Alcotest.fail "unexpected crossed bounds"
+  | `Unbounded -> Alcotest.fail "unexpected unbounded"
+  | `Limit -> Alcotest.fail "unexpected limit"
+
 let test_core_bound_move_and_dual_repair () =
   let p, x, y = core_problem () in
   let tb = solved_core p in
   (* tighten x <= 1: new optimum x = 1, y = 4, obj = 6 *)
-  C.set_var_bounds tb x ~lo:0.0 ~hi:1.0;
-  (match C.dual_restore tb ~max_iters:1_000 ~deadline:infinity with
-   | `Feasible -> ()
-   | `Infeasible -> Alcotest.fail "unexpected infeasible"
-   | `Limit -> Alcotest.fail "unexpected limit");
-  check_float "objective after repair" 6.0 (C.objective_value tb);
-  let sol = C.solution tb in
+  let tb1 =
+    restore_optimal p (C.snapshot tb) (bounds_with p x ~lo:0.0 ~hi:1.0)
+  in
+  check_float "objective after repair" 6.0 (C.objective_value tb1);
+  let sol = C.solution tb1 in
   check_float "x after repair" 1.0 sol.(x);
   check_float "y after repair" 4.0 sol.(y);
-  (* relax it back: original optimum returns *)
-  C.set_var_bounds tb x ~lo:0.0 ~hi:4.0;
-  (match C.dual_restore tb ~max_iters:1_000 ~deadline:infinity with
-   | `Feasible -> ()
-   | _ -> Alcotest.fail "repair after relaxation failed");
-  (* relaxing restores primal feasibility but the entering prices may now
-     be improvable: bound moves keep dual feasibility, so the solution is
-     optimal again *)
-  check_float "objective restored" 10.0 (C.objective_value tb)
+  (* relax it back from the repaired basis: original optimum returns *)
+  let tb2 =
+    restore_optimal p (C.snapshot tb1) (bounds_with p x ~lo:0.0 ~hi:4.0)
+  in
+  check_float "objective restored" 10.0 (C.objective_value tb2)
 
 let test_core_bound_move_infeasible () =
   let p = P.create () in
@@ -483,21 +495,21 @@ let test_core_bound_move_infeasible () =
   P.set_objective p P.Minimize (L.var x);
   let tb = solved_core p in
   check_float "base optimum" 5.0 (C.objective_value tb);
-  (* force x <= 2: conflicts with x >= 5 *)
-  C.set_var_bounds tb x ~lo:0.0 ~hi:2.0;
-  (match C.dual_restore tb ~max_iters:1_000 ~deadline:infinity with
-   | `Infeasible -> ()
-   | `Feasible -> Alcotest.fail "expected infeasible"
-   | `Limit -> Alcotest.fail "unexpected limit")
-
-let test_core_var_bounds_of () =
-  let p, x, _ = core_problem () in
-  let tb = solved_core p in
-  Alcotest.(check (pair (float 1e-9) (float 1e-9))) "initial" (0.0, 4.0)
-    (C.var_bounds_of tb x);
-  C.set_var_bounds tb x ~lo:1.0 ~hi:3.0;
-  Alcotest.(check (pair (float 1e-9) (float 1e-9))) "moved" (1.0, 3.0)
-    (C.var_bounds_of tb x)
+  (* force x <= 2: conflicts with x >= 5. A restored cost row need not be
+     exactly dual feasible, so restore never certifies infeasibility by
+     itself: it hands the node back to the cold path *)
+  let bounds = bounds_with p x ~lo:0.0 ~hi:2.0 in
+  (match
+     C.restore ~bounds ~max_iters:1_000 ~deadline:infinity (C.snapshot tb) p
+   with
+   | `Cold_needed | `Infeasible_bounds -> ()
+   | `Optimal _ -> Alcotest.fail "restore claimed an optimum"
+   | `Unbounded -> Alcotest.fail "unexpected unbounded"
+   | `Limit -> Alcotest.fail "unexpected limit");
+  (* ... which proves it *)
+  match S.solve ~bounds p with
+  | S.Infeasible -> ()
+  | _ -> Alcotest.fail "cold solve under the moved bound must be infeasible"
 
 let test_feasibility_shortcut () =
   let p = P.create () in
@@ -879,76 +891,77 @@ let prop_presolve_solution_roundtrip =
          | None -> true
          | Some x -> P.check_solution ~eps:1e-5 p x = []))
 
-(* the DFS diving solver and the best-first reference must agree *)
-let prop_dfs_matches_best_first =
-  QCheck.Test.make ~name:"dfs solver matches best-first on random MILPs"
+(* best-first against exhaustive enumeration on mixed binary/general
+   integer MILPs: n <= 10 binaries x y in 0..6 is at most 7,168 points.
+   For each binary vector the oracle keeps the largest feasible y, the
+   best one since y's objective coefficient is positive. *)
+let prop_bb_matches_enumeration =
+  QCheck.Test.make ~name:"best-first B&B matches exhaustive enumeration"
     ~count:30
     QCheck.(int_range 1 10_000)
     (fun seed ->
       let st = Random.State.make [| seed |] in
       let n = 4 + Random.State.int st 7 in
+      let coeff () = float_of_int (1 + Random.State.int st 9) in
+      let rows =
+        Array.init 3 (fun _ ->
+            let a = Array.init n (fun _ -> coeff ()) in
+            (a, float_of_int (8 + Random.State.int st (3 * n))))
+      in
+      let c = Array.init n (fun _ -> coeff ()) in
       let p = P.create () in
       let xs =
         Array.init n (fun i -> P.binary ~name:(Printf.sprintf "d%d" i) p)
       in
       let y = P.integer ~name:"y" ~lo:0.0 ~hi:6.0 p in
-      for r = 0 to 2 do
-        let expr =
-          Array.fold_left
-            (fun acc x ->
-              L.add_term acc (float_of_int (1 + Random.State.int st 9)) x)
-            (L.var ~coeff:2.0 y) xs
-        in
-        ignore
-          (P.add_constr ~name:(Printf.sprintf "dr%d" r) p expr P.Le
-             (float_of_int (8 + Random.State.int st (3 * n))))
-      done;
-      ignore (P.add_constr p (L.add (L.var xs.(0)) (L.var y)) P.Ge 1.0);
-      let obj =
-        Array.fold_left
-          (fun acc x ->
-            L.add_term acc (float_of_int (1 + Random.State.int st 9)) x)
-          (L.var ~coeff:3.0 y) xs
+      let lin a =
+        L.of_list (Array.to_list (Array.mapi (fun i x -> (a.(i), x)) xs))
       in
-      P.set_objective p P.Maximize obj;
-      let a = B.solve ~time_limit_s:15.0 p in
-      let b = Milp.Dfs_solver.solve ~time_limit_s:15.0 p in
-      match (a.B.obj, b.B.obj) with
-      | Some oa, Some ob -> Float.abs (oa -. ob) < 1.0e-6
-      | None, None -> true
-      | Some _, None | None, Some _ -> false)
+      Array.iteri
+        (fun r (a, b) ->
+          ignore
+            (P.add_constr ~name:(Printf.sprintf "dr%d" r) p
+               (L.add_term (lin a) 2.0 y) P.Le b))
+        rows;
+      ignore (P.add_constr p (L.add (L.var xs.(0)) (L.var y)) P.Ge 1.0);
+      P.set_objective p P.Maximize (L.add_term (lin c) 3.0 y);
+      let dot a x =
+        let s = ref 0.0 in
+        Array.iteri (fun i v -> s := !s +. (a.(i) *. v)) x;
+        !s
+      in
+      let best_y x =
+        List.fold_left
+          (fun acc yv ->
+            let fy = float_of_int yv in
+            let ok =
+              x.(0) +. fy >= 1.0
+              && Array.for_all (fun (a, b) -> dot a x +. (2.0 *. fy) <= b) rows
+            in
+            if ok then Some yv else acc)
+          None [ 0; 1; 2; 3; 4; 5; 6 ]
+      in
+      let expected =
+        enumerate_best ~n
+          ~feasible:(fun x -> best_y x <> None)
+          ~value:(fun x ->
+            dot c x +. (3.0 *. float_of_int (Option.get (best_y x))))
+      in
+      let s = B.solve ~time_limit_s:15.0 p in
+      match (s.B.status, s.B.obj, expected) with
+      | B.Optimal, Some obj, Some e -> Float.abs (obj -. e) < 1.0e-6
+      | B.Infeasible, None, None -> true
+      | _ -> false)
 
-let test_dfs_warm_incumbent () =
-  let p = P.create () in
-  let xs = Array.init 5 (fun i -> P.binary ~name:(Printf.sprintf "wd%d" i) p) in
-  ignore
-    (P.add_constr p
-       (L.of_list (Array.to_list (Array.map (fun x -> (2.0, x)) xs)))
-       P.Le 5.0);
-  P.set_objective p P.Maximize
-    (L.of_list (Array.to_list (Array.map (fun x -> (1.0, x)) xs)));
-  let warm = Array.make (P.num_vars p) 0.0 in
-  warm.(xs.(0)) <- 1.0;
-  let s = Milp.Dfs_solver.solve ~time_limit_s:10.0 ~incumbent:warm p in
-  Alcotest.(check bool) "optimal" true (s.B.status = B.Optimal);
-  check_float "objective" 2.0 (Option.get s.B.obj)
-
-let test_dfs_infeasible () =
-  let p = P.create () in
-  let x = P.integer ~lo:0.0 ~hi:10.0 p in
-  let y = P.integer ~lo:0.0 ~hi:10.0 p in
-  ignore (P.add_constr p (L.of_list [ (2.0, x); (2.0, y) ]) P.Eq 3.0);
-  P.set_objective p P.Minimize (L.var x);
-  let s = Milp.Dfs_solver.solve ~time_limit_s:10.0 p in
-  Alcotest.(check bool) "infeasible" true (s.B.status = B.Infeasible)
-
-let test_dfs_fallback_on_unbounded_integer () =
+(* an integer variable without an upper bound still branches to the
+   integral optimum *)
+let test_milp_unbounded_integer_var () =
   let p = P.create () in
   let x = P.integer ~lo:0.0 p (* unbounded above *) in
   ignore (P.add_constr p (L.var x) P.Le 4.5);
   P.set_objective p P.Maximize (L.var x);
-  let s = Milp.Dfs_solver.solve ~time_limit_s:10.0 p in
-  check_float "falls back and solves" 4.0 (Option.get s.B.obj)
+  let s = B.solve ~time_limit_s:10.0 p in
+  check_float "branches to the integral optimum" 4.0 (Option.get s.B.obj)
 
 let prop_lp_roundtrip =
   QCheck.Test.make ~name:"LP write/parse round trip preserves the optimum"
@@ -1088,9 +1101,9 @@ let prop_warm_simplex_matches_cold =
          | _ -> false)
       | _ -> QCheck.assume_fail ())
 
-(* the warm-basis engine (pool on) and the cold engine (pool 0) must
+(* the warm-basis search (pool on) and the cold search (pool 0) must
    agree on status and objective over whole searches — the warm-vs-cold
-   companion of the dfs-vs-best-first cross-engine property *)
+   companion of the enumeration property *)
 let prop_warm_bb_matches_cold =
   QCheck.Test.make ~name:"warm-basis B&B matches cold B&B on random MILPs"
     ~count:30
@@ -1156,7 +1169,7 @@ let () =
         prop_knapsack_matches_bruteforce;
         prop_random_lp_solution_feasible;
         prop_bb_obj_never_beats_lp_bound;
-        prop_dfs_matches_best_first;
+        prop_bb_matches_enumeration;
         prop_warm_simplex_matches_cold;
         prop_warm_bb_matches_cold;
         prop_lp_roundtrip;
@@ -1194,18 +1207,13 @@ let () =
             test_milp_infeasible_integrality;
           Alcotest.test_case "warm incumbent" `Quick test_milp_warm_incumbent;
           Alcotest.test_case "assignment" `Quick test_milp_assignment;
+          Alcotest.test_case "unbounded integer var" `Quick
+            test_milp_unbounded_integer_var;
         ] );
       ( "warmstart",
         [
           Alcotest.test_case "jobs=1 determinism + pinned trajectory" `Quick
             test_warm_determinism_two_runs;
-        ] );
-      ( "dfs-solver",
-        [
-          Alcotest.test_case "warm incumbent" `Quick test_dfs_warm_incumbent;
-          Alcotest.test_case "infeasible" `Quick test_dfs_infeasible;
-          Alcotest.test_case "fallback on unbounded integer" `Quick
-            test_dfs_fallback_on_unbounded_integer;
         ] );
       ( "helpers",
         [
@@ -1231,7 +1239,6 @@ let () =
             test_core_bound_move_and_dual_repair;
           Alcotest.test_case "bound move to infeasible" `Quick
             test_core_bound_move_infeasible;
-          Alcotest.test_case "var bounds tracking" `Quick test_core_var_bounds_of;
           Alcotest.test_case "feasibility shortcut" `Quick test_feasibility_shortcut;
         ] );
       ( "presolve",

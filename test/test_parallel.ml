@@ -1,6 +1,6 @@
 (* Tests for the lib/parallel subsystem: domain pool, portfolio racing,
-   batch sweeps — plus the cross-engine equivalence property over MILPs
-   built from random Workload.Generator instances. *)
+   batch sweeps — plus the sequential-vs-portfolio equivalence property
+   over MILPs built from random Workload.Generator instances. *)
 
 open Let_sem
 
@@ -156,18 +156,12 @@ let test_foreign_prune_best_first () =
   let s = B.solve ~hooks:(foreign_hooks ()) (foreign_prune_problem ()) in
   check_foreign_prune "best-first" s
 
-let test_foreign_prune_dfs () =
-  let s =
-    Milp.Dfs_solver.solve ~hooks:(foreign_hooks ()) (foreign_prune_problem ())
-  in
-  check_foreign_prune "dfs" s
-
 (* ------------------------------------------------------------------ *)
 (* Portfolio                                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* A deterministic knapsack family with fractional LP roots, so every
-   engine has to branch. *)
+   worker has to branch. *)
 let knapsack seed =
   let n = 8 in
   let rand =
@@ -429,7 +423,7 @@ let test_solve_jobs_certified () =
     certified "portfolio jobs=4" r4
 
 (* ------------------------------------------------------------------ *)
-(* Property: engines and portfolio agree on Workload.Generator MILPs   *)
+(* Property: sequential B&B and portfolio agree on generator MILPs     *)
 (* ------------------------------------------------------------------ *)
 
 let small_config =
@@ -464,15 +458,12 @@ let prop_engines_agree =
            outside this property's scope *)
         QCheck.assume (bb.B.status = B.Optimal);
         (* so are tolerance-edge instances whose optimum only satisfies
-           the constraints to worse than 1e-6: the engines legitimately
-           disagree on whether such a vertex is acceptable *)
+           the constraints to worse than 1e-6: differently seeded searches
+           legitimately disagree on whether such a vertex is acceptable *)
         QCheck.assume
           (match bb.B.x with
           | Some x -> P.check_solution ~eps:1.0e-6 p x = []
           | None -> false);
-        let dfs =
-          Milp.Dfs_solver.solve ~time_limit_s:budget ~node_limit:nodes p
-        in
         let pf jobs =
           Portfolio.solve ~jobs ~deterministic:true ~time_limit_s:budget
             ~node_limit:nodes p
@@ -489,7 +480,6 @@ let prop_engines_agree =
         List.for_all
           (fun (name, s) -> Float.abs (obj_of name s -. reference) < 1e-6)
           [
-            ("dfs", dfs);
             ("portfolio jobs=1", p1.Portfolio.solution);
             ("portfolio jobs=4", p4.Portfolio.solution);
           ]
@@ -519,8 +509,6 @@ let () =
         [
           Alcotest.test_case "foreign prune (best-first)" `Quick
             test_foreign_prune_best_first;
-          Alcotest.test_case "foreign prune (dfs)" `Quick
-            test_foreign_prune_dfs;
         ] );
       ( "portfolio",
         [

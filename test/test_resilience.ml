@@ -1,8 +1,8 @@
 (* Tests for lib/resilience and the solver-side crash-resilience
    features it packages: byte-identical checkpoint round trips, strict
    load-time validation, kill-and-resume trajectory identity for the
-   best-first engine (deterministic and property-based), coarse DFS
-   resume, the retry/backoff ladder, and LP iteration-limit recovery. *)
+   best-first search (deterministic and property-based), the retry/backoff
+   ladder, and LP iteration-limit recovery. *)
 
 module P = Milp.Problem
 module L = Milp.Linexpr
@@ -42,7 +42,7 @@ let knapsack seed =
 
 (* Interrupt a best-first solve after [k] explored nodes and hand back
    the final checkpoint the solver emits on its way out. *)
-let interrupt_after ?(engine = `Best_first) p k =
+let interrupt_after p k =
   let seen = ref 0 in
   let hooks =
     {
@@ -51,23 +51,13 @@ let interrupt_after ?(engine = `Best_first) p k =
       on_node = (fun ~node:_ ~depth:_ ~bound:_ ~pivots:_ -> incr seen);
     }
   in
-  match engine with
-  | `Best_first ->
-    let captured = ref None in
-    let s =
-      B.solve ~time_limit_s:60.0 ~hooks
-        ~on_checkpoint:(fun ck -> captured := Some ck)
-        p
-    in
-    (s, `Best_first !captured)
-  | `Dfs ->
-    let captured = ref None in
-    let s =
-      Milp.Dfs_solver.solve ~time_limit_s:60.0 ~hooks
-        ~on_checkpoint:(fun ck -> captured := Some ck)
-        p
-    in
-    (s, `Dfs !captured)
+  let captured = ref None in
+  let s =
+    B.solve ~time_limit_s:60.0 ~hooks
+      ~on_checkpoint:(fun ck -> captured := Some ck)
+      p
+  in
+  (s, !captured)
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint serialization                                            *)
@@ -81,20 +71,17 @@ let rich_checkpoint () =
   check_bool "reference solve is optimal" true (full.B.status = B.Optimal);
   let k = max 2 (full.B.stats.B.nodes / 2) in
   match interrupt_after p k with
-  | _, `Best_first (Some ck) ->
+  | _, Some ck ->
     Ck.make
       ~meta:[ ("objective", "knapsack-3"); ("engine", "best_first") ]
-      ~fingerprint:(Ck.fingerprint p) (Ck.Best_first ck)
-  | _ -> Alcotest.fail "interrupted solve emitted no checkpoint"
+      ~fingerprint:(Ck.fingerprint p) ck
+  | _, None -> Alcotest.fail "interrupted solve emitted no checkpoint"
 
 let test_roundtrip_byte_identity () =
   let ck = rich_checkpoint () in
-  (match ck.Ck.ck_state with
-   | Ck.Best_first bf ->
-     check_bool "snapshot has open nodes" true
-       (bf.B.ck_frontier <> []);
-     check_bool "snapshot has pooled bases" true (bf.B.ck_pool <> [])
-   | Ck.Dfs _ -> Alcotest.fail "expected a best-first snapshot");
+  let bf = ck.Ck.ck_state in
+  check_bool "snapshot has open nodes" true (bf.B.ck_frontier <> []);
+  check_bool "snapshot has pooled bases" true (bf.B.ck_pool <> []);
   let s1 = Ck.to_string ck in
   match Ck.of_string s1 with
   | Error m -> Alcotest.fail ("reload rejected own output: " ^ m)
@@ -150,22 +137,19 @@ let test_large_bsig_roundtrip () =
       ck_pool_tick = 3;
     }
   in
-  let ck = Ck.make ~fingerprint:"fnv1a64:0000000000000000" (Ck.Best_first bf) in
+  let ck = Ck.make ~fingerprint:"fnv1a64:0000000000000000" bf in
   let s = Ck.to_string ck in
   match Ck.of_string s with
   | Error m -> Alcotest.fail ("reload rejected: " ^ m)
   | Ok ck' ->
     check_string "byte-identical" s (Ck.to_string ck');
-    (match ck'.Ck.ck_state with
-     | Ck.Best_first bf' ->
-       Alcotest.(check (list int))
-         "fingerprints survive exactly"
-         [ max_int; min_int; (1 lsl 53) + 1 ]
-         (List.map
-            (fun (_, (b : Milp.Simplex_core.Basis.t), _, _) ->
-              b.Milp.Simplex_core.Basis.bsig)
-            bf'.B.ck_pool)
-     | Ck.Dfs _ -> Alcotest.fail "kind changed")
+    Alcotest.(check (list int))
+      "fingerprints survive exactly"
+      [ max_int; min_int; (1 lsl 53) + 1 ]
+      (List.map
+         (fun (_, (b : Milp.Simplex_core.Basis.t), _, _) ->
+           b.Milp.Simplex_core.Basis.bsig)
+         ck'.Ck.ck_state.B.ck_pool)
 
 let test_save_load_files () =
   let ck = rich_checkpoint () in
@@ -210,6 +194,14 @@ let replace_once ~needle ~by s =
     ^ String.sub s (i + String.length needle)
         (String.length s - i - String.length needle)
 
+(* A checkpoint written by the retired depth-first engine (kind "dfs",
+   incumbent-only state), byte for byte as that build saved it. *)
+let dfs_checkpoint =
+  "{\"version\":1,\"kind\":\"dfs\",\
+   \"fingerprint\":\"fnv1a64:9b2ae0b73dfd3492\",\
+   \"meta\":{\"objective\":\"dmat\",\"engine\":\"dfs\"},\
+   \"state\":{\"nodes\":3,\"best\":{\"obj\":9,\"x\":[1,0,1]}}}\n"
+
 let test_validator_rejections () =
   let s = Ck.to_string (rich_checkpoint ()) in
   expect_reject "garbage" "hello world";
@@ -232,6 +224,11 @@ let test_validator_rejections () =
   expect_reject "bsig as a bare JSON number"
     (replace_once ~needle:"\"bsig\":\"" ~by:"\"bsig\":9007199254740993,\"y\":\""
        s);
+  (match Ck.of_string dfs_checkpoint with
+   | Error m ->
+     check_string "dfs checkpoint refused by kind"
+       "checkpoint: unknown checkpoint kind \"dfs\"" m
+   | Ok _ -> Alcotest.fail "dfs checkpoint was accepted");
   (* sanity: the uncorrupted document still loads *)
   match Ck.of_string s with
   | Ok _ -> ()
@@ -243,9 +240,9 @@ let test_validator_rejections () =
 
 let check_resume_identical ~name p (full : B.solution) k =
   match interrupt_after p k with
-  | _, `Best_first None ->
+  | _, None ->
     Alcotest.fail (name ^ ": interrupted solve emitted no checkpoint")
-  | interrupted, `Best_first (Some ck) ->
+  | interrupted, Some ck ->
     check_bool
       (name ^ ": interrupt is inconclusive")
       true
@@ -266,7 +263,6 @@ let check_resume_identical ~name p (full : B.solution) k =
     check_int
       (name ^ ": identical LP pivots")
       full.B.stats.B.lp.B.lp_pivots resumed.B.stats.B.lp.B.lp_pivots
-  | _ -> assert false
 
 let test_resume_trajectory_identity () =
   let p = knapsack 3 in
@@ -294,16 +290,13 @@ let prop_kill_resume =
       QCheck.assume (nodes >= 2);
       let k = max 1 (min (nodes - 1) (nodes * pct / 100)) in
       match interrupt_after p k with
-      | _, `Best_first None -> false
-      | _, `Best_first (Some ck) ->
+      | _, None -> false
+      | _, Some ck ->
         (* serialize through the on-disk format, as a real resume does *)
-        let wrapped =
-          Ck.make ~fingerprint:(Ck.fingerprint p) (Ck.Best_first ck)
-        in
+        let wrapped = Ck.make ~fingerprint:(Ck.fingerprint p) ck in
         let ck =
           match Ck.of_string (Ck.to_string wrapped) with
-          | Ok { Ck.ck_state = Ck.Best_first bf; _ } -> bf
-          | Ok _ -> QCheck.Test.fail_reportf "seed %d: kind changed" seed
+          | Ok { Ck.ck_state; _ } -> ck_state
           | Error m ->
             QCheck.Test.fail_reportf "seed %d: reload failed: %s" seed m
         in
@@ -313,28 +306,7 @@ let prop_kill_resume =
         resumed.B.obj = full.B.obj
         && resumed.B.x = full.B.x
         && resumed.B.stats.B.nodes = full.B.stats.B.nodes
-        && resumed.B.stats.B.simplex_solves = full.B.stats.B.simplex_solves
-      | _ -> false)
-
-(* ------------------------------------------------------------------ *)
-(* DFS coarse resume: same certified objective, not same trajectory    *)
-(* ------------------------------------------------------------------ *)
-
-let test_dfs_coarse_resume () =
-  let p = knapsack 5 in
-  let full = Milp.Dfs_solver.solve ~time_limit_s:60.0 p in
-  check_bool "dfs baseline optimal" true (full.B.status = B.Optimal);
-  let nodes = full.B.stats.B.nodes in
-  check_bool "dfs explores a tree" true (nodes >= 2);
-  match interrupt_after ~engine:`Dfs p (max 1 (nodes / 2)) with
-  | _, `Dfs None -> Alcotest.fail "dfs interrupt emitted no checkpoint"
-  | _, `Dfs (Some ck) ->
-    let resumed = Milp.Dfs_solver.solve ~time_limit_s:60.0 ~resume:ck p in
-    check_bool "dfs resumed to optimality" true
-      (resumed.B.status = B.Optimal);
-    check_bool "dfs resume certifies the same objective" true
-      (resumed.B.obj = full.B.obj)
-  | _ -> assert false
+        && resumed.B.stats.B.simplex_solves = full.B.stats.B.simplex_solves)
 
 (* ------------------------------------------------------------------ *)
 (* Retry ladder                                                        *)
@@ -431,10 +403,7 @@ let test_iteration_limit_is_graceful () =
   in
   check_bool "capped solve ends as a limit, not an exception" true
     (s.B.status = B.Unknown || s.B.status = B.Feasible);
-  check_bool "a final checkpoint was emitted" true (Option.is_some !captured);
-  let d = Milp.Dfs_solver.solve ~time_limit_s:60.0 ~max_lp_iters:1 p in
-  check_bool "dfs capped solve is graceful too" true
-    (d.B.status = B.Unknown || d.B.status = B.Feasible)
+  check_bool "a final checkpoint was emitted" true (Option.is_some !captured)
 
 let test_supervised_recovers_from_iteration_limit () =
   let p = knapsack 3 in
@@ -559,7 +528,6 @@ let () =
         [
           Alcotest.test_case "trajectory identity at fixed points" `Quick
             test_resume_trajectory_identity;
-          Alcotest.test_case "dfs coarse resume" `Quick test_dfs_coarse_resume;
           QCheck_alcotest.to_alcotest prop_kill_resume;
         ] );
       ( "retry",
