@@ -417,8 +417,8 @@ let backoff_t =
           "Initial retry backoff (doubles per attempt, capped, \
            deadline-aware). Only meaningful with $(b,--retries).")
 
-(* The durable path accepts alternative workloads: the WATERS case study
-   is too LP-heavy to explore many nodes sequentially, so the chaos gate
+(* Alternative workloads for solve/resume: the WATERS case study is too
+   LP-heavy to explore many nodes sequentially, so the chaos gate
    interrupts a seeded small random instance instead. The resume run must
    rebuild the same workload (same flags); any mismatch is caught by the
    checkpoint's model fingerprint. *)
@@ -431,8 +431,8 @@ let workload_t =
     & opt kind `Waters
     & info [ "workload" ] ~docv:"KIND"
         ~doc:
-          "Workload for the durable solve path: $(b,waters) (default, the \
-           case study), $(b,random) (seeded generator, default config) or \
+          "Workload to solve: $(b,waters) (default, the case study), \
+           $(b,random) (seeded generator, default config) or \
            $(b,small) (seeded generator, small instances that solve to \
            optimality in seconds — used by the CI chaos gate).")
 
@@ -443,11 +443,11 @@ let make_workload ~labels_per_edge ~seed = function
     Workload.Generator.random ~seed ~config:Workload.Generator.small_config ()
 
 (* Durable solve path: direct [Solve.solve] (or [solve_supervised]) on the
-   WATERS workload so the checkpoint/retry plumbing is reachable from the
+   chosen workload so the checkpoint/retry plumbing is reachable from the
    command line. Output is line-oriented and greppable — the CI chaos gate
    compares `objective:` and `nodes:` across interrupted-and-resumed vs
    uninterrupted runs. *)
-let durable_solve ~time_limit ~objective ~alpha ~presolve ~checkpoint
+let durable_solve ~time_limit ~objective ~alpha ~presolve ~stats ~checkpoint
     ~checkpoint_every ~interrupt_after ~retries ~backoff ~resume app =
   let groups = Groups.compute app in
   match Rt_analysis.Sensitivity.gammas app ~alpha with
@@ -487,6 +487,7 @@ let durable_solve ~time_limit ~objective ~alpha ~presolve ~checkpoint
      | None -> ());
     Fmt.pr "nodes: %d@." st.Letdma.Solve.nodes;
     Fmt.pr "rounds: %d@." st.Letdma.Solve.rounds;
+    if stats then Fmt.pr "solver stats: @[%a@]@." Letdma.Solve.pp_stats st;
     let interrupted =
       match (checkpoint, st.Letdma.Solve.status) with
       | ( Some file,
@@ -520,16 +521,18 @@ let solve_cmd =
     with_obs ~trace ~metrics @@ fun () ->
     let durable =
       checkpoint <> None || interrupt_after <> None || retries > 0
-      || workload <> `Waters
     in
-    let app =
-      if durable then make_workload ~labels_per_edge ~seed workload
-      else waters ~labels_per_edge
-    in
-    if durable then
+    let app = make_workload ~labels_per_edge ~seed workload in
+    if durable && heuristic then begin
+      err "--heuristic cannot be combined with --checkpoint, \
+           --interrupt-after or --retries (they select the MILP-only \
+           durable path)";
+      exit_internal
+    end
+    else if durable then
       durable_solve ~time_limit ~objective ~alpha ~presolve:(not no_presolve)
-        ~checkpoint ~checkpoint_every ~interrupt_after ~retries ~backoff
-        ~resume:None app
+        ~stats ~checkpoint ~checkpoint_every ~interrupt_after ~retries
+        ~backoff ~resume:None app
     else
       let solver =
         if heuristic then Letdma.Experiment.Heuristic
@@ -558,8 +561,9 @@ let solve_cmd =
        ~doc:
          "Solve one configuration and report the resulting plan/latencies. \
           With $(b,--checkpoint), $(b,--interrupt-after) or $(b,--retries) \
-          the solve runs the durable sequential path and reports greppable \
-          status/objective/nodes lines.")
+          the solve runs the durable sequential MILP path (which refuses \
+          $(b,--heuristic)) and reports greppable status/objective/nodes \
+          lines.")
     Term.(
       const run $ verbose_t $ time_limit_t $ labels_per_edge_t $ objective_t
       $ alpha_t $ heuristic_t $ jobs_t $ no_presolve_t $ stats_t $ workload_t
@@ -589,8 +593,8 @@ let resume_cmd =
     | Ok ck ->
       let app = make_workload ~labels_per_edge ~seed workload in
       durable_solve ~time_limit ~objective ~alpha ~presolve:(not no_presolve)
-        ~checkpoint:(Some checkpoint) ~checkpoint_every ~interrupt_after
-        ~retries ~backoff ~resume:(Some ck) app
+        ~stats:false ~checkpoint:(Some checkpoint) ~checkpoint_every
+        ~interrupt_after ~retries ~backoff ~resume:(Some ck) app
   in
   Cmd.v
     (Cmd.info "resume"

@@ -105,6 +105,22 @@ echo "chaos gate: baseline obj ${base_obj} (${base_nodes} nodes), resumed obj ${
 [ ! -f "$CK" ] || {
   echo "FAIL: conclusive resume left its checkpoint behind"; exit 1; }
 
+echo "== pipeline smoke (sequential ladder at jobs 2) =="
+# The degradation ladder on WATERS NO-OBJ with a 2-wide portfolio per
+# MILP rung: the primary rung must be accepted on its own, so the
+# outcome lists exactly one indented attempt line ("  rung: reason [Ts]").
+OCAMLRUNPARAM="s=8M${OCAMLRUNPARAM:+,$OCAMLRUNPARAM}" \
+  timeout 120 $CLI pipeline --objective no-obj --jobs 2 --budget 30 \
+  > "$TMP/ci_pipeline.out" || {
+    echo "FAIL: pipeline exited $? (want 0)"; cat "$TMP/ci_pipeline.out"; exit 1; }
+head -n 1 "$TMP/ci_pipeline.out" | grep -q '^accepted milp solution' || {
+  echo "FAIL: pipeline did not accept the primary MILP rung:"
+  cat "$TMP/ci_pipeline.out"; exit 1; }
+attempt_lines=$(grep -c '^  [a-z-]*: .* \[[0-9.]*s\]$' "$TMP/ci_pipeline.out" || true)
+echo "pipeline smoke: $(head -n 1 "$TMP/ci_pipeline.out"), ${attempt_lines} attempt line(s)"
+[ "$attempt_lines" -eq 1 ] || {
+  echo "FAIL: want exactly one attempt line:"; cat "$TMP/ci_pipeline.out"; exit 1; }
+
 echo "== service smoke (daemon, cache hit, malformed request) =="
 # One daemon session over stdin/stdout: the same solve twice, one
 # malformed request, then EOF. The daemon must answer all three lines

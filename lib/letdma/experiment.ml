@@ -13,17 +13,14 @@ type solver =
       options : Formulation.options;
       time_limit_s : float;
       node_limit : int;
-      warm_start : bool;
       jobs : int; (* portfolio width of each solve; 1 = sequential *)
       presolve : bool; (* MILP root presolve (default on) *)
     }
   | Heuristic
 
 let milp ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
-    ?(node_limit = 200_000) ?(warm_start = true) ?(jobs = 1)
-    ?(presolve = true) objective =
-  Milp
-    { objective; options; time_limit_s; node_limit; warm_start; jobs; presolve }
+    ?(node_limit = 200_000) ?(jobs = 1) ?(presolve = true) objective =
+  Milp { objective; options; time_limit_s; node_limit; jobs; presolve }
 
 let solver_name = function
   | Milp { objective; _ } -> Formulation.objective_name objective
@@ -103,23 +100,18 @@ let run_config ?(cpu_model = Sim.Parallel_phases) ?(solver = Heuristic)
               sol
           in
           (sol, None, cert)
-        | Milp
-            { objective; options; time_limit_s; node_limit; warm_start; jobs;
-              presolve } ->
-          let warm =
-            if warm_start then
-              (* warm-start with the heuristic variant matching the
-                 objective: maximal grouping for OBJ-DMAT, per-task
-                 latency-oriented transfers otherwise *)
-              let granularity =
-                match objective with
-                | Formulation.Min_transfers -> Heuristic.Grouped
-                | Formulation.No_obj | Formulation.Min_delay_ratio ->
-                  Heuristic.Per_task
-              in
-              Heuristic.solve_unchecked ~granularity app groups ~gamma
-            else None
+        | Milp { objective; options; time_limit_s; node_limit; jobs; presolve }
+          ->
+          (* warm-start with the heuristic variant matching the objective:
+             maximal grouping for OBJ-DMAT, per-task latency-oriented
+             transfers otherwise *)
+          let granularity =
+            match objective with
+            | Formulation.Min_transfers -> Heuristic.Grouped
+            | Formulation.No_obj | Formulation.Min_delay_ratio ->
+              Heuristic.Per_task
           in
+          let warm = Heuristic.solve_unchecked ~granularity app groups ~gamma in
           (* Adjacent sweep configurations differ only in a few bounds /
              right-hand sides: hand the previous config's root basis to
              this solve and leave ours behind for the next config on this

@@ -104,7 +104,6 @@ type milp_solver =
   deadline_s:float ->
   jobs:int ->
   presolve:bool ->
-  cancel:Parallel.Pool.Token.t option ->
   warm:Solution.t option ->
   chain:Milp.Simplex_core.Basis.t option ref ->
   options:Formulation.options ->
@@ -114,15 +113,15 @@ type milp_solver =
   gamma:Time.t array ->
   Solve.result
 
-let default_milp_solve ~deadline_s ~jobs ~presolve ~cancel ~warm ~chain
-    ~options objective app groups ~gamma =
+let default_milp_solve ~deadline_s ~jobs ~presolve ~warm ~chain ~options
+    objective app groups ~gamma =
   (* [chain] carries the root LP basis between consecutive rungs: read it
      as this solve's warm-start offer, leave this solve's own root basis
      behind for the next rung (structure mismatches fall back cold inside
      the kernel, so a stale basis costs one fingerprint check) *)
   let root_basis = !chain in
-  Solve.solve ~options ~deadline_s ~jobs ~presolve ?cancel ?warm
-    ?root_basis ~basis_out:chain objective app groups ~gamma
+  Solve.solve ~options ~deadline_s ~jobs ~presolve ?warm ?root_basis
+    ~basis_out:chain objective app groups ~gamma
 
 (* Perturbed retry: tighten every gamma by 0.1% — a solution meeting the
    tightened bound meets the original a fortiori, while the shifted
@@ -131,13 +130,6 @@ let default_milp_solve ~deadline_s ~jobs ~presolve ~cancel ~warm ~chain
 let perturb_gamma =
   Array.map (fun g ->
       Time.of_ns (int_of_float (0.999 *. float_of_int (Time.to_ns g))))
-
-let status_name = function
-  | Milp.Branch_bound.Optimal -> "optimal"
-  | Milp.Branch_bound.Feasible -> "feasible at limit"
-  | Milp.Branch_bound.Infeasible -> "infeasible"
-  | Milp.Branch_bound.Unbounded -> "unbounded"
-  | Milp.Branch_bound.Unknown -> "timeout/unknown"
 
 let violations_summary app vs =
   Fmt.str "certification failed: %d violations, e.g. %a" (List.length vs)
@@ -152,15 +144,14 @@ let violations_summary app vs =
    iteration budgets) between attempts. The supervised path runs
    jobs=1 and does not thread the basis [chain] — escalations may
    disable warm starts, so a chained basis would be misleading. *)
-let supervised_milp_solve ~policy ~deadline_s ~jobs:_ ~presolve ~cancel ~warm
-    ~chain:_ ~options objective app groups ~gamma =
-  Solve.solve_supervised ~policy ~options ~deadline_s ?cancel ~presolve ?warm
-    objective app groups ~gamma
+let supervised_milp_solve ~policy ~deadline_s ~jobs:_ ~presolve ~warm ~chain:_
+    ~options objective app groups ~gamma =
+  Solve.solve_supervised ~policy ~options ~deadline_s ~presolve ?warm objective
+    app groups ~gamma
 
 let run ?milp_solve ?(objective = Formulation.No_obj)
-    ?(options = Formulation.default_options) ?(warm_start = true)
-    ?(budget_s = 60.0) ?(alpha = 0.2) ?(jobs = 1) ?(presolve = true)
-    ?(retries = 0) ?(backoff_s = 0.1) app =
+    ?(options = Formulation.default_options) ?(budget_s = 60.0) ?(alpha = 0.2)
+    ?(jobs = 1) ?(presolve = true) ?(retries = 0) ?(backoff_s = 0.1) app =
   let milp_solve =
     match milp_solve with
     | Some f -> f
@@ -190,8 +181,6 @@ let run ?milp_solve ?(objective = Formulation.No_obj)
       | Some s ->
         let gamma = s.Rt_analysis.Sensitivity.gamma in
         let attempts = ref [] in
-        (* the two MILP rungs may race on separate domains *)
-        let attempts_m = Mutex.create () in
         let record rung accepted reason time_s =
           if not accepted then
             Log.info (fun f ->
@@ -203,10 +192,9 @@ let run ?milp_solve ?(objective = Formulation.No_obj)
               ("reason", Obs.Str reason);
               ("time_s", Obs.Float time_s);
             ];
-          Mutex.protect attempts_m (fun () ->
-              attempts := { rung; accepted; reason; time_s } :: !attempts)
+          attempts := { rung; accepted; reason; time_s } :: !attempts
         in
-        let finish rung sol cert stats time_s =
+        let finish rung (sol, cert, stats, time_s) =
           record rung true "accepted" time_s;
           Log.info (fun f -> f "pipeline settled on rung %s" (rung_name rung));
           Ok
@@ -220,20 +208,26 @@ let run ?milp_solve ?(objective = Formulation.No_obj)
               total_time_s = Milp.Clock.now () -. t0;
             }
         in
+        (* back-to-back MILP rungs share one basis chain: the perturbed
+           model differs from the primary only in its gamma right-hand
+           sides, so its root LP reoptimizes from the primary's root
+           basis *)
+        let chain = ref None in
         (* one MILP rung: solve against [gamma_solve], then re-certify the
            result against the ORIGINAL gamma, never trusting the hook *)
-        let try_milp rung ~jobs ~cancel ~gamma_solve ~warm ~chain =
+        let try_milp rung ~gamma_solve ~warm =
           Obs.span ~cat:"pipeline" (rung_name rung) @@ fun () ->
           let ta = Milp.Clock.now () in
           let r =
-            milp_solve ~deadline_s:deadline ~jobs ~presolve ~cancel ~warm
-              ~chain ~options objective app groups ~gamma:gamma_solve
+            milp_solve ~deadline_s:deadline ~jobs ~presolve ~warm ~chain
+              ~options objective app groups ~gamma:gamma_solve
           in
           let dt = Milp.Clock.now () -. ta in
           match r.Solve.solution with
           | None ->
             record rung false
-              (Fmt.str "no solution (%s)" (status_name r.Solve.stats.Solve.status))
+              (Fmt.str "no solution (%s)"
+                 (Milp.Branch_bound.status_name r.Solve.stats.Solve.status))
               dt;
             None
           | Some sol ->
@@ -266,100 +260,39 @@ let run ?milp_solve ?(objective = Formulation.No_obj)
                  (Milp.Clock.now () -. dt0);
                None)
         in
-        let warm =
-          if warm_start then Heuristic.solve_unchecked app groups ~gamma
-          else None
+        (* the heuristic plan warm-starts the primary rung and is the
+           heuristic rung's candidate *)
+        let heuristic = Heuristic.solve_unchecked app groups ~gamma in
+        let perturbed () =
+          if Milp.Clock.remaining ~deadline > 1.0 then
+            try_milp Milp_perturbed ~gamma_solve:(perturb_gamma gamma)
+              ~warm:None
+          else begin
+            record Milp_perturbed false "skipped: budget exhausted" 0.0;
+            None
+          end
         in
-        let milp_sequential () =
-          (* back-to-back rungs share one basis chain: the perturbed model
-             differs from the primary only in its gamma right-hand sides,
-             so its root LP reoptimizes from the primary's root basis *)
-          let chain = ref None in
-          match
-            try_milp Milp ~jobs:1 ~cancel:None ~gamma_solve:gamma ~warm ~chain
-          with
-          | Some acc -> Some (Milp, acc)
-          | None ->
-            if Milp.Clock.remaining ~deadline > 1.0 then begin
-              match
-                try_milp Milp_perturbed ~jobs:1 ~cancel:None
-                  ~gamma_solve:(perturb_gamma gamma) ~warm:None ~chain
-              with
-              | Some acc -> Some (Milp_perturbed, acc)
-              | None -> None
-            end
-            else begin
-              record Milp_perturbed false "skipped: budget exhausted" 0.0;
-              None
-            end
+        let baseline () =
+          Solution.make
+            ~allocation:(Allocation.identity app)
+            ~slots:
+              (Array.of_list (Giotto.singleton_transfers app (Groups.s0 groups)))
         in
-        (* With jobs >= 2, the primary and perturbed models race on two
-           domains instead of running back-to-back; the perturbed branch
-           is insurance, so it is cancelled as soon as the primary's
-           solution certifies. Each branch keeps half the jobs for its
-           own portfolio. *)
-        let milp_race () =
-          Parallel.Pool.with_pool ~jobs:2 @@ fun pl ->
-          let branch_jobs = max 1 (jobs / 2) in
-          let cancel_perturbed = Parallel.Pool.Token.create () in
-          (* racing branches run on separate domains: each gets a private
-             chain ref — bases are never shared across domains *)
-          let primary_fut =
-            Parallel.Pool.async pl (fun () ->
-                try_milp Milp ~jobs:branch_jobs ~cancel:None ~gamma_solve:gamma
-                  ~warm ~chain:(ref None))
-          in
-          let perturbed_fut =
-            Parallel.Pool.async pl (fun () ->
-                try_milp Milp_perturbed ~jobs:branch_jobs
-                  ~cancel:(Some cancel_perturbed)
-                  ~gamma_solve:(perturb_gamma gamma) ~warm:None
-                  ~chain:(ref None))
-          in
-          let primary = Parallel.Pool.await primary_fut in
-          (match primary with
-           | Ok (Some _) -> Parallel.Pool.Token.cancel cancel_perturbed
-           | Ok None | Error _ -> ());
-          let perturbed = Parallel.Pool.await perturbed_fut in
-          let surface = function
-            | Ok r -> r
-            | Error e -> raise e (* funneled solver crash *)
-          in
-          match surface primary with
-          | Some acc ->
-            (* a failed perturbed branch already recorded its own
-               rejection inside try_milp; only a successful loser needs
-               an attempt entry here *)
-            (match surface perturbed with
-             | Some _ ->
-               record Milp_perturbed false "lost race: primary accepted" 0.0
-             | None -> ());
-            Some (Milp, acc)
-          | None -> (
-            match surface perturbed with
-            | Some acc -> Some (Milp_perturbed, acc)
-            | None -> None)
+        (* the rungs, tried in order until one certifies *)
+        let rec walk = function
+          | [] -> Error (Exhausted (List.rev !attempts))
+          | (rung, attempt) :: rest -> (
+            match attempt () with
+            | Some acc -> finish rung acc
+            | None -> walk rest)
         in
-        let milp_accepted =
-          if jobs >= 2 then milp_race () else milp_sequential ()
-        in
-        (match milp_accepted with
-         | Some (rung, (sol, cert, stats, dt)) -> finish rung sol cert stats dt
-         | None -> (
-           match
-             try_direct Heuristic Certify.Heuristic
-               (Heuristic.solve_unchecked app groups ~gamma)
-           with
-           | Some (sol, cert, stats, dt) -> finish Heuristic sol cert stats dt
-           | None -> (
-             let baseline =
-               Solution.make
-                 ~allocation:(Allocation.identity app)
-                 ~slots:
-                   (Array.of_list
-                      (Giotto.singleton_transfers app (Groups.s0 groups)))
-             in
-             match try_direct Baseline Certify.Baseline (Some baseline) with
-             | Some (sol, cert, stats, dt) -> finish Baseline sol cert stats dt
-             | None -> Error (Exhausted (List.rev !attempts)))))
+        walk
+          [
+            (Milp, fun () -> try_milp Milp ~gamma_solve:gamma ~warm:heuristic);
+            (Milp_perturbed, perturbed);
+            (Heuristic, fun () -> try_direct Heuristic Certify.Heuristic heuristic);
+            ( Baseline,
+              fun () -> try_direct Baseline Certify.Baseline (Some (baseline ()))
+            );
+          ]
     end

@@ -60,16 +60,14 @@ val pp_outcome : App.t -> Format.formatter -> outcome -> unit
     {!Solve.solve}. Tests substitute a misbehaving solver to exercise the
     certification-failure path of the ladder.
 
-    [chain] is a basis hand-off cell shared by consecutive rungs on the
-    same domain: the default solver warm-starts its root LP from the
-    basis found there and deposits its own root basis for the next rung
-    (see {!Milp.Simplex_core.Basis}); replacement solvers may ignore
-    it. *)
+    [chain] is a basis hand-off cell shared by the consecutive MILP
+    rungs: the default solver warm-starts its root LP from the basis
+    found there and deposits its own root basis for the next rung (see
+    {!Milp.Simplex_core.Basis}); replacement solvers may ignore it. *)
 type milp_solver =
   deadline_s:float ->
   jobs:int ->
   presolve:bool ->
-  cancel:Parallel.Pool.Token.t option ->
   warm:Solution.t option ->
   chain:Milp.Simplex_core.Basis.t option ref ->
   options:Formulation.options ->
@@ -81,14 +79,15 @@ type milp_solver =
 
 (** [run app] validates, computes gamma at [alpha] (default [0.2]) and
     walks the ladder under [budget_s] (default [60] s) of total wall
-    time. [objective] and [options] configure the MILP rungs;
-    [warm_start] (default true) seeds them with the heuristic.
+    time. [objective] and [options] configure the MILP rungs; the
+    primary rung is warm-started with the heuristic plan.
 
-    [jobs] (default 1) enables multicore solving: with [jobs >= 2] the
-    primary and perturbed MILP rungs race concurrently on two domains
-    (the perturbed branch is cancelled once the primary's solution
-    certifies), and each branch runs its own portfolio over half the
-    jobs ({!Solve.solve}'s [jobs]).
+    [jobs] (default 1) is the portfolio width of each MILP rung
+    ({!Solve.solve}'s [jobs]): the rungs always run one after the other,
+    and with [jobs >= 2] each one races {!Parallel.Portfolio} configs over
+    [jobs] domains instead of searching sequentially. The basis [chain]
+    is only threaded at [jobs = 1]; portfolio workers keep private
+    bases.
 
     [presolve] (default [true]) is handed to every MILP rung: root
     presolve reduces the model before branch-and-bound. The reduction is
@@ -110,7 +109,6 @@ val run :
   ?milp_solve:milp_solver ->
   ?objective:Formulation.objective ->
   ?options:Formulation.options ->
-  ?warm_start:bool ->
   ?budget_s:float ->
   ?alpha:float ->
   ?jobs:int ->

@@ -6,7 +6,11 @@ open Mem_layout
    contiguity under the decoded allocation, add the violated Constraint 6
    blocks, re-solve. The optimum is unchanged w.r.t. the full formulation
    (cuts are only added when violated); small instances can force the full
-   model upfront with [options.full_c6] (compared in an ablation bench). *)
+   model upfront with [options.full_c6] (compared in an ablation bench).
+   Each round is one sequential best-first search at [jobs = 1], or one
+   [Parallel.Portfolio] race over [jobs] domains. Short of a conclusive
+   answer, a round ends only at its deadline, node limit or LP iteration
+   cap, or at the [interrupt_after_nodes] test hook. *)
 
 let src = Logs.Src.create "letdma.solve" ~doc:"lazy MILP solver driver"
 
@@ -39,58 +43,41 @@ type result = {
 
 (* One branch-and-bound round: sequential best-first search at
    [jobs <= 1], else a portfolio race over a pool of [jobs] domains.
-   [cancel] lets an outer racer — the pipeline running primary and
-   perturbed models concurrently — abort the round between nodes.
    [stop_after_nodes] interrupts the sequential search after that many
    explored nodes — the controlled-interrupt half of the chaos gate
    (checkpoint, kill, resume). Checkpoint/resume arguments are
-   sequential-only; [ck] bundles them as (writer, every, every_s,
-   resume). *)
-let bb_solve ~jobs ~cancel ~presolve ?root_basis ?basis_out ?basis_pool
-    ?pricing ?max_lp_iters ?stop_after_nodes ?ck ~deadline ~node_limit
-    ?incumbent p =
+   sequential-only; [ck] bundles them as (writer, every, resume). *)
+let bb_solve ~jobs ~presolve ?root_basis ?basis_out ?basis_pool ?pricing
+    ?max_lp_iters ?stop_after_nodes ?ck ~deadline ~node_limit ?incumbent p =
   if jobs > 1 then
     (* portfolio workers each own a private basis pool; cross-solve basis
        chaining is a sequential-only feature (no sharing across domains) *)
     let r =
-      Parallel.Portfolio.solve ~jobs ?cancel ~deadline ~node_limit ?incumbent
+      Parallel.Portfolio.solve ~jobs ~deadline ~node_limit ?incumbent
         ~presolve p
     in
     r.Parallel.Portfolio.solution
   else
-    let base =
-      match cancel with
-      | None -> Milp.Branch_bound.no_hooks
-      | Some tok ->
-        {
-          Milp.Branch_bound.no_hooks with
-          should_stop = (fun () -> Parallel.Pool.Token.cancelled tok);
-        }
-    in
     let hooks =
       match stop_after_nodes with
-      | None -> base
+      | None -> Milp.Branch_bound.no_hooks
       | Some limit ->
         let seen = ref 0 in
         {
-          base with
-          should_stop =
-            (fun () -> !seen >= limit || base.Milp.Branch_bound.should_stop ());
-          on_node =
-            (fun ~node ~depth ~bound ~pivots ->
-              incr seen;
-              base.Milp.Branch_bound.on_node ~node ~depth ~bound ~pivots);
+          Milp.Branch_bound.no_hooks with
+          should_stop = (fun () -> !seen >= limit);
+          on_node = (fun ~node:_ ~depth:_ ~bound:_ ~pivots:_ -> incr seen);
         }
     in
     let hooks = Obs.Solver_hooks.wrap hooks in
-    let on_checkpoint, checkpoint_every, checkpoint_every_s, resume =
+    let on_checkpoint, checkpoint_every, resume =
       match ck with
-      | Some (f, every, every_s, resume) -> (Some f, every, every_s, resume)
-      | None -> (None, 0, None, None)
+      | Some (f, every, resume) -> (Some f, every, resume)
+      | None -> (None, 0, None)
     in
     Milp.Branch_bound.solve ~deadline ~node_limit ?incumbent ~hooks ~presolve
       ?root_basis ?basis_out ?basis_pool ?pricing ?max_lp_iters
-      ~checkpoint_every ?checkpoint_every_s ?on_checkpoint ?resume p
+      ~checkpoint_every ?on_checkpoint ?resume p
 
 (* (pattern, class) blocks whose projected transfers break contiguity. *)
 let find_violations inst (sol : Solution.t) =
@@ -115,12 +102,15 @@ let find_violations inst (sol : Solution.t) =
     (Groups.patterns inst.Formulation.groups);
   !violations
 
+(* Lazy rounds before a solve gives up as [Unknown]: nearly every
+   instance settles in round 1 (see EXPERIMENTS). *)
+let max_rounds = 50
+
 let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
-    ?deadline_s ?(node_limit = 200_000) ?(max_rounds = 50) ?(jobs = 1)
-    ?cancel ?(presolve = true) ?warm ?root_basis ?basis_out ?basis_pool
-    ?pricing ?max_lp_iters ?checkpoint_file ?(checkpoint_every = 64)
-    ?checkpoint_every_s ?resume ?interrupt_after_nodes objective app groups
-    ~gamma =
+    ?deadline_s ?(node_limit = 200_000) ?(jobs = 1) ?(presolve = true) ?warm
+    ?root_basis ?basis_out ?basis_pool ?pricing ?max_lp_iters
+    ?checkpoint_file ?(checkpoint_every = 64) ?resume ?interrupt_after_nodes
+    objective app groups ~gamma =
   let t0 = Milp.Clock.now () in
   (* One absolute monotonic deadline shared by every lazy round (and, via
      [deadline_s], by every rung of a degradation ladder): k rounds can
@@ -197,12 +187,12 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
     else begin
       let ck =
         if (not durable) || round > 1 then None
-        else Some (write_state, checkpoint_every, checkpoint_every_s, resume)
+        else Some (write_state, checkpoint_every, resume)
       in
       let bb =
         Obs.span ~cat:"solver" "round" ~fields:[ ("round", Obs.Int round) ]
         @@ fun () ->
-        bb_solve ~jobs ~cancel ~presolve ?root_basis ?basis_out ?basis_pool
+        bb_solve ~jobs ~presolve ?root_basis ?basis_out ?basis_pool
           ?pricing ?max_lp_iters ?stop_after_nodes:interrupt_after_nodes ?ck
           ~deadline ~node_limit
           ?incumbent:(encode_warm ()) inst.Formulation.problem
@@ -311,9 +301,8 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
    checkpoint instead of restarting — with the serialized basis pool
    dropped if the escalation rung disables warm starts. *)
 let solve_supervised ?policy ?options ?(time_limit_s = 60.0) ?deadline_s
-    ?node_limit ?max_rounds ?cancel ?(presolve = true) ?warm ?basis_pool
-    ?pricing ?max_lp_iters ?checkpoint_file ?checkpoint_every
-    ?checkpoint_every_s ?resume objective app groups ~gamma =
+    ?node_limit ?(presolve = true) ?warm ?basis_pool ?pricing ?max_lp_iters
+    ?checkpoint_file ?checkpoint_every ?resume objective app groups ~gamma =
   let deadline =
     match deadline_s with
     | Some d -> d
@@ -353,10 +342,9 @@ let solve_supervised ?policy ?options ?(time_limit_s = 60.0) ?deadline_s
             resume)
         | Some _ | None -> resume
     in
-    solve ?options ~deadline_s:deadline ?node_limit ?max_rounds ~jobs:1
-      ?cancel ~presolve ?warm ?basis_pool ?pricing ?max_lp_iters
-      ?checkpoint_file ?checkpoint_every ?checkpoint_every_s ?resume objective
-      app groups ~gamma
+    solve ?options ~deadline_s:deadline ?node_limit ~jobs:1 ~presolve ?warm
+      ?basis_pool ?pricing ?max_lp_iters ?checkpoint_file ?checkpoint_every
+      ?resume objective app groups ~gamma
   in
   let classify (r : result) =
     match (r.stats.status, r.solution, r.certificate) with

@@ -305,9 +305,9 @@ let presolved_infeasible ~sense ~time_s ~(pre : Presolve.stats) row =
 
 let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000)
     ?(int_eps = 1.0e-6) ?incumbent ?(branch_seed = 0) ?(hooks = no_hooks)
-    ?(log_every = 0) ?(pricing = Simplex_core.Devex) ?(presolve = true)
-    ?root_basis ?basis_out ?(basis_pool = 128) ?max_lp_iters
-    ?(checkpoint_every = 0) ?checkpoint_every_s ?on_checkpoint ?resume
+    ?(pricing = Simplex_core.Devex) ?(presolve = true) ?root_basis ?basis_out
+    ?(basis_pool = 128) ?max_lp_iters ?(checkpoint_every = 0) ?on_checkpoint
+    ?resume
     (p0 : Problem.t) : solution =
   match (if resume = None then feasibility_shortcut p0 incumbent else None) with
   | Some early -> early
@@ -535,21 +535,14 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000)
       ck_pool_tick = !pool_tick;
     }
   in
-  let last_ck = ref (Clock.now ()) in
   let emit_checkpoint () =
     match on_checkpoint with
     | None -> ()
-    | Some f ->
-      last_ck := Clock.now ();
-      f (build_checkpoint ())
+    | Some f -> f (build_checkpoint ())
   in
   let checkpoint_due () =
-    on_checkpoint <> None
-    && ((checkpoint_every > 0 && !nodes mod checkpoint_every = 0)
-       ||
-       match checkpoint_every_s with
-       | Some s -> Clock.now () -. !last_ck >= s
-       | None -> false)
+    on_checkpoint <> None && checkpoint_every > 0
+    && !nodes mod checkpoint_every = 0
   in
   let root_snapshot = ref None in
   let hit_limit = ref false in
@@ -583,11 +576,6 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000)
       end
       else begin
         incr nodes;
-        if log_every > 0 && !nodes mod log_every = 0 then
-          Log.info (fun f ->
-              f "node %d: bound=%g incumbent=%s open=%d" !nodes prio
-                (if !best_obj = infinity then "-" else string_of_float (sense *. !best_obj))
-                (Heap.fold (fun a _ -> a + 1) 0 heap));
         Array.blit root_lo 0 lo 0 n;
         Array.blit root_hi 0 hi 0 n;
         List.iter

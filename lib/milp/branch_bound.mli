@@ -171,7 +171,7 @@ type checkpoint = {
 val feasibility_shortcut : Problem.t -> float array option -> solution option
 
 (** [solve ?time_limit_s ?deadline ?node_limit ?int_eps ?incumbent
-    ?branch_seed ?hooks ?log_every p] solves the MILP [p].
+    ?branch_seed ?hooks p] solves the MILP [p].
 
     - [deadline]: absolute monotonic {!Clock.now} instant after which the
       best incumbent is returned with status [Feasible]. When given it
@@ -185,7 +185,6 @@ val feasibility_shortcut : Problem.t -> float array option -> solution option
       branching order; 0 reproduces the classic most-fractional rule
       bit-for-bit.
     - [int_eps] (default 1e-6): integrality tolerance.
-    - [log_every]: if positive, log progress every that many nodes.
     - [pricing] (default [Devex]): entering-variable rule for every
       node's LP solve (see {!Simplex.pricing}).
     - [presolve] (default [true]): run {!Presolve.run} once at the root
@@ -214,8 +213,6 @@ val feasibility_shortcut : Problem.t -> float array option -> solution option
       [Resilience.Retry], which escalates the cap instead of crashing.
     - [checkpoint_every] (default 0 = off): emit a checkpoint through
       [on_checkpoint] every that many explored nodes.
-    - [checkpoint_every_s]: additionally emit one whenever that much
-      wall-clock has elapsed since the previous emission.
     - [on_checkpoint]: receives each snapshot. Regardless of cadence, a
       final checkpoint is emitted when the search stops inconclusively
       (deadline, node limit, [should_stop], LP iteration cap) — never on
@@ -234,7 +231,6 @@ val solve :
   ?incumbent:float array ->
   ?branch_seed:int ->
   ?hooks:hooks ->
-  ?log_every:int ->
   ?pricing:Simplex_core.pricing ->
   ?presolve:bool ->
   ?root_basis:Simplex_core.Basis.t ->
@@ -242,7 +238,6 @@ val solve :
   ?basis_pool:int ->
   ?max_lp_iters:int ->
   ?checkpoint_every:int ->
-  ?checkpoint_every_s:float ->
   ?on_checkpoint:(checkpoint -> unit) ->
   ?resume:checkpoint ->
   Problem.t ->

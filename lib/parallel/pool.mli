@@ -1,9 +1,9 @@
 (** Fixed-size supervised domain pool: a work queue served by OCaml 5
     domains.
 
-    The pool holds no global state — tests (and nested users such as the
-    pipeline racing two portfolio solves) can spin pools up and down
-    freely; every pool owns its domains and {!shutdown} joins them all.
+    The pool holds no global state — tests and nested users can spin
+    pools up and down freely; every pool owns its domains and
+    {!shutdown} joins them all.
     Exceptions raised by a task are funneled into its future and
     surfaced as [Error] by {!await} — a crashing task can neither kill a
     worker domain nor be silently lost.

@@ -98,7 +98,7 @@ let conclusive = function
     true
   | Milp.Branch_bound.Feasible | Milp.Branch_bound.Unknown -> false
 
-let solve ?pool ?jobs ?configs ?(deterministic = false) ?cancel ?deadline
+let solve ?pool ?jobs ?(deterministic = false) ?deadline
     ?(time_limit_s = 60.0) ?node_limit ?incumbent ?(presolve = true) ?chaos
     (p0 : Milp.Problem.t) : result =
   let t0 = Milp.Clock.now () in
@@ -110,14 +110,9 @@ let solve ?pool ?jobs ?configs ?(deterministic = false) ?cancel ?deadline
   in
   with_p @@ fun pl ->
   let jobs = Pool.jobs pl in
-  let configs =
-    match configs with
-    | Some (_ :: _ as cs) -> cs
-    | Some [] | None ->
-      (* deterministic mode pins the panel width so the jobs count can
-         never change the answer *)
-      default_configs ~jobs:(if deterministic then 4 else jobs)
-  in
+  (* deterministic mode pins the panel width so the jobs count can never
+     change the answer *)
+  let configs = default_configs ~jobs:(if deterministic then 4 else jobs) in
   let dir, obj_expr = Milp.Problem.objective p0 in
   let sense =
     match dir with Milp.Problem.Minimize -> 1.0 | Milp.Problem.Maximize -> -1.0
@@ -185,9 +180,6 @@ let solve ?pool ?jobs ?configs ?(deterministic = false) ?cancel ?deadline
    | Some _ | None -> ());
   let token = Pool.Token.create () in
   let winner = Atomic.make (-1) in
-  let externally_cancelled () =
-    match cancel with Some c -> Pool.Token.cancelled c | None -> false
-  in
   let run_one i cfg =
     (* fault injection: a [Pool.Poison] raised here escapes the pool's
        exception funnel and kills this worker's domain, exercising the
@@ -205,16 +197,11 @@ let solve ?pool ?jobs ?configs ?(deterministic = false) ?cancel ?deadline
     let local_imported = ref 0 and local_published = ref 0 in
     let last = ref None in
     let hooks =
-      if deterministic then
-        {
-          Milp.Branch_bound.no_hooks with
-          should_stop = externally_cancelled;
-        }
+      if deterministic then Milp.Branch_bound.no_hooks
       else
         {
           Milp.Branch_bound.should_stop =
-            (fun () ->
-              Pool.Token.cancelled token || externally_cancelled ());
+            (fun () -> Pool.Token.cancelled token);
           on_incumbent =
             (fun ~obj x ->
               let rec publish () =

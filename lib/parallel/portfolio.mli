@@ -78,19 +78,14 @@ type result = { solution : Milp.Branch_bound.solution; stats : stats }
 
     - [jobs] (default [Domain.recommended_domain_count ()]) sizes the
       worker pool when [pool] is not supplied;
-    - [configs] defaults to {!default_configs} over the jobs count — or
-      over a {e fixed} panel of 4 in deterministic mode, so the racing
-      width never changes the answer;
+    - the panel is {!default_configs} over the jobs count — or a
+      {e fixed} panel of 4 in deterministic mode, so the racing width
+      never changes the answer;
     - [deadline] (absolute, {!Milp.Clock}) is handed verbatim to every
       worker; [time_limit_s] (default 60) is the relative fallback;
     - [incumbent] warm-starts the [use_warm] configs and, in
       non-deterministic mode, pre-seeds the shared cell so every worker
       starts with the same cutoff;
-    - [cancel] is an external abort switch: cancelling it stops every
-      worker at its next node (the race's own first-conclusive
-      cancellation still applies on top). In deterministic mode the
-      token is still polled, but cancelling it obviously forfeits the
-      bit-identity guarantee for that run;
     - [presolve] (default [true]) runs {!Milp.Presolve} once at the root
       and hands every worker the reduced problem with its own presolve
       disabled (the reduction is deterministic, so this also preserves
@@ -118,9 +113,7 @@ type result = { solution : Milp.Branch_bound.solution; stats : stats }
 val solve :
   ?pool:Pool.t ->
   ?jobs:int ->
-  ?configs:config list ->
   ?deterministic:bool ->
-  ?cancel:Pool.Token.t ->
   ?deadline:float ->
   ?time_limit_s:float ->
   ?node_limit:int ->

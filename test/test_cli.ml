@@ -1,7 +1,8 @@
 (* Black-box tests for bin/letdma_cli: structured rejection of invalid
    --jobs values and of unreadable checkpoints (exit code 1 + one-line
    error on stderr), as opposed to cmdliner's own parse failures (exit
-   124). Runs the built executable; cwd during [dune runtest] is
+   124), and the solve flags honoured on both solve paths. Runs the
+   built executable; cwd during [dune runtest] is
    [_build/default/test]. *)
 
 let exe = Filename.concat (Filename.concat ".." "bin") "letdma_cli.exe"
@@ -68,6 +69,35 @@ let test_resume_dfs_checkpoint () =
         "names the unknown kind" true
         (contains ~needle:"checkpoint: unknown checkpoint kind \"dfs\"" out))
 
+(* --workload and --seed pick the app without forcing the durable path:
+   the heuristic answers seed 5 of the small generator and --stats says
+   so. *)
+let test_solve_workload_heuristic () =
+  let code, out = run "solve --workload small --seed 5 --heuristic --stats" in
+  Alcotest.(check int) "heuristic solve exits 0" 0 code;
+  Alcotest.(check bool)
+    "stats of the heuristic solve" true
+    (contains ~needle:"solver stats: none (heuristic solve)" out)
+
+let test_solve_durable_stats () =
+  let code, out =
+    run "solve --workload small --seed 5 --interrupt-after 3 --stats"
+  in
+  Alcotest.(check int) "no solution after 3 nodes: exit 5" 5 code;
+  Alcotest.(check bool)
+    "greppable node count" true
+    (contains ~needle:"nodes: 3\n" out);
+  Alcotest.(check bool)
+    "stats of the durable solve" true
+    (contains ~needle:"solver stats: status=unknown" out)
+
+let test_solve_durable_refuses_heuristic () =
+  let code, out = run "solve --heuristic --retries 1" in
+  Alcotest.(check int) "refused: exit 1" 1 code;
+  Alcotest.(check bool)
+    "one-line reason" true
+    (contains ~needle:"letdma: error: --heuristic cannot be combined" out)
+
 let () =
   Alcotest.run "cli"
     [
@@ -81,5 +111,14 @@ let () =
         [
           Alcotest.test_case "resume refuses a dfs checkpoint" `Quick
             test_resume_dfs_checkpoint;
+        ] );
+      ( "solve-flags",
+        [
+          Alcotest.test_case "--workload with --heuristic --stats" `Quick
+            test_solve_workload_heuristic;
+          Alcotest.test_case "durable path prints --stats" `Quick
+            test_solve_durable_stats;
+          Alcotest.test_case "durable path refuses --heuristic" `Quick
+            test_solve_durable_refuses_heuristic;
         ] );
     ]

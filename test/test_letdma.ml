@@ -767,20 +767,30 @@ let test_pipeline_validate_app () =
        false
      with Invalid_argument _ -> true)
 
+(* The ladder is sequential at any [jobs]: [jobs] only widens each
+   rung's portfolio, so jobs 1 and 2 settle on the primary MILP rung
+   after exactly one attempt. *)
 let test_pipeline_accepts_fixture () =
   let app = fixture () in
-  match Pipeline.run ~budget_s:30.0 app with
-  | Error f -> Alcotest.fail (Pipeline.failure_to_string f)
-  | Ok o ->
-    check_bool "MILP rung wins on the fixture" true (o.Pipeline.rung = Pipeline.Milp);
-    check_bool "certified" true (o.Pipeline.certificate.Certify.checks > 0);
-    check_bool "attempts recorded" true (o.Pipeline.attempts <> []);
-    check_bool "last attempt accepted" true
-      (let last = List.nth o.Pipeline.attempts
-           (List.length o.Pipeline.attempts - 1) in
-       last.Pipeline.accepted);
-    check_bool "renders" true
-      (String.length (Fmt.str "%a" (Pipeline.pp_outcome app) o) > 0)
+  List.iter
+    (fun jobs ->
+      let what m = Fmt.str "jobs=%d: %s" jobs m in
+      match Pipeline.run ~budget_s:30.0 ~jobs app with
+      | Error f -> Alcotest.fail (what (Pipeline.failure_to_string f))
+      | Ok o ->
+        check_bool (what "MILP rung wins on the fixture") true
+          (o.Pipeline.rung = Pipeline.Milp);
+        check_bool (what "certified") true
+          (o.Pipeline.certificate.Certify.checks > 0);
+        Alcotest.(check (list (pair string bool)))
+          (what "one attempt, accepted") [ ("milp", true) ]
+          (List.map
+             (fun (a : Pipeline.attempt) ->
+               (Pipeline.rung_name a.Pipeline.rung, a.Pipeline.accepted))
+             o.Pipeline.attempts);
+        check_bool (what "renders") true
+          (String.length (Fmt.str "%a" (Pipeline.pp_outcome app) o) > 0))
+    [ 1; 2 ]
 
 (* A lying MILP result: the corrupted solution carrying a forged
    certificate. *)
@@ -810,8 +820,8 @@ let forged_result corrupted ~options objective app groups ~gamma =
    degrade to the heuristic. *)
 let test_pipeline_lying_solver_falls_back () =
   let app, _groups, _gamma, _sol, corrupted = corrupted_fixture () in
-  let lying ~deadline_s:_ ~jobs:_ ~presolve:_ ~cancel:_ ~warm:_ ~chain:_
-      ~options objective app groups ~gamma =
+  let lying ~deadline_s:_ ~jobs:_ ~presolve:_ ~warm:_ ~chain:_ ~options
+      objective app groups ~gamma =
     forged_result corrupted ~options objective app groups ~gamma
   in
   match Pipeline.run ~milp_solve:lying ~budget_s:30.0 app with
@@ -848,15 +858,15 @@ let test_pipeline_lying_solver_falls_back () =
 let test_pipeline_perturbed_rung_accepted () =
   let app, _groups, _gamma, _sol, corrupted = corrupted_fixture () in
   let gammas = ref [] in
-  let flaky ~deadline_s ~jobs ~presolve ~cancel ~warm:_ ~chain:_ ~options
-      objective app groups ~gamma =
+  let flaky ~deadline_s ~jobs ~presolve ~warm:_ ~chain:_ ~options objective
+      app groups ~gamma =
     gammas := gamma :: !gammas;
     if List.length !gammas = 1 then
       forged_result corrupted ~options objective app groups ~gamma
     else
       let warm = Heuristic.solve_unchecked app groups ~gamma in
-      Solve.solve ~options ~deadline_s ~jobs ~presolve ?cancel ?warm objective
-        app groups ~gamma
+      Solve.solve ~options ~deadline_s ~jobs ~presolve ?warm objective app
+        groups ~gamma
   in
   match Pipeline.run ~milp_solve:flaky ~budget_s:30.0 app with
   | Error f -> Alcotest.fail (Pipeline.failure_to_string f)

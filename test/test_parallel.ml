@@ -267,16 +267,6 @@ let test_portfolio_crashed_config_reported () =
      | Some w -> w <> 1
      | None -> false)
 
-let test_portfolio_external_cancel () =
-  let cancel = Pool.Token.create () in
-  Pool.Token.cancel cancel;
-  let r = Portfolio.solve ~jobs:2 ~cancel ~time_limit_s:30.0 (knapsack 5) in
-  (* every worker observed the cancelled token at its first node *)
-  check_bool "no worker ran to optimality" true
-    (List.for_all
-       (fun (rep : Portfolio.report) -> rep.Portfolio.status <> B.Optimal)
-       r.Portfolio.stats.Portfolio.reports)
-
 (* ------------------------------------------------------------------ *)
 (* Sweep                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -516,8 +506,6 @@ let () =
             test_portfolio_deterministic_bit_identical;
           Alcotest.test_case "incumbent exchange counters" `Quick
             test_portfolio_incumbent_exchange;
-          Alcotest.test_case "external cancel" `Quick
-            test_portfolio_external_cancel;
           Alcotest.test_case "chaos crash recovery" `Quick
             test_portfolio_chaos_crash_recovery;
           Alcotest.test_case "crashed config reported" `Quick
