@@ -105,6 +105,24 @@ echo "chaos gate: baseline obj ${base_obj} (${base_nodes} nodes), resumed obj ${
 [ ! -f "$CK" ] || {
   echo "FAIL: conclusive resume left its checkpoint behind"; exit 1; }
 
+echo "== integral-objective proof (OBJ-DMAT bound rounded up) =="
+# OBJ-DMAT counts DMA transfers, so every optimum is an integer and
+# branch-and-bound may round each LP bound up before comparing it with
+# the incumbent. On this generator draw the root bound already rounds up
+# to the heuristic warm start's value: the search must prove it at the
+# root (it took 1517 nodes on the raw bound). Deterministic at jobs 1.
+timeout 120 $CLI solve --workload small --seed 939499556 --alpha 0.3 \
+  --objective dmat --time-limit 30 --jobs 1 --stats \
+  > "$TMP/ci_integral.out" || {
+    echo "FAIL: integral-objective solve exited $?"; exit 1; }
+integral_stats=$(grep '^solver stats:' "$TMP/ci_integral.out" || true)
+echo "integral-objective proof: ${integral_stats}"
+case "$integral_stats" in
+  *" status=optimal "*" nodes=1 "*) ;;
+  *) echo "FAIL: want status=optimal and nodes=1 on the solver stats line"
+     exit 1 ;;
+esac
+
 echo "== pipeline smoke (sequential ladder at jobs 2) =="
 # The degradation ladder on WATERS NO-OBJ with a 2-wide portfolio per
 # MILP rung: the primary rung must be accepted on its own, so the

@@ -26,6 +26,8 @@ type stats = {
   time_s : float;
   status : Milp.Branch_bound.status; (* of the last round *)
   gap : float option;
+      (* (incumbent - bound) / max(1, |incumbent|): absolute below 1 *)
+  best_bound : float option; (* the last round's proven bound *)
   milp_vars : int;
   milp_constraints : int;
   lp : Milp.Branch_bound.lp_stats;
@@ -201,13 +203,13 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
       lp_total :=
         Milp.Branch_bound.lp_add !lp_total
           bb.Milp.Branch_bound.stats.Milp.Branch_bound.lp;
+      let bb_stats = Some bb.Milp.Branch_bound.stats in
       match bb.Milp.Branch_bound.x with
-      | None -> (None, bb.Milp.Branch_bound.status, bb.Milp.Branch_bound.stats.Milp.Branch_bound.gap, round)
+      | None -> (None, bb.Milp.Branch_bound.status, bb_stats, round)
       | Some x ->
         let sol = Formulation.decode inst x in
         (match find_violations inst sol with
-         | [] ->
-           (Some (sol, x), bb.Milp.Branch_bound.status, bb.Milp.Branch_bound.stats.Milp.Branch_bound.gap, round)
+         | [] -> (Some (sol, x), bb.Milp.Branch_bound.status, bb_stats, round)
          | violations ->
            let added =
              List.fold_left
@@ -226,7 +228,7 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
            else loop (round + 1))
     end
   in
-  let accepted, status, gap, rounds = loop 1 in
+  let accepted, status, bb_stats, rounds = loop 1 in
   (* A conclusive finish makes the checkpoint stale (resuming it would
      re-prove what is already proven): remove it so an operator loop
      "resume while a checkpoint exists" terminates. *)
@@ -283,7 +285,8 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
         nodes = !nodes_total;
         time_s = Milp.Clock.now () -. t0;
         status;
-        gap;
+        gap = Option.bind bb_stats (fun b -> b.Milp.Branch_bound.gap);
+        best_bound = Option.map (fun b -> b.Milp.Branch_bound.best_bound) bb_stats;
         milp_vars = Milp.Problem.num_vars inst.Formulation.problem;
         milp_constraints = Milp.Problem.num_constrs inst.Formulation.problem;
         lp = !lp_total;
@@ -357,7 +360,7 @@ let solve_supervised ?policy ?options ?(time_limit_s = 60.0) ?deadline_s
 let pp_stats ppf s =
   let lp = s.lp in
   Fmt.pf ppf
-    "status=%s time=%.2fs rounds=%d nodes=%d c6=%d model=%dx%d%a@ \
+    "status=%s time=%.2fs rounds=%d nodes=%d c6=%d model=%dx%d%a%a@ \
      lp: pivots=%d dual-pivots=%d priced=%d refreshes=%d lp-time=%.2fs \
      warm: hits=%d misses=%d pivots-saved=%d evictions=%d \
      presolve: rounds=%d rows-dropped=%d bounds-tightened=%d"
@@ -366,7 +369,9 @@ let pp_stats ppf s =
      | st -> Milp.Branch_bound.status_name st)
     s.time_s s.rounds s.nodes s.c6_constraints s.milp_vars s.milp_constraints
     Fmt.(option (fun ppf g -> pf ppf " gap=%.1f%%" (100.0 *. g)))
-    s.gap lp.Milp.Branch_bound.lp_pivots lp.Milp.Branch_bound.lp_dual_pivots
+    s.gap
+    Fmt.(option (fun ppf b -> pf ppf " bound=%g" b))
+    s.best_bound lp.Milp.Branch_bound.lp_pivots lp.Milp.Branch_bound.lp_dual_pivots
     lp.Milp.Branch_bound.lp_pricing_scanned
     lp.Milp.Branch_bound.lp_pricing_refreshes lp.Milp.Branch_bound.lp_time_s
     lp.Milp.Branch_bound.lp_warm_hits lp.Milp.Branch_bound.lp_warm_misses

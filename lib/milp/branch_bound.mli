@@ -9,7 +9,14 @@
     For parallel portfolio search (see [Parallel.Portfolio]) the solver
     additionally accepts cooperation {!hooks} — a cancellation check, an
     incumbent-publication callback and an incumbent-import poll — and a
-    [branch_seed] that diversifies the branching order between workers. *)
+    [branch_seed] that diversifies the branching order between workers.
+
+    When {!Problem.integral_objective} holds for the (presolved) model,
+    every node's LP bound [b] is read as [ceil (b - 1e-4)] and the
+    incumbent, within [1e-5] of an integer, as that integer, wherever the
+    search prunes and in the final bound, gap and status: an OBJ-DMAT
+    bound of 2.44 under an incumbent of 3 closes its subtree. The rule
+    is re-derived from the model, so checkpoints are unaffected. *)
 
 type status =
   | Optimal     (** incumbent proven optimal *)
@@ -61,8 +68,13 @@ type stats = {
   nodes : int;
   simplex_solves : int;
   time_s : float;
-  best_bound : float;  (** proven bound on the optimum, in the problem's own sense *)
-  gap : float option;  (** relative incumbent/bound gap; [Some 0.] when optimal *)
+  best_bound : float;
+      (** proven bound on the optimum, in the problem's own sense
+          (rounded to an integer on integral objectives) *)
+  gap : float option;
+      (** (incumbent − bound) / max(1, |incumbent|): relative for
+          objectives of magnitude at least 1, absolute below;
+          [Some 0.] when optimal *)
   foreign_prunes : int;
       (** subtrees pruned against a cutoff that was imported through
           {!hooks}[.get_incumbent] rather than found locally — the direct

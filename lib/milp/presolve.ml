@@ -27,6 +27,9 @@ type stats = {
 
 let eps = 1.0e-9
 
+(* Fixpoint rounds before presolve stops tightening. *)
+let max_rounds = 10
+
 (* (min, max) activity of [expr] under the bounds in [lo]/[hi]. *)
 let activity_bounds lo hi expr =
   let amin = ref 0.0 and amax = ref 0.0 in
@@ -43,7 +46,7 @@ let activity_bounds lo hi expr =
     expr;
   (!amin, !amax)
 
-let run ?(max_rounds = 10) (p : Problem.t) : result * stats =
+let run (p : Problem.t) : result * stats =
   let n = Problem.num_vars p in
   let lo = Array.make n 0.0 and hi = Array.make n 0.0 in
   let kind = Array.make n Problem.Continuous in

@@ -11,4 +11,6 @@ type result =
 
 type stats = { rounds : int; rows_dropped : int; bounds_tightened : int }
 
-val run : ?max_rounds:int -> Problem.t -> result * stats
+(** [run p] iterates the reductions to a fixpoint, for at most 10
+    rounds. *)
+val run : Problem.t -> result * stats

@@ -91,6 +91,23 @@ let test_solve_durable_stats () =
     "stats of the durable solve" true
     (contains ~needle:"solver stats: status=unknown" out)
 
+(* OBJ-DMAT counts transfers, so its LP bound may be rounded up: on this
+   draw the root bound already rounds up to the warm start's value, and
+   --stats shows the proven bound next to the gap. *)
+let test_solve_stats_bound () =
+  let code, out =
+    run "solve --workload small --seed 939499556 --alpha 0.3 \
+         --objective dmat --time-limit 30 --stats"
+  in
+  Alcotest.(check int) "solve exits 0" 0 code;
+  Alcotest.(check bool)
+    "proved at the root" true
+    (contains ~needle:"solver stats: status=optimal " out
+     && contains ~needle:" nodes=1 " out);
+  Alcotest.(check bool)
+    "proven bound printed" true
+    (contains ~needle:" gap=0.0% bound=1\n" out)
+
 let test_solve_durable_refuses_heuristic () =
   let code, out = run "solve --heuristic --retries 1" in
   Alcotest.(check int) "refused: exit 1" 1 code;
@@ -120,5 +137,7 @@ let () =
             test_solve_durable_stats;
           Alcotest.test_case "durable path refuses --heuristic" `Quick
             test_solve_durable_refuses_heuristic;
+          Alcotest.test_case "--stats prints the proven bound" `Quick
+            test_solve_stats_bound;
         ] );
     ]

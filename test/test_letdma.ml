@@ -807,7 +807,7 @@ let forged_result corrupted ~options objective app groups ~gamma =
     stats =
       {
         Solve.rounds = 1; c6_constraints = 0; nodes = 0; time_s = 0.0;
-        status = Milp.Branch_bound.Optimal; gap = None;
+        status = Milp.Branch_bound.Optimal; gap = None; best_bound = None;
         milp_vars = Milp.Problem.num_vars inst.Formulation.problem;
         milp_constraints = Milp.Problem.num_constrs inst.Formulation.problem;
         lp = Milp.Branch_bound.lp_zero;

@@ -230,7 +230,7 @@ let test_jobs1_trace_deterministic () =
   Alcotest.(check (list string)) "identical event streams" a b
 
 (* basis-pool lifecycle events ride the sampled node stream: a warm
-   best-first solve with a tiny pool must leave warm_hit and evict
+   best-first solve with a one-basis pool must leave warm_hit and evict
    points in the trace, and the trace must still validate. *)
 let test_basis_events_traced () =
   with_temp @@ fun path ->
@@ -261,7 +261,7 @@ let test_basis_events_traced () =
        (L.var ~coeff:3.0 y) xs);
   Obs.with_trace ~file:path (fun () ->
       let hooks = Obs.Solver_hooks.wrap Milp.Branch_bound.no_hooks in
-      ignore (Milp.Branch_bound.solve ~time_limit_s:30.0 ~basis_pool:2 ~hooks p));
+      ignore (Milp.Branch_bound.solve ~time_limit_s:30.0 ~basis_pool:1 ~hooks p));
   (match Obs.Check.trace_file path with
    | Ok n -> check_bool "trace non-empty" true (n > 0)
    | Error e -> Alcotest.fail e);
