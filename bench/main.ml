@@ -10,7 +10,7 @@
      ALPHA         — the alpha in {0.1..0.5} sensitivity sweep (Sec. VII)
      ABLATION-C6   — lazy vs full Constraint-6 generation
      ABLATION-HEUR — greedy heuristic vs MILP on random workloads
-     PARALLEL      — portfolio racing and batch-sweep speedup vs jobs
+     PARALLEL      — batch-sweep speedup vs jobs
      ABLATION-P3   — paper's Constraint 10 vs the strict Property-3 bound
      EXT-MULTIDMA  — the protocol on 1/2/4 parallel DMA channels
      EXT-AUTOMOTIVE — signal-heavy workloads (WATERS 2015 statistics)
@@ -992,8 +992,8 @@ let resilience_section () =
 (* PARALLEL: speedup vs jobs                                           *)
 (* ------------------------------------------------------------------ *)
 
-let parallel_section ~smoke app =
-  section "PARALLEL: portfolio racing and batch sweeps on OCaml 5 domains";
+let parallel_section ~smoke () =
+  section "PARALLEL: batch sweeps on OCaml 5 domains";
   Fmt.pr "  Domain.recommended_domain_count = %d@.@."
     (Domain.recommended_domain_count ());
   (* batch sweep: independent random instances farmed over a pool; the
@@ -1042,33 +1042,7 @@ let parallel_section ~smoke app =
       if jobs = 1 then t_seq := dt;
       Fmt.pr "  sweep %d instances  jobs=%d: %6.2fs  (%d solved, speedup x%.2f)@."
         (List.length seeds) jobs dt solved (!t_seq /. dt))
-    (if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ]);
-  (* portfolio racing on the WATERS NO-OBJ model, warm-started from the
-     heuristic: same problem, jobs 1 vs 4, with the shared-incumbent
-     exchange counters *)
-  Fmt.pr "@.";
-  let groups = Groups.compute app in
-  match Rt_analysis.Sensitivity.gammas app ~alpha:0.2 with
-  | None -> Fmt.pr "  portfolio: unschedulable@."
-  | Some s ->
-    let gamma = s.Rt_analysis.Sensitivity.gamma in
-    let inst =
-      Letdma.Formulation.make Letdma.Formulation.No_obj app groups ~gamma
-    in
-    let incumbent =
-      Option.bind
-        (Letdma.Heuristic.solve_unchecked app groups ~gamma)
-        (Letdma.Formulation.encode inst)
-    in
-    List.iter
-      (fun jobs ->
-        let r =
-          Parallel.Portfolio.solve ~jobs ~time_limit_s:per_solve_limit
-            ?incumbent inst.Letdma.Formulation.problem
-        in
-        Fmt.pr "  portfolio WATERS/NO-OBJ jobs=%d: @[%a@]@." jobs
-          Parallel.Portfolio.pp_stats r.Parallel.Portfolio.stats)
-      [ 1; 4 ]
+    (if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ])
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
@@ -1302,7 +1276,7 @@ let () =
     Fmt.pr "@.bench: warmstart section completed@."
   end
   else if Array.exists (String.equal "--parallel") Sys.argv then begin
-    run_section "PARALLEL" (fun () -> parallel_section ~smoke:false app);
+    run_section "PARALLEL" (parallel_section ~smoke:false);
     Fmt.pr "@.bench: parallel section completed@."
   end
   else if Array.exists (String.equal "--corpus") Sys.argv then begin
@@ -1312,7 +1286,7 @@ let () =
   else if smoke then begin
     run_section "FIG1" fig1;
     Option.iter fig1_trace !json_prefix;
-    run_section "PARALLEL" (fun () -> parallel_section ~smoke:true app);
+    run_section "PARALLEL" (parallel_section ~smoke:true);
     run_section "WARMSTART" warmstart_section;
     run_section "RESILIENCE" resilience_section;
     Fmt.pr "@.bench: smoke sections completed@."
@@ -1330,7 +1304,7 @@ let () =
     run_section "SCALING" scaling;
     run_section "PRICING" pricing_section;
     run_section "WARMSTART" warmstart_section;
-    run_section "PARALLEL" (fun () -> parallel_section ~smoke:false app);
+    run_section "PARALLEL" (parallel_section ~smoke:false);
     run_section "ROBUSTNESS" (fun () -> robustness app);
     run_section "RESILIENCE" resilience_section;
     run_section "MICRO" (fun () -> micro app);

@@ -16,10 +16,10 @@
         bound); once serving, the daemon answers malformed requests
         with structured error responses and still exits 0
    Invalid flag values (e.g. --labels-per-edge 0) are rejected by the
-   argument parser itself with Cmdliner's usage error code (124); --jobs
-   is the exception — it is validated in the command body (through
-   Parallel.Pool.validate_jobs, shared by solve/pipeline/serve) so an
-   invalid count gets the structured one-line error and exit code 1. *)
+   argument parser itself with Cmdliner's usage error code (124); serve's
+   --jobs is the exception — it is validated in the command body (through
+   Parallel.Pool.validate_jobs) so an invalid count gets the structured
+   one-line error and exit code 1. *)
 
 open Cmdliner
 open Rt_model
@@ -51,8 +51,8 @@ let exit_of_experiment_error = function
     exit_no_solution
 
 let setup_logs verbose =
-  (* the format reporter is not domain-safe; portfolio workers and sweep
-     items log concurrently *)
+  (* the format reporter is not domain-safe; the service's pool workers
+     log concurrently *)
   let log_mutex = Mutex.create () in
   Logs.set_reporter_mutex
     ~lock:(fun () -> Mutex.lock log_mutex)
@@ -118,18 +118,19 @@ let labels_per_edge_t =
 let seed_t =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
-(* Deliberately a plain int: the value is validated in the command body
-   (see [check_jobs]) so that an invalid count reports through the
-   structured error path with exit code 1, like any other runtime
-   failure, rather than Cmdliner's usage error. *)
+(* serve's worker count. Deliberately a plain int: the value is validated
+   in the command body (see [check_jobs]) so that an invalid count reports
+   through the structured error path with exit code 1, like any other
+   runtime failure, rather than Cmdliner's usage error. *)
 let jobs_t =
   Arg.(
     value
     & opt int (Domain.recommended_domain_count ())
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for parallel solving (default: what the runtime \
-           recommends for this machine; 1 = sequential).")
+          "Worker domains of the request pool (default: what the runtime \
+           recommends for this machine). Each request is one sequential \
+           solve; independent requests run in parallel.")
 
 let check_jobs jobs k =
   match Parallel.Pool.validate_jobs jobs with
@@ -147,9 +148,8 @@ let trace_t =
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
           "Write a structured JSONL event trace of the run (solver nodes and \
-           incumbents, pipeline rungs, portfolio workers, sweep carving, \
-           simulator timeline) to $(docv). See README: Observability for the \
-           event schema.")
+           incumbents, pipeline rungs, sweep carving, simulator timeline) to \
+           $(docv). See README: Observability for the event schema.")
 
 let metrics_t =
   Arg.(
@@ -379,8 +379,8 @@ let checkpoint_t =
           "Write periodic solver checkpoints to $(docv) (versioned JSON, \
            atomically replaced). An interrupted solve exits with code 7 and \
            leaves the file behind; continue it with the $(b,resume) \
-           subcommand. Forces sequential solving (jobs = 1); removed \
-           automatically when the solve finishes conclusively.")
+           subcommand. Removed automatically when the solve finishes \
+           conclusively.")
 
 let checkpoint_every_t =
   Arg.(
@@ -471,7 +471,7 @@ let durable_solve ~time_limit ~objective ~alpha ~presolve ~stats ~checkpoint
           ~time_limit_s:time_limit ~presolve ?checkpoint_file:checkpoint
           ~checkpoint_every ?resume objective app groups ~gamma
       else
-        Letdma.Solve.solve ~time_limit_s:time_limit ~jobs:1 ~presolve
+        Letdma.Solve.solve ~time_limit_s:time_limit ~presolve
           ?checkpoint_file:checkpoint ~checkpoint_every ?resume
           ?interrupt_after_nodes:interrupt_after objective app groups ~gamma
     in
@@ -512,12 +512,11 @@ let durable_solve ~time_limit ~objective ~alpha ~presolve ~stats ~checkpoint
          exit_no_solution)
 
 let solve_cmd =
-  let run verbose time_limit labels_per_edge objective alpha heuristic jobs
+  let run verbose time_limit labels_per_edge objective alpha heuristic
       no_presolve stats workload seed checkpoint checkpoint_every
       interrupt_after retries backoff trace metrics =
     guard @@ fun () ->
     setup_logs verbose;
-    check_jobs jobs @@ fun () ->
     with_obs ~trace ~metrics @@ fun () ->
     let durable =
       checkpoint <> None || interrupt_after <> None || retries > 0
@@ -537,7 +536,7 @@ let solve_cmd =
       let solver =
         if heuristic then Letdma.Experiment.Heuristic
         else
-          Letdma.Experiment.milp ~time_limit_s:time_limit ~jobs
+          Letdma.Experiment.milp ~time_limit_s:time_limit
             ~presolve:(not no_presolve) objective
       in
       match Letdma.Experiment.run_config ~solver app ~alpha with
@@ -566,7 +565,7 @@ let solve_cmd =
           lines.")
     Term.(
       const run $ verbose_t $ time_limit_t $ labels_per_edge_t $ objective_t
-      $ alpha_t $ heuristic_t $ jobs_t $ no_presolve_t $ stats_t $ workload_t
+      $ alpha_t $ heuristic_t $ no_presolve_t $ stats_t $ workload_t
       $ seed_t $ checkpoint_t $ checkpoint_every_t $ interrupt_after_t
       $ retries_t $ backoff_t $ trace_t $ metrics_t)
 
@@ -623,15 +622,14 @@ let pipeline_cmd =
             "Total wall-clock budget shared by every rung of the ladder \
              (MILP rounds, perturbed retry, fallbacks).")
   in
-  let run verbose labels_per_edge objective alpha budget jobs retries backoff
+  let run verbose labels_per_edge objective alpha budget retries backoff
       trace metrics =
     guard @@ fun () ->
     setup_logs verbose;
-    check_jobs jobs @@ fun () ->
     with_obs ~trace ~metrics @@ fun () ->
     let app = waters ~labels_per_edge in
     match
-      Letdma.Pipeline.run ~objective ~budget_s:budget ~alpha ~jobs ~retries
+      Letdma.Pipeline.run ~objective ~budget_s:budget ~alpha ~retries
         ~backoff_s:backoff app
     with
     | Ok o ->
@@ -653,7 +651,7 @@ let pipeline_cmd =
           solution.")
     Term.(
       const run $ verbose_t $ labels_per_edge_t $ objective_t $ alpha_t
-      $ budget_t $ jobs_t $ retries_t $ backoff_t $ trace_t $ metrics_t)
+      $ budget_t $ retries_t $ backoff_t $ trace_t $ metrics_t)
 
 (* --- fault injection -------------------------------------------------- *)
 

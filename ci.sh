@@ -1,6 +1,6 @@
 #!/bin/sh
 # Tier-1 gate: full build + test suite, then a short bench smoke that
-# exercises the parallel paths (domain pool, portfolio racing, sweep).
+# exercises the parallel paths (domain pool, batch sweep).
 #
 # OCAMLRUNPARAM s=8M (minor heap, in words) matters for the smoke: with
 # the default minor heap, multi-domain runs spend most of their time in
@@ -64,7 +64,7 @@ echo "== trace smoke (structured JSONL events) =="
 # not JSON and are rejected) and checks per-domain timestamp monotonicity
 # on .jsonl traces.
 timeout 120 ./_build/default/bin/letdma_cli.exe solve \
-  --time-limit 5 --jobs 1 --trace "$TMP/ci_trace.jsonl" >/dev/null
+  --time-limit 5 --trace "$TMP/ci_trace.jsonl" >/dev/null
 ./_build/default/bin/letdma_cli.exe trace-check \
   "$TMP/ci_trace.jsonl" "$TMP/BENCH_FIG1_TRACE.jsonl" "$TMP"/BENCH_*.json \
   BENCH_*.json
@@ -110,9 +110,10 @@ echo "== integral-objective proof (OBJ-DMAT bound rounded up) =="
 # branch-and-bound may round each LP bound up before comparing it with
 # the incumbent. On this generator draw the root bound already rounds up
 # to the heuristic warm start's value: the search must prove it at the
-# root (it took 1517 nodes on the raw bound). Deterministic at jobs 1.
+# root (it took 1517 nodes on the raw bound). Deterministic: every solve
+# is one sequential search.
 timeout 120 $CLI solve --workload small --seed 939499556 --alpha 0.3 \
-  --objective dmat --time-limit 30 --jobs 1 --stats \
+  --objective dmat --time-limit 30 --stats \
   > "$TMP/ci_integral.out" || {
     echo "FAIL: integral-objective solve exited $?"; exit 1; }
 integral_stats=$(grep '^solver stats:' "$TMP/ci_integral.out" || true)
@@ -123,12 +124,11 @@ case "$integral_stats" in
      exit 1 ;;
 esac
 
-echo "== pipeline smoke (sequential ladder at jobs 2) =="
-# The degradation ladder on WATERS NO-OBJ with a 2-wide portfolio per
-# MILP rung: the primary rung must be accepted on its own, so the
-# outcome lists exactly one indented attempt line ("  rung: reason [Ts]").
-OCAMLRUNPARAM="s=8M${OCAMLRUNPARAM:+,$OCAMLRUNPARAM}" \
-  timeout 120 $CLI pipeline --objective no-obj --jobs 2 --budget 30 \
+echo "== pipeline smoke (sequential ladder) =="
+# The degradation ladder on WATERS NO-OBJ: the primary rung must be
+# accepted on its own, so the outcome lists exactly one indented attempt
+# line ("  rung: reason [Ts]").
+timeout 120 $CLI pipeline --objective no-obj --budget 30 \
   > "$TMP/ci_pipeline.out" || {
     echo "FAIL: pipeline exited $? (want 0)"; cat "$TMP/ci_pipeline.out"; exit 1; }
 head -n 1 "$TMP/ci_pipeline.out" | grep -q '^accepted milp solution' || {

@@ -13,14 +13,13 @@ type solver =
       options : Formulation.options;
       time_limit_s : float;
       node_limit : int;
-      jobs : int; (* portfolio width of each solve; 1 = sequential *)
       presolve : bool; (* MILP root presolve (default on) *)
     }
   | Heuristic
 
 let milp ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
-    ?(node_limit = 200_000) ?(jobs = 1) ?(presolve = true) objective =
-  Milp { objective; options; time_limit_s; node_limit; jobs; presolve }
+    ?(node_limit = 200_000) ?(presolve = true) objective =
+  Milp { objective; options; time_limit_s; node_limit; presolve }
 
 let solver_name = function
   | Milp { objective; _ } -> Formulation.objective_name objective
@@ -80,7 +79,7 @@ let best_improvement r approach =
   !best
 
 let run_config ?(cpu_model = Sim.Parallel_phases) ?(solver = Heuristic)
-    ?deadline_s ?chain app ~alpha =
+    ?chain app ~alpha =
   let groups = Groups.compute app in
   if Comm.Set.is_empty (Groups.s0 groups) then Error No_communications
   else
@@ -100,8 +99,7 @@ let run_config ?(cpu_model = Sim.Parallel_phases) ?(solver = Heuristic)
               sol
           in
           (sol, None, cert)
-        | Milp { objective; options; time_limit_s; node_limit; jobs; presolve }
-          ->
+        | Milp { objective; options; time_limit_s; node_limit; presolve } ->
           (* warm-start with the heuristic variant matching the objective:
              maximal grouping for OBJ-DMAT, per-task latency-oriented
              transfers otherwise *)
@@ -114,16 +112,15 @@ let run_config ?(cpu_model = Sim.Parallel_phases) ?(solver = Heuristic)
           let warm = Heuristic.solve_unchecked ~granularity app groups ~gamma in
           (* Adjacent sweep configurations differ only in a few bounds /
              right-hand sides: hand the previous config's root basis to
-             this solve and leave ours behind for the next config on this
-             worker domain (see {!Parallel.Sweep.Chain}). Incompatible
-             bases are rejected by a fingerprint check inside the kernel
-             and simply fall back to the cold solve. *)
+             this solve and leave ours behind for the next config (see
+             {!Parallel.Sweep.Chain}). Incompatible bases are rejected by
+             a fingerprint check inside the kernel and simply fall back
+             to the cold solve. *)
           let root_basis = Option.bind chain Parallel.Sweep.Chain.take in
           let basis_out = Option.map (fun _ -> ref None) chain in
           let r =
-            Solve.solve ~options ~time_limit_s ?deadline_s ~node_limit ~jobs
-              ~presolve ?warm ?root_basis ?basis_out objective app groups
-              ~gamma
+            Solve.solve ~options ~time_limit_s ~node_limit ~presolve ?warm
+              ?root_basis ?basis_out objective app groups ~gamma
           in
           (match (chain, basis_out) with
            | Some c, Some { contents = Some b } -> Parallel.Sweep.Chain.put c b
@@ -167,42 +164,21 @@ let run_config ?(cpu_model = Sim.Parallel_phases) ?(solver = Heuristic)
              metrics;
            })
 
-(* Sweep-parallel grid runner shared by fig2 and alpha_sweep: with
-   [jobs > 1] the independent configurations are farmed over a domain
-   pool; [budget_s] is carved into fair per-config deadlines by
-   [Parallel.Sweep] (each config additionally keeps its [time_limit_s]
-   cap, so results match the sequential run when the budget is slack). *)
-let run_grid ~jobs ~budget_s ~time_limit_s run configs =
-  if jobs <= 1 then List.map (fun c -> run ?deadline_s:None c) configs
-  else begin
-    let global =
-      Option.map (fun b -> Milp.Clock.deadline_of ~limit_s:b) budget_s
-    in
-    Parallel.Sweep.map ~jobs ?deadline:global
-      (fun ~deadline c ->
-        let d = Float.min deadline (Milp.Clock.deadline_of ~limit_s:time_limit_s) in
-        let deadline_s = if Float.is_finite d then Some d else None in
-        run ?deadline_s c)
-      configs
-    |> List.map (fun (o : _ Parallel.Sweep.outcome) ->
-           match o.Parallel.Sweep.result with Ok r -> r | Error e -> raise e)
-  end
-
 (* The paper's Fig. 2 grid: alphas 0.2 and 0.4, the three objectives. *)
 let fig2 ?(alphas = [ 0.2; 0.4 ])
     ?(objectives = [ Formulation.No_obj; Formulation.Min_transfers; Formulation.Min_delay_ratio ])
-    ?(time_limit_s = 60.0) ?cpu_model ?(jobs = 1) ?budget_s app =
+    ?(time_limit_s = 60.0) ?cpu_model app =
   let configs =
     List.concat_map
       (fun alpha -> List.map (fun objective -> (alpha, objective)) objectives)
       alphas
   in
   let chain = Parallel.Sweep.Chain.create () in
-  run_grid ~jobs ~budget_s ~time_limit_s
-    (fun ?deadline_s (alpha, objective) ->
+  List.map
+    (fun (alpha, objective) ->
       ((alpha, objective),
-       run_config ?cpu_model ?deadline_s ~chain
-         ~solver:(milp ~time_limit_s objective) app ~alpha))
+       run_config ?cpu_model ~chain ~solver:(milp ~time_limit_s objective) app
+         ~alpha))
     configs
 
 (* Table I: solver running time and number of DMA transfers per objective
@@ -274,11 +250,11 @@ let table1 ?(alphas = [ 0.2; 0.4 ])
 
 (* The alpha sweep of Section VII: feasibility for alpha in {0.1..0.5}. *)
 let alpha_sweep ?(alphas = [ 0.1; 0.2; 0.3; 0.4; 0.5 ]) ?(time_limit_s = 60.0)
-    ?(objective = Formulation.No_obj) ?cpu_model ?(jobs = 1) ?budget_s app =
+    ?(objective = Formulation.No_obj) ?cpu_model app =
   let chain = Parallel.Sweep.Chain.create () in
-  run_grid ~jobs ~budget_s ~time_limit_s
-    (fun ?deadline_s alpha ->
+  List.map
+    (fun alpha ->
       (alpha,
-       run_config ?cpu_model ?deadline_s ~chain
-         ~solver:(milp ~time_limit_s objective) app ~alpha))
+       run_config ?cpu_model ~chain ~solver:(milp ~time_limit_s objective) app
+         ~alpha))
     alphas

@@ -102,7 +102,6 @@ let pp_outcome app ppf o =
 
 type milp_solver =
   deadline_s:float ->
-  jobs:int ->
   presolve:bool ->
   warm:Solution.t option ->
   chain:Milp.Simplex_core.Basis.t option ref ->
@@ -113,14 +112,14 @@ type milp_solver =
   gamma:Time.t array ->
   Solve.result
 
-let default_milp_solve ~deadline_s ~jobs ~presolve ~warm ~chain ~options
+let default_milp_solve ~deadline_s ~presolve ~warm ~chain ~options
     objective app groups ~gamma =
   (* [chain] carries the root LP basis between consecutive rungs: read it
      as this solve's warm-start offer, leave this solve's own root basis
      behind for the next rung (structure mismatches fall back cold inside
      the kernel, so a stale basis costs one fingerprint check) *)
   let root_basis = !chain in
-  Solve.solve ~options ~deadline_s ~jobs ~presolve ?warm ?root_basis
+  Solve.solve ~options ~deadline_s ~presolve ?warm ?root_basis
     ~basis_out:chain objective app groups ~gamma
 
 (* Perturbed retry: tighten every gamma by 0.1% — a solution meeting the
@@ -141,17 +140,17 @@ let violations_summary app vs =
 (* Supervised MILP rung: route the rung through
    [Solve.solve_supervised], whose retry ladder escalates solver
    parameters (Dantzig pricing, no warm pool, no presolve, scaled
-   iteration budgets) between attempts. The supervised path runs
-   jobs=1 and does not thread the basis [chain] — escalations may
-   disable warm starts, so a chained basis would be misleading. *)
-let supervised_milp_solve ~policy ~deadline_s ~jobs:_ ~presolve ~warm ~chain:_
+   iteration budgets) between attempts. The supervised path does not
+   thread the basis [chain] — escalations may disable warm starts, so a
+   chained basis would be misleading. *)
+let supervised_milp_solve ~policy ~deadline_s ~presolve ~warm ~chain:_
     ~options objective app groups ~gamma =
   Solve.solve_supervised ~policy ~options ~deadline_s ~presolve ?warm objective
     app groups ~gamma
 
 let run ?milp_solve ?(objective = Formulation.No_obj)
     ?(options = Formulation.default_options) ?(budget_s = 60.0) ?(alpha = 0.2)
-    ?(jobs = 1) ?(presolve = true) ?(retries = 0) ?(backoff_s = 0.1) app =
+    ?(presolve = true) ?(retries = 0) ?(backoff_s = 0.1) app =
   let milp_solve =
     match milp_solve with
     | Some f -> f
@@ -219,7 +218,7 @@ let run ?milp_solve ?(objective = Formulation.No_obj)
           Obs.span ~cat:"pipeline" (rung_name rung) @@ fun () ->
           let ta = Milp.Clock.now () in
           let r =
-            milp_solve ~deadline_s:deadline ~jobs ~presolve ~warm ~chain
+            milp_solve ~deadline_s:deadline ~presolve ~warm ~chain
               ~options objective app groups ~gamma:gamma_solve
           in
           let dt = Milp.Clock.now () -. ta in

@@ -66,7 +66,6 @@ val pp_outcome : App.t -> Format.formatter -> outcome -> unit
     {!Milp.Simplex_core.Basis}); replacement solvers may ignore it. *)
 type milp_solver =
   deadline_s:float ->
-  jobs:int ->
   presolve:bool ->
   warm:Solution.t option ->
   chain:Milp.Simplex_core.Basis.t option ref ->
@@ -80,14 +79,8 @@ type milp_solver =
 (** [run app] validates, computes gamma at [alpha] (default [0.2]) and
     walks the ladder under [budget_s] (default [60] s) of total wall
     time. [objective] and [options] configure the MILP rungs; the
-    primary rung is warm-started with the heuristic plan.
-
-    [jobs] (default 1) is the portfolio width of each MILP rung
-    ({!Solve.solve}'s [jobs]): the rungs always run one after the other,
-    and with [jobs >= 2] each one races {!Parallel.Portfolio} configs over
-    [jobs] domains instead of searching sequentially. The basis [chain]
-    is only threaded at [jobs = 1]; portfolio workers keep private
-    bases.
+    primary rung is warm-started with the heuristic plan. The rungs run
+    one after the other, and each MILP rung is one sequential search.
 
     [presolve] (default [true]) is handed to every MILP rung: root
     presolve reduces the model before branch-and-bound. The reduction is
@@ -99,9 +92,8 @@ type milp_solver =
     [retries] extra attempts, escalating solver parameters between them
     (Dantzig pricing, warm pool off, presolve off, scaled LP iteration
     budgets) and sleeping an exponential backoff starting at [backoff_s]
-    (default 0.1 s, capped, deadline-aware). The supervised path runs
-    sequentially ([jobs] is not used inside a rung) and skips the
-    inter-rung basis chain. If every supervised attempt fails, the
+    (default 0.1 s, capped, deadline-aware). The supervised path skips
+    the inter-rung basis chain. If every supervised attempt fails, the
     ladder degrades to the heuristic and baseline rungs as usual — the
     ladder itself is the final fallback. A caller-supplied [milp_solve]
     hook takes precedence: [retries] then has no effect. *)
@@ -111,7 +103,6 @@ val run :
   ?options:Formulation.options ->
   ?budget_s:float ->
   ?alpha:float ->
-  ?jobs:int ->
   ?presolve:bool ->
   ?retries:int ->
   ?backoff_s:float ->

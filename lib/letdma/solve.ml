@@ -7,8 +7,7 @@ open Mem_layout
    blocks, re-solve. The optimum is unchanged w.r.t. the full formulation
    (cuts are only added when violated); small instances can force the full
    model upfront with [options.full_c6] (compared in an ablation bench).
-   Each round is one sequential best-first search at [jobs = 1], or one
-   [Parallel.Portfolio] race over [jobs] domains. Short of a conclusive
+   Each round is one sequential best-first search. Short of a conclusive
    answer, a round ends only at its deadline, node limit or LP iteration
    cap, or at the [interrupt_after_nodes] test hook. *)
 
@@ -43,43 +42,32 @@ type result = {
   instance : Formulation.instance;
 }
 
-(* One branch-and-bound round: sequential best-first search at
-   [jobs <= 1], else a portfolio race over a pool of [jobs] domains.
-   [stop_after_nodes] interrupts the sequential search after that many
-   explored nodes — the controlled-interrupt half of the chaos gate
-   (checkpoint, kill, resume). Checkpoint/resume arguments are
-   sequential-only; [ck] bundles them as (writer, every, resume). *)
-let bb_solve ~jobs ~presolve ?root_basis ?basis_out ?basis_pool ?pricing
+(* One branch-and-bound round. [stop_after_nodes] interrupts the search
+   after that many explored nodes — the controlled-interrupt half of the
+   chaos gate (checkpoint, kill, resume). [ck] bundles the checkpoint
+   arguments as (writer, every, resume). *)
+let bb_solve ~presolve ?root_basis ?basis_out ?basis_pool ?pricing
     ?max_lp_iters ?stop_after_nodes ?ck ~deadline ~node_limit ?incumbent p =
-  if jobs > 1 then
-    (* portfolio workers each own a private basis pool; cross-solve basis
-       chaining is a sequential-only feature (no sharing across domains) *)
-    let r =
-      Parallel.Portfolio.solve ~jobs ~deadline ~node_limit ?incumbent
-        ~presolve p
-    in
-    r.Parallel.Portfolio.solution
-  else
-    let hooks =
-      match stop_after_nodes with
-      | None -> Milp.Branch_bound.no_hooks
-      | Some limit ->
-        let seen = ref 0 in
-        {
-          Milp.Branch_bound.no_hooks with
-          should_stop = (fun () -> !seen >= limit);
-          on_node = (fun ~node:_ ~depth:_ ~bound:_ ~pivots:_ -> incr seen);
-        }
-    in
-    let hooks = Obs.Solver_hooks.wrap hooks in
-    let on_checkpoint, checkpoint_every, resume =
-      match ck with
-      | Some (f, every, resume) -> (Some f, every, resume)
-      | None -> (None, 0, None)
-    in
-    Milp.Branch_bound.solve ~deadline ~node_limit ?incumbent ~hooks ~presolve
-      ?root_basis ?basis_out ?basis_pool ?pricing ?max_lp_iters
-      ~checkpoint_every ?on_checkpoint ?resume p
+  let hooks =
+    match stop_after_nodes with
+    | None -> Milp.Branch_bound.no_hooks
+    | Some limit ->
+      let seen = ref 0 in
+      {
+        Milp.Branch_bound.no_hooks with
+        should_stop = (fun () -> !seen >= limit);
+        on_node = (fun ~node:_ ~depth:_ ~bound:_ ~pivots:_ -> incr seen);
+      }
+  in
+  let hooks = Obs.Solver_hooks.wrap hooks in
+  let on_checkpoint, checkpoint_every, resume =
+    match ck with
+    | Some (f, every, resume) -> (Some f, every, resume)
+    | None -> (None, 0, None)
+  in
+  Milp.Branch_bound.solve ~deadline ~node_limit ?incumbent ~hooks ~presolve
+    ?root_basis ?basis_out ?basis_pool ?pricing ?max_lp_iters
+    ~checkpoint_every ?on_checkpoint ?resume p
 
 (* (pattern, class) blocks whose projected transfers break contiguity. *)
 let find_violations inst (sol : Solution.t) =
@@ -113,6 +101,10 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
     ?root_basis ?basis_out ?basis_pool ?pricing ?max_lp_iters
     ?checkpoint_file ?(checkpoint_every = 64) ?resume ?interrupt_after_nodes
     objective app groups ~gamma =
+  (* [jobs] survives only for existing [~jobs:1] callers: every solve is
+     one sequential search *)
+  if jobs <> 1 then
+    invalid_arg (Fmt.str "Solve.solve: jobs must be 1, got %d" jobs);
   let t0 = Milp.Clock.now () in
   (* One absolute monotonic deadline shared by every lazy round (and, via
      [deadline_s], by every rung of a degradation ladder): k rounds can
@@ -122,13 +114,7 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
   Log.info (fun f -> f "built %s model: %s"
                (Formulation.objective_name objective)
                (Formulation.stats_string inst));
-  (* Checkpoint/resume is a sequential-only feature: a portfolio race has
-     no single trajectory to serialize. *)
   let durable = checkpoint_file <> None || resume <> None in
-  if durable && jobs > 1 then
-    invalid_arg "Solve.solve: checkpoint/resume requires jobs = 1";
-  if interrupt_after_nodes <> None && jobs > 1 then
-    invalid_arg "Solve.solve: interrupt_after_nodes requires jobs = 1";
   let fp = if durable then Checkpoint.fingerprint inst.Formulation.problem
     else "" in
   (* Validate a resume checkpoint against the model. *)
@@ -194,7 +180,7 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
       let bb =
         Obs.span ~cat:"solver" "round" ~fields:[ ("round", Obs.Int round) ]
         @@ fun () ->
-        bb_solve ~jobs ~presolve ?root_basis ?basis_out ?basis_pool
+        bb_solve ~presolve ?root_basis ?basis_out ?basis_pool
           ?pricing ?max_lp_iters ?stop_after_nodes:interrupt_after_nodes ?ck
           ~deadline ~node_limit
           ?incumbent:(encode_warm ()) inst.Formulation.problem
@@ -345,7 +331,7 @@ let solve_supervised ?policy ?options ?(time_limit_s = 60.0) ?deadline_s
             resume)
         | Some _ | None -> resume
     in
-    solve ?options ~deadline_s:deadline ?node_limit ~jobs:1 ~presolve ?warm
+    solve ?options ~deadline_s:deadline ?node_limit ~presolve ?warm
       ?basis_pool ?pricing ?max_lp_iters ?checkpoint_file ?checkpoint_every
       ?resume objective app groups ~gamma
   in

@@ -95,24 +95,21 @@ type stats = {
   time_s : float;
   best_bound : float;  (** proven bound on the optimum *)
   gap : float option;  (** (incumbent - bound) / max(1, |incumbent|) *)
-  foreign_prunes : int;
-      (** prune events whose cutoff came from an imported incumbent *)
   lp : lp_stats;  (** LP-engine work + root presolve reductions *)
 }
 
-(* Cooperation hooks for portfolio/parallel drivers. All callbacks run on
-   the solving domain; objectives are in the problem's own sense and
-   solution vectors are fresh copies the callee may keep. *)
 (* Basis-pool lifecycle notifications, tapped by the observability layer:
    a node's LP reoptimized from its parent's basis (hit), wanted to but
    fell back to a cold solve (miss), or a pool entry was dropped under
    memory pressure (evict). *)
 type basis_event = Warm_hit | Warm_miss | Evict
 
+(* Search hooks: cancellation and observability taps. Objectives are in
+   the problem's own sense and solution vectors are fresh copies the
+   callee may keep. *)
 type hooks = {
   should_stop : unit -> bool;
   on_incumbent : obj:float -> float array -> unit;
-  get_incumbent : unit -> (float * float array) option;
   on_node : node:int -> depth:int -> bound:float option -> pivots:int -> unit;
   on_basis : node:int -> basis_event -> unit;
 }
@@ -121,12 +118,12 @@ let no_hooks =
   {
     should_stop = (fun () -> false);
     on_incumbent = (fun ~obj:_ _ -> ());
-    get_incumbent = (fun () -> None);
     on_node = (fun ~node:_ ~depth:_ ~bound:_ ~pivots:_ -> ());
     on_basis = (fun ~node:_ _ -> ());
   }
 
-(* Search tolerances. A new incumbent must beat the cutoff by
+(* Search tolerances. An LP value within [int_eps] of an integer counts
+   as integral, and a new incumbent must beat the cutoff by
    [improve_eps]. On an integer-valued objective (see
    {!Problem.integral_objective}) a node whose LP bound is [b] can do no
    better than [ceil (b -. bound_slack)], and an incumbent within
@@ -140,6 +137,7 @@ let no_hooks =
    to the next integer. It only costs pruning on bounds that lie within
    it above an integer; on 160 such draws every other bound lay at
    least 0.02 above one. *)
+let int_eps = 1.0e-6
 let improve_eps = 1.0e-9
 let bound_slack = 1.0e-4
 let snap_eps = 1.0e-5
@@ -156,15 +154,6 @@ let keeps ~integral ~best b =
     if integral && Float.abs (best -. r) <= snap_eps then r else best
   in
   proven_bound ~integral b < best -. improve_eps
-
-(* Deterministic per-(variable, seed) jitter in [0, 1) used to diversify
-   the branching order across portfolio workers; seed 0 = no jitter (the
-   classic most-fractional rule). *)
-let branch_jitter ~seed j =
-  if seed = 0 then 0.0
-  else
-    let h = ((j + 1) * 2654435761 + (seed * 40503)) land 0xFFFF in
-    float_of_int h /. 65536.0
 
 type solution = {
   status : status;
@@ -198,8 +187,6 @@ type checkpoint = {
   ck_simplex_solves : int;
   ck_best : (float * float array) option;
       (* incumbent, objective in the problem's own sense *)
-  ck_cutoff_foreign : bool;
-  ck_foreign_prunes : int;
   ck_cold_ref_pivots : int option;
   ck_counters : Simplex_core.counters;
   ck_lp_time_s : float;
@@ -304,7 +291,6 @@ let feasibility_shortcut (p : Problem.t) incumbent =
               time_s;
               best_bound = c;
               gap = Some 0.0;
-              foreign_prunes = 0;
               lp = lp_zero;
             };
         }
@@ -326,18 +312,16 @@ let presolved_infeasible ~sense ~time_s ~(pre : Presolve.stats) row =
         time_s;
         best_bound = (if sense > 0.0 then infinity else neg_infinity);
         gap = None;
-        foreign_prunes = 0;
         lp =
           lp_of_counters (Simplex_core.fresh_counters ()) ~lp_time_s:0.0
             ~presolve:pre;
       };
   }
 
-let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000)
-    ?(int_eps = 1.0e-6) ?incumbent ?(branch_seed = 0) ?(hooks = no_hooks)
-    ?(pricing = Simplex_core.Devex) ?(presolve = true) ?root_basis ?basis_out
-    ?(basis_pool = 128) ?max_lp_iters ?(checkpoint_every = 0) ?on_checkpoint
-    ?resume
+let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000) ?incumbent
+    ?(hooks = no_hooks) ?(pricing = Simplex_core.Devex) ?(presolve = true)
+    ?root_basis ?basis_out ?(basis_pool = 128) ?max_lp_iters
+    ?(checkpoint_every = 0) ?on_checkpoint ?resume
     (p0 : Problem.t) : solution =
   match (if resume = None then feasibility_shortcut p0 incumbent else None) with
   | Some early -> early
@@ -454,31 +438,15 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000)
   let integral = Problem.integral_objective p in
   let keep b = keeps ~integral ~best:!best_obj b in
   let simplex_solves = ref 0 in
-  (* does the current cutoff come from an imported (foreign) incumbent? *)
-  let cutoff_foreign = ref false in
-  let foreign_prunes = ref 0 in
   let consider_incumbent x obj_orig =
     let obj_min = sense *. obj_orig in
     if obj_min < !best_obj -. improve_eps then begin
       best_obj := obj_min;
       let kept = Array.copy x in
       best_x := Some kept;
-      cutoff_foreign := false;
       hooks.on_incumbent ~obj:obj_orig kept;
       Log.info (fun f -> f "new incumbent: obj=%g (node %d)" obj_orig !nodes)
     end
-  in
-  let import_foreign () =
-    match hooks.get_incumbent () with
-    | None -> ()
-    | Some (obj, x) ->
-      let obj_min = sense *. obj in
-      if obj_min < !best_obj -. improve_eps then begin
-        best_obj := obj_min;
-        best_x := Some (Array.copy x);
-        cutoff_foreign := true;
-        Log.debug (fun f -> f "imported foreign incumbent: obj=%g" obj)
-      end
   in
   let heap = Heap.create () in
   let tie = ref 0 in
@@ -501,8 +469,6 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000)
      Simplex_core.set_counters ~into:cnt ck.ck_counters;
      nodes := ck.ck_nodes;
      simplex_solves := ck.ck_simplex_solves;
-     foreign_prunes := ck.ck_foreign_prunes;
-     cutoff_foreign := ck.ck_cutoff_foreign;
      cold_ref_pivots := ck.ck_cold_ref_pivots;
      lp_time := ck.ck_lp_time_s;
      tie := ck.ck_tie;
@@ -559,8 +525,6 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000)
       ck_tie = !tie;
       ck_simplex_solves = !simplex_solves;
       ck_best = Option.map (fun x -> (sense *. !best_obj, Array.copy x)) !best_x;
-      ck_cutoff_foreign = !cutoff_foreign;
-      ck_foreign_prunes = !foreign_prunes;
       ck_cold_ref_pivots = !cold_ref_pivots;
       ck_counters = Simplex_core.copy_counters cnt;
       ck_lp_time_s = !lp_time;
@@ -589,7 +553,6 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000)
     match Heap.pop heap with
     | None -> continue := false
     | Some (prio, ptie, node) ->
-      import_foreign ();
       if hooks.should_stop () then begin
         (* interrupted: the popped node is still unexplored — put it back
            so a final checkpoint captures the complete frontier *)
@@ -597,12 +560,10 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000)
         hit_limit := true;
         continue := false
       end
-      else if not (keep prio) then begin
+      else if not (keep prio) then
         (* bound-based prune; the heap is ordered so everything else is
            prunable too *)
-        if !cutoff_foreign then incr foreign_prunes;
         continue := false
-      end
       else if !nodes >= node_limit || Clock.now () > deadline then begin
         Heap.push heap prio ptie node;
         hit_limit := true;
@@ -687,10 +648,7 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000)
            continue := false
          | Simplex.Optimal { obj; x } ->
            let bound_min = sense *. obj in
-           if not (keep bound_min) then begin
-             if !cutoff_foreign then incr foreign_prunes
-           end
-           else begin
+           if keep bound_min then begin
              (* rounding heuristic *)
              Array.blit x 0 rounded 0 n;
              Array.iter
@@ -698,23 +656,16 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000)
                int_vars;
              if Problem.check_solution ~eps:1.0e-6 p rounded = [] then
                consider_incumbent rounded (Linexpr.eval obj_expr rounded);
-             (* branching variable: most fractional, with a per-seed
-                jitter diversifying the order across portfolio workers
-                (seed 0 = the classic rule, bit-for-bit) *)
+             (* branching variable: the most fractional one *)
              let branch_var = ref (-1) in
-             let best_score = ref int_eps in
+             let best_frac = ref int_eps in
              Array.iter
                (fun j ->
                  let v = x.(j) in
                  let frac = Float.abs (v -. Float.round v) in
-                 if frac > int_eps then begin
-                   let score =
-                     frac +. (0.5 *. branch_jitter ~seed:branch_seed j)
-                   in
-                   if score > !best_score then begin
-                     best_score := score;
-                     branch_var := j
-                   end
+                 if frac > !best_frac then begin
+                   best_frac := frac;
+                   branch_var := j
                  end)
                int_vars;
              if !branch_var < 0 then
@@ -791,7 +742,6 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000)
         time_s;
         best_bound = sense *. best_bound_min;
         gap;
-        foreign_prunes = !foreign_prunes;
         lp = lp_of_counters cnt ~lp_time_s:!lp_time ~presolve:pre;
       };
   }

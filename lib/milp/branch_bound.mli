@@ -4,12 +4,10 @@
     to solve its formulation (see DESIGN.md, substitution 1). It supports
     warm incumbents, node/time limits with incumbent reporting (the
     behaviour the paper relies on for its OBJ-DMAT timeout results), and
-    reports proof bounds and relative gaps.
-
-    For parallel portfolio search (see [Parallel.Portfolio]) the solver
-    additionally accepts cooperation {!hooks} — a cancellation check, an
-    incumbent-publication callback and an incumbent-import poll — and a
-    [branch_seed] that diversifies the branching order between workers.
+    reports proof bounds and relative gaps. It branches on the most
+    fractional integer variable (integrality tolerance 1e-6), and
+    {!hooks} let a caller cancel the search and observe its nodes,
+    incumbents and warm starts.
 
     When {!Problem.integral_objective} holds for the (presolved) model,
     every node's LP bound [b] is read as [ceil (b - 1e-4)] and the
@@ -26,8 +24,7 @@ type status =
   | Unknown     (** limit hit before any incumbent was found *)
 
 (** ["optimal"], ["feasible"], ["infeasible"], ["unbounded"] or
-    ["unknown"]: the status as the CLI, the service and the portfolio
-    print it. *)
+    ["unknown"]: the status as the CLI and the service print it. *)
 val status_name : status -> string
 
 (** LP-engine work counters aggregated over the whole search, plus the
@@ -75,10 +72,6 @@ type stats = {
       (** (incumbent − bound) / max(1, |incumbent|): relative for
           objectives of magnitude at least 1, absolute below;
           [Some 0.] when optimal *)
-  foreign_prunes : int;
-      (** subtrees pruned against a cutoff that was imported through
-          {!hooks}[.get_incumbent] rather than found locally — the direct
-          evidence that shared-incumbent exchange did useful work *)
   lp : lp_stats;
 }
 
@@ -89,8 +82,7 @@ type solution = {
   stats : stats;
 }
 
-(** Cooperation hooks for portfolio/parallel drivers. All callbacks run
-    on the solving domain and must be safe to call from it:
+(** Search hooks. All callbacks run on the solving domain:
 
     - [should_stop] is polled at every node; returning [true] aborts the
       search as if the time limit had expired (the best incumbent so far
@@ -98,9 +90,6 @@ type solution = {
     - [on_incumbent ~obj x] fires whenever the search improves its
       incumbent; [x] is a fresh copy the callee may keep, [obj] is in the
       problem's own sense;
-    - [get_incumbent] is polled at every node; returning [Some (obj, x)]
-      strictly better than the local incumbent tightens the cutoff (the
-      array is copied before being stored);
     - [on_node] fires once per explored node, after its LP relaxation:
       [node] is the 1-based exploration index, [depth] the node's depth,
       [bound] the LP relaxation objective ([None] if the LP was
@@ -120,7 +109,6 @@ type basis_event = Warm_hit | Warm_miss | Evict
 type hooks = {
   should_stop : unit -> bool;
   on_incumbent : obj:float -> float array -> unit;
-  get_incumbent : unit -> (float * float array) option;
   on_node : node:int -> depth:int -> bound:float option -> pivots:int -> unit;
   on_basis : node:int -> basis_event -> unit;
       (** fires on warm-start bookkeeping events; [node] is the 1-based
@@ -128,7 +116,7 @@ type hooks = {
           pool insertion forced the eviction) *)
 }
 
-(** Inert hooks: never stop, publish nowhere, import nothing. *)
+(** Inert hooks: never stop, observe nothing. *)
 val no_hooks : hooks
 
 (** {1 Checkpointing}
@@ -166,8 +154,6 @@ type checkpoint = {
   ck_simplex_solves : int;
   ck_best : (float * float array) option;
       (** incumbent, objective in the problem's original sense *)
-  ck_cutoff_foreign : bool;
-  ck_foreign_prunes : int;
   ck_cold_ref_pivots : int option;
   ck_counters : Simplex_core.counters;
   ck_lp_time_s : float;
@@ -182,21 +168,15 @@ type checkpoint = {
     incumbent need no search: returns the incumbent as [Optimal]. *)
 val feasibility_shortcut : Problem.t -> float array option -> solution option
 
-(** [solve ?time_limit_s ?deadline ?node_limit ?int_eps ?incumbent
-    ?branch_seed ?hooks p] solves the MILP [p].
+(** [solve ?time_limit_s ?deadline ?node_limit ?incumbent ?hooks p]
+    solves the MILP [p].
 
     - [deadline]: absolute monotonic {!Clock.now} instant after which the
       best incumbent is returned with status [Feasible]. When given it
-      takes precedence over [time_limit_s]; portfolio workers all receive
-      the same [deadline], which is coherent across domains because the
-      clock is monotonic and machine-wide.
+      takes precedence over [time_limit_s].
     - [time_limit_s] (default 60): relative convenience form, equivalent
       to [deadline = Clock.now () +. time_limit_s].
     - [incumbent]: a feasible assignment used as the initial cutoff.
-    - [branch_seed] (default 0): deterministic jitter diversifying the
-      branching order; 0 reproduces the classic most-fractional rule
-      bit-for-bit.
-    - [int_eps] (default 1e-6): integrality tolerance.
     - [pricing] (default [Devex]): entering-variable rule for every
       node's LP solve (see {!Simplex.pricing}).
     - [presolve] (default [true]): run {!Presolve.run} once at the root
@@ -239,9 +219,7 @@ val solve :
   ?time_limit_s:float ->
   ?deadline:float ->
   ?node_limit:int ->
-  ?int_eps:float ->
   ?incumbent:float array ->
-  ?branch_seed:int ->
   ?hooks:hooks ->
   ?pricing:Simplex_core.pricing ->
   ?presolve:bool ->

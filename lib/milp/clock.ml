@@ -3,6 +3,5 @@
 
 external now : unit -> float = "letdma_clock_monotonic_s"
 
-let deadline_of ~limit_s = now () +. limit_s
 let remaining ~deadline = deadline -. now ()
 let expired deadline = now () > deadline

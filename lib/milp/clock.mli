@@ -14,9 +14,6 @@
 (** Current monotonic instant, in seconds. *)
 val now : unit -> float
 
-(** [deadline_of ~limit_s] is [now () +. limit_s]. *)
-val deadline_of : limit_s:float -> float
-
 (** Seconds left until [deadline] (negative when expired). *)
 val remaining : deadline:float -> float
 

@@ -319,7 +319,7 @@ let pp_metrics ppf () =
 
 (* --- solver hook taps ------------------------------------------------- *)
 
-(* Observability taps over the branch-and-bound cooperation hooks. Node
+(* Observability taps over the branch-and-bound search hooks. Node
    events are sampled past the first [node_sample] nodes (long searches
    explore hundreds of thousands); the sampling is deterministic, so
    jobs=1 traces stay byte-stable. *)
@@ -328,7 +328,7 @@ module Solver_hooks = struct
 
   let node_sample_mask = 255 (* past the prefix, keep every 256th node *)
 
-  let wrap ?(worker = "main") (base : Milp.Branch_bound.hooks) =
+  let wrap (base : Milp.Branch_bound.hooks) =
     if not (Atomic.get on) then base
     else
       {
@@ -338,8 +338,8 @@ module Solver_hooks = struct
             base.Milp.Branch_bound.on_node ~node ~depth ~bound ~pivots;
             if node <= node_sample || node land node_sample_mask = 0 then
               point ~cat:"solver" "node"
-                (("worker", Str worker) :: ("node", Int node)
-                :: ("depth", Int depth) :: ("pivots", Int pivots)
+                (("node", Int node) :: ("depth", Int depth)
+                :: ("pivots", Int pivots)
                 ::
                 (match bound with
                  | Some b -> [ ("bound", Float b) ]
@@ -347,8 +347,7 @@ module Solver_hooks = struct
         on_incumbent =
           (fun ~obj x ->
             base.Milp.Branch_bound.on_incumbent ~obj x;
-            point ~cat:"solver" "incumbent"
-              [ ("worker", Str worker); ("obj", Float obj) ]);
+            point ~cat:"solver" "incumbent" [ ("obj", Float obj) ]);
         on_basis =
           (fun ~node ev ->
             base.Milp.Branch_bound.on_basis ~node ev;
@@ -360,7 +359,7 @@ module Solver_hooks = struct
                  | Milp.Branch_bound.Warm_hit -> "warm_hit"
                  | Milp.Branch_bound.Warm_miss -> "warm_miss"
                  | Milp.Branch_bound.Evict -> "evict")
-                [ ("worker", Str worker); ("node", Int node) ]);
+                [ ("node", Int node) ]);
       }
 end
 

@@ -80,9 +80,8 @@ val pp_metrics : Format.formatter -> unit -> unit
 (** {1 Solver taps} *)
 
 module Solver_hooks : sig
-  val wrap :
-    ?worker:string -> Milp.Branch_bound.hooks -> Milp.Branch_bound.hooks
-  (** [wrap ?worker hooks] layers observability over cooperation hooks:
+  val wrap : Milp.Branch_bound.hooks -> Milp.Branch_bound.hooks
+  (** [wrap hooks] layers observability over search hooks:
       each explored node emits a (deterministically sampled — first 64,
       then every 256th) ["solver"/"node"] point with depth, LP bound and
       pivot cost; each incumbent improvement emits

@@ -1,17 +1,13 @@
-(** Multicore solving on OCaml 5 domains.
+(** Multicore batch work on OCaml 5 domains. Each MILP solve is one
+    sequential search; parallelism runs {e between} independent solves.
 
-    Three layers, no global state:
+    Two layers, no global state:
 
-    - {!Pool}: fixed-size domain pool with futures, exception funneling
-      and cancellation tokens — the substrate the other two build on;
-    - {!Portfolio}: diversified solver configs racing the {e same} MILP
-      with a shared atomic incumbent (any worker's incumbent tightens
-      every other worker's pruning; first conclusive worker cancels the
-      rest), plus a deterministic mode that is bit-identical at any
-      jobs count;
+    - {!Pool}: fixed-size supervised domain pool with futures and
+      exception funneling — the substrate of sweeps and of the service's
+      request pool;
     - {!Sweep}: batch runner farming {e independent} instances with
       per-item deadlines carved from one shared absolute deadline. *)
 
 module Pool = Pool
-module Portfolio = Portfolio
 module Sweep = Sweep

@@ -17,14 +17,6 @@ let src = Logs.Src.create "parallel.pool" ~doc:"supervised domain pool"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-module Token = struct
-  type t = bool Atomic.t
-
-  let create () = Atomic.make false
-  let cancel t = Atomic.set t true
-  let cancelled t = Atomic.get t
-end
-
 exception Poison of string
 
 exception Worker_crashed of { worker : int; cause : string }

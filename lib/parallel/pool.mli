@@ -20,18 +20,8 @@
 
     Tasks must not block on futures of the same pool (a task awaiting a
     task behind it in the queue of a saturated pool deadlocks); the
-    intended users — portfolio racing and batch sweeps — only await from
-    the submitting (non-worker) domain. *)
-
-(** Cancellation token: a lock-free flag shared between a coordinator and
-    any number of workers polling it. *)
-module Token : sig
-  type t
-
-  val create : unit -> t
-  val cancel : t -> unit
-  val cancelled : t -> bool
-end
+    intended users — batch sweeps and the service's request pool — only
+    await from the submitting (non-worker) domain. *)
 
 (** [Poison msg] is the one exception the task funnel deliberately lets
     escape: raising it from a task kills the worker domain's body, which

@@ -1,11 +1,10 @@
 (** Batch sweep runner: farm independent instances over a domain pool
     under one shared absolute deadline.
 
-    Unlike {!Portfolio}, which races many configs on {e one} problem,
-    a sweep maps one function over {e many} independent instances —
-    parameter sweeps ([fig2] utilisation points, [alpha] grids), batch
-    experiment runs — and carves the global time budget into per-item
-    deadlines so early items cannot starve late ones. *)
+    A sweep maps one function over {e many} independent instances —
+    the service's request batches, batch experiment runs — and carves
+    the global time budget into per-item deadlines so early items
+    cannot starve late ones. *)
 
 type ('a, 'b) outcome = {
   item : 'a;

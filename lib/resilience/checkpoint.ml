@@ -14,16 +14,19 @@
    - one-sided infinities in branching overrides ([lo = -inf] on a down
      branch, [hi = +inf] on an up branch) and the root's [-inf] heap
      priority are the only legitimate non-finite values; they are
-     encoded positionally as JSON [null]. *)
+     encoded positionally as JSON [null].
+   - version 1 files, written while branch-and-bound could import
+     incumbents from parallel workers, carry two more state fields
+     ([cutoff_foreign], [foreign_prunes]). The reader ignores them, so
+     such a file resumes into the same search state. *)
 
 let src = Logs.Src.create "resilience.ck" ~doc:"solver checkpoint files"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let version = 1
+let version = 2
 
 type t = {
-  ck_version : int;
   ck_fingerprint : string;
   ck_meta : (string * string) list;
   ck_state : Milp.Branch_bound.checkpoint;
@@ -43,8 +46,7 @@ let fingerprint (p : Milp.Problem.t) =
   Printf.sprintf "fnv1a64:%016Lx" !h
 
 let make ?(meta = []) ~fingerprint state =
-  { ck_version = version; ck_fingerprint = fingerprint; ck_meta = meta;
-    ck_state = state }
+  { ck_fingerprint = fingerprint; ck_meta = meta; ck_state = state }
 
 (* ---------- writing ---------- *)
 
@@ -122,9 +124,7 @@ let add_best_first b (ck : Milp.Branch_bound.checkpoint) =
     (Printf.sprintf "{\"nodes\":%d,\"tie\":%d,\"simplex_solves\":%d,\"best\":"
        ck.ck_nodes ck.ck_tie ck.ck_simplex_solves);
   add_best b ck.ck_best;
-  Buffer.add_string b
-    (Printf.sprintf ",\"cutoff_foreign\":%b,\"foreign_prunes\":%d,\"cold_ref_pivots\":"
-       ck.ck_cutoff_foreign ck.ck_foreign_prunes);
+  Buffer.add_string b ",\"cold_ref_pivots\":";
   (match ck.ck_cold_ref_pivots with
    | None -> Buffer.add_string b "null"
    | Some n -> add_int b n);
@@ -149,7 +149,7 @@ let to_string t =
   let b = Buffer.create 4096 in
   Buffer.add_string b
     (Printf.sprintf "{\"version\":%d,\"kind\":\"best_first\",\"fingerprint\":"
-       t.ck_version);
+       version);
   add_json_string b t.ck_fingerprint;
   Buffer.add_string b ",\"meta\":{";
   List.iteri
@@ -176,7 +176,6 @@ let as_int = Json.as_int
 let as_int_string = Json.as_int_string
 let as_float = Json.as_float
 let as_string = Json.as_string
-let as_bool = Json.as_bool
 let as_list = Json.as_list
 let as_obj = Json.as_obj
 let field = Json.field
@@ -280,8 +279,6 @@ let best_first_of_json j =
     ck_tie = as_int "state.tie" (fi "tie");
     ck_simplex_solves = as_int "state.simplex_solves" (fi "simplex_solves");
     ck_best = best_of_json "state.best" (fi "best");
-    ck_cutoff_foreign = as_bool "state.cutoff_foreign" (fi "cutoff_foreign");
-    ck_foreign_prunes = as_int "state.foreign_prunes" (fi "foreign_prunes");
     ck_cold_ref_pivots =
       (match fi "cold_ref_pivots" with
        | Null -> None
@@ -311,9 +308,9 @@ let of_string s =
     try
       let ms = as_obj "checkpoint" j in
       let v = as_int "version" (field "checkpoint" ms "version") in
-      if v <> version then
-        invalid "unsupported checkpoint version %d (this build reads %d)" v
-          version;
+      if v <> 1 && v <> version then
+        invalid "unsupported checkpoint version %d (this build reads 1 to %d)"
+          v version;
       (match as_string "kind" (field "checkpoint" ms "kind") with
        | "best_first" -> ()
        | k -> invalid "unknown checkpoint kind %S" k);
@@ -327,7 +324,6 @@ let of_string s =
       let state = best_first_of_json (field "checkpoint" ms "state") in
       Ok
         {
-          ck_version = v;
           ck_fingerprint = fingerprint;
           ck_meta = meta;
           ck_state = state;

@@ -13,6 +13,9 @@
     - {b strict}: loading uses the NaN/Infinity-rejecting parser from
       {!Obs.Check} and validates every field; unknown versions, unknown
       kinds, type mismatches and truncated files all yield [Error];
+    - {b compatible}: version 1 files still load. Their two extra state
+      fields ([cutoff_foreign], [foreign_prunes]) date from parallel
+      incumbent import, which no longer exists, and are ignored;
     - {b guarded}: {!fingerprint} ties a file to the exact model it was
       taken from, so a resume against a different model is refused by
       the caller (see [Letdma.Solve]).
@@ -23,10 +26,10 @@
     points. *)
 
 val version : int
-(** Current file-format version (1). {!of_string} rejects any other. *)
+(** The file-format version {!to_string} writes (2). {!of_string} also
+    reads version 1 and rejects any other. *)
 
 type t = {
-  ck_version : int;
   ck_fingerprint : string;
   ck_meta : (string * string) list;
       (** free-form provenance (objective name, solver parameters…);

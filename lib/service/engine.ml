@@ -118,7 +118,7 @@ let solve_milp t ~id ~deadline ~t0 (s : Protocol.solve) app groups gamma =
     in
     let basis_out = ref None in
     let r =
-      Letdma.Solve.solve ~deadline_s:deadline ~jobs:1 ?root_basis ~basis_out
+      Letdma.Solve.solve ~deadline_s:deadline ?root_basis ~basis_out
         s.Protocol.objective app groups ~gamma
     in
     let st = r.Letdma.Solve.stats in

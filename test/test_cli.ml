@@ -1,7 +1,7 @@
 (* Black-box tests for bin/letdma_cli: structured rejection of invalid
-   --jobs values and of unreadable checkpoints (exit code 1 + one-line
-   error on stderr), as opposed to cmdliner's own parse failures (exit
-   124), and the solve flags honoured on both solve paths. Runs the
+   serve --jobs values and of unreadable checkpoints (exit code 1 +
+   one-line error on stderr), as opposed to cmdliner's own parse failures
+   (exit 124), and the solve flags honoured on both solve paths. Runs the
    built executable; cwd during [dune runtest] is
    [_build/default/test]. *)
 
@@ -34,17 +34,33 @@ let check_rejects cmd_line =
     true
     (contains ~needle:"jobs must be >= 1" out)
 
-let test_jobs_zero () = check_rejects "solve --jobs 0"
+(* serve reads requests from stdin: give it an empty one so a run that
+   got past validation drains and exits instead of waiting *)
+let test_jobs_zero () = check_rejects "serve --jobs 0 </dev/null"
 (* [=] syntax: a bare [-3] would parse as an unknown option flag *)
-let test_jobs_negative () = check_rejects "pipeline --jobs=-3"
+let test_jobs_negative () = check_rejects "serve --jobs=-3 </dev/null"
 
 let test_jobs_ok () =
-  (* a valid --jobs must get past validation: a tiny solve succeeds *)
-  let code, out = run "solve --jobs 2 --time-limit 30" in
-  Alcotest.(check int) "solve --jobs 2 exits 0" 0 code;
+  (* a valid --jobs must get past validation: the pool starts, drains
+     the empty input and shuts down *)
+  let code, out = run "serve --jobs 2 </dev/null" in
+  Alcotest.(check int) "serve --jobs 2 exits 0" 0 code;
   Alcotest.(check bool)
     "no jobs complaint" false
     (contains ~needle:"jobs must be" out)
+
+(* Each MILP solve is one sequential search: solve and pipeline have no
+   --jobs, so cmdliner refuses it as an unknown option. *)
+let test_jobs_unknown () =
+  List.iter
+    (fun cmd_line ->
+      let code, out = run cmd_line in
+      Alcotest.(check int) ("exit code of: " ^ cmd_line) 124 code;
+      Alcotest.(check bool)
+        ("unknown option named by: " ^ cmd_line)
+        true
+        (contains ~needle:"unknown option '--jobs'" out))
+    [ "solve --jobs 1"; "pipeline --jobs 2" ]
 
 (* A checkpoint as the retired depth-first engine wrote it: [resume] must
    refuse it by kind, before building any model. *)
@@ -123,6 +139,8 @@ let () =
           Alcotest.test_case "--jobs 0 rejected" `Quick test_jobs_zero;
           Alcotest.test_case "--jobs -3 rejected" `Quick test_jobs_negative;
           Alcotest.test_case "--jobs 2 accepted" `Slow test_jobs_ok;
+          Alcotest.test_case "solve and pipeline have no --jobs" `Quick
+            test_jobs_unknown;
         ] );
       ( "checkpoint",
         [

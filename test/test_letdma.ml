@@ -334,6 +334,31 @@ let test_solve_infeasible_gamma () =
   check_bool "infeasible status" true
     (r.Solve.stats.Solve.status = Milp.Branch_bound.Infeasible)
 
+(* The paper's case study end to end: WATERS NO-OBJ at alpha 0.2, warm
+   started from the heuristic, yields a plan the certifier accepts. *)
+let test_solve_waters_certified () =
+  let app = Workload.Waters2019.make () in
+  let groups = Groups.compute app in
+  let gamma = gamma_for app 0.2 in
+  let warm = Heuristic.solve_unchecked app groups ~gamma in
+  let r =
+    Solve.solve ~time_limit_s:30.0 ?warm Formulation.No_obj app groups ~gamma
+  in
+  check_bool "has a solution" true (Option.is_some r.Solve.solution);
+  match r.Solve.certificate with
+  | Some (Ok _) -> ()
+  | Some (Error _) -> Alcotest.fail "certification rejected"
+  | None -> Alcotest.fail "no certificate"
+
+(* Every solve is one sequential search: [jobs] accepts only 1. *)
+let test_solve_jobs_refused () =
+  let app = fixture () in
+  let groups = Groups.compute app in
+  let gamma = gamma_for app 0.3 in
+  match Solve.solve ~jobs:2 Formulation.No_obj app groups ~gamma with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "jobs = 2 must be refused"
+
 (* ------------------------------------------------------------------ *)
 (* Solution                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -767,30 +792,24 @@ let test_pipeline_validate_app () =
        false
      with Invalid_argument _ -> true)
 
-(* The ladder is sequential at any [jobs]: [jobs] only widens each
-   rung's portfolio, so jobs 1 and 2 settle on the primary MILP rung
-   after exactly one attempt. *)
+(* The ladder settles on the primary MILP rung after exactly one
+   attempt. *)
 let test_pipeline_accepts_fixture () =
   let app = fixture () in
-  List.iter
-    (fun jobs ->
-      let what m = Fmt.str "jobs=%d: %s" jobs m in
-      match Pipeline.run ~budget_s:30.0 ~jobs app with
-      | Error f -> Alcotest.fail (what (Pipeline.failure_to_string f))
-      | Ok o ->
-        check_bool (what "MILP rung wins on the fixture") true
-          (o.Pipeline.rung = Pipeline.Milp);
-        check_bool (what "certified") true
-          (o.Pipeline.certificate.Certify.checks > 0);
-        Alcotest.(check (list (pair string bool)))
-          (what "one attempt, accepted") [ ("milp", true) ]
-          (List.map
-             (fun (a : Pipeline.attempt) ->
-               (Pipeline.rung_name a.Pipeline.rung, a.Pipeline.accepted))
-             o.Pipeline.attempts);
-        check_bool (what "renders") true
-          (String.length (Fmt.str "%a" (Pipeline.pp_outcome app) o) > 0))
-    [ 1; 2 ]
+  match Pipeline.run ~budget_s:30.0 app with
+  | Error f -> Alcotest.fail (Pipeline.failure_to_string f)
+  | Ok o ->
+    check_bool "MILP rung wins on the fixture" true
+      (o.Pipeline.rung = Pipeline.Milp);
+    check_bool "certified" true (o.Pipeline.certificate.Certify.checks > 0);
+    Alcotest.(check (list (pair string bool)))
+      "one attempt, accepted" [ ("milp", true) ]
+      (List.map
+         (fun (a : Pipeline.attempt) ->
+           (Pipeline.rung_name a.Pipeline.rung, a.Pipeline.accepted))
+         o.Pipeline.attempts);
+    check_bool "renders" true
+      (String.length (Fmt.str "%a" (Pipeline.pp_outcome app) o) > 0)
 
 (* A lying MILP result: the corrupted solution carrying a forged
    certificate. *)
@@ -820,7 +839,7 @@ let forged_result corrupted ~options objective app groups ~gamma =
    degrade to the heuristic. *)
 let test_pipeline_lying_solver_falls_back () =
   let app, _groups, _gamma, _sol, corrupted = corrupted_fixture () in
-  let lying ~deadline_s:_ ~jobs:_ ~presolve:_ ~warm:_ ~chain:_ ~options
+  let lying ~deadline_s:_ ~presolve:_ ~warm:_ ~chain:_ ~options
       objective app groups ~gamma =
     forged_result corrupted ~options objective app groups ~gamma
   in
@@ -858,15 +877,15 @@ let test_pipeline_lying_solver_falls_back () =
 let test_pipeline_perturbed_rung_accepted () =
   let app, _groups, _gamma, _sol, corrupted = corrupted_fixture () in
   let gammas = ref [] in
-  let flaky ~deadline_s ~jobs ~presolve ~warm:_ ~chain:_ ~options objective
-      app groups ~gamma =
+  let flaky ~deadline_s ~presolve ~warm:_ ~chain:_ ~options objective app
+      groups ~gamma =
     gammas := gamma :: !gammas;
     if List.length !gammas = 1 then
       forged_result corrupted ~options objective app groups ~gamma
     else
       let warm = Heuristic.solve_unchecked app groups ~gamma in
-      Solve.solve ~options ~deadline_s ~jobs ~presolve ?warm objective app
-        groups ~gamma
+      Solve.solve ~options ~deadline_s ~presolve ?warm objective app groups
+        ~gamma
   in
   match Pipeline.run ~milp_solve:flaky ~budget_s:30.0 app with
   | Error f -> Alcotest.fail (Pipeline.failure_to_string f)
@@ -1048,6 +1067,10 @@ let () =
           Alcotest.test_case "presolve default unchanged" `Slow
             test_solve_presolve_default_unchanged;
           Alcotest.test_case "infeasible gamma" `Quick test_solve_infeasible_gamma;
+          Alcotest.test_case "certified on WATERS" `Slow
+            test_solve_waters_certified;
+          Alcotest.test_case "jobs other than 1 refused" `Quick
+            test_solve_jobs_refused;
         ] );
       ( "solution",
         [

@@ -1,14 +1,7 @@
-(* Tests for the lib/parallel subsystem: domain pool, portfolio racing,
-   batch sweeps — plus the sequential-vs-portfolio equivalence property
-   over MILPs built from random Workload.Generator instances. *)
+(* Tests for the lib/parallel subsystem: the supervised domain pool and
+   batch sweeps. *)
 
-open Let_sem
-
-module P = Milp.Problem
-module L = Milp.Linexpr
-module B = Milp.Branch_bound
 module Pool = Parallel.Pool
-module Portfolio = Parallel.Portfolio
 module Sweep = Parallel.Sweep
 
 exception Boom
@@ -54,12 +47,6 @@ let test_pool_shutdown () =
   | pl ->
     Pool.shutdown pl;
     Alcotest.fail "jobs=0 must be rejected"
-
-let test_token () =
-  let t = Pool.Token.create () in
-  check_bool "fresh token not cancelled" false (Pool.Token.cancelled t);
-  Pool.Token.cancel t;
-  check_bool "cancelled after cancel" true (Pool.Token.cancelled t)
 
 (* ------------------------------------------------------------------ *)
 (* Worker-death supervision                                            *)
@@ -115,159 +102,6 @@ let test_pool_shutdown_after_crash () =
   Pool.shutdown pl (* still idempotent *)
 
 (* ------------------------------------------------------------------ *)
-(* Foreign-incumbent pruning through the hooks, deterministically      *)
-(* ------------------------------------------------------------------ *)
-
-(* minimize x, x integer in [0, 10], x >= 2.5. The LP relaxation is
-   2.5; a foreign incumbent of 3.0 delivered through get_incumbent
-   makes the x>=3 branch (bound exactly 3.0) prunable only thanks to
-   that import — which must be counted in foreign_prunes. *)
-let foreign_prune_problem () =
-  let p = P.create () in
-  let x = P.integer ~name:"x" ~lo:0.0 ~hi:10.0 p in
-  ignore (P.add_constr p (L.of_list [ (1.0, x) ]) P.Ge 2.5);
-  P.set_objective p P.Minimize (L.of_list [ (1.0, x) ]);
-  p
-
-let foreign_hooks () =
-  let delivered = ref false in
-  {
-    B.no_hooks with
-    B.get_incumbent =
-      (fun () ->
-        if !delivered then None
-        else begin
-          delivered := true;
-          Some (3.0, [| 3.0 |])
-        end);
-  }
-
-let check_foreign_prune name (s : B.solution) =
-  check_bool (name ^ ": optimal") true (s.B.status = B.Optimal);
-  (match s.B.obj with
-   | Some o -> Alcotest.(check (float 1e-9)) (name ^ ": obj") 3.0 o
-   | None -> Alcotest.fail (name ^ ": no objective"));
-  check_bool
-    (name ^ ": pruned on the foreign incumbent")
-    true
-    (s.B.stats.B.foreign_prunes >= 1)
-
-let test_foreign_prune_best_first () =
-  let s = B.solve ~hooks:(foreign_hooks ()) (foreign_prune_problem ()) in
-  check_foreign_prune "best-first" s
-
-(* ------------------------------------------------------------------ *)
-(* Portfolio                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* A deterministic knapsack family with fractional LP roots, so every
-   worker has to branch. *)
-let knapsack seed =
-  let n = 8 in
-  let rand =
-    let state = ref (seed * 2654435761 land 0x3FFFFFFF) in
-    fun bound ->
-      state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-      1 + (!state mod bound)
-  in
-  let weights = Array.init n (fun _ -> rand 20) in
-  let values = Array.init n (fun _ -> rand 20) in
-  let cap = float_of_int (3 + rand 40) +. 0.5 in
-  let p = P.create () in
-  let xs = Array.init n (fun i -> P.binary ~name:(Printf.sprintf "k%d" i) p) in
-  ignore
-    (P.add_constr p
-       (L.of_list
-          (Array.to_list
-             (Array.mapi (fun i x -> (float_of_int weights.(i), x)) xs)))
-       P.Le cap);
-  P.set_objective p P.Maximize
-    (L.of_list
-       (Array.to_list (Array.mapi (fun i x -> (float_of_int values.(i), x)) xs)));
-  p
-
-let test_portfolio_deterministic_bit_identical () =
-  for seed = 1 to 8 do
-    let r1 =
-      Portfolio.solve ~jobs:1 ~deterministic:true ~time_limit_s:30.0
-        (knapsack seed)
-    in
-    let r4 =
-      Portfolio.solve ~jobs:4 ~deterministic:true ~time_limit_s:30.0
-        (knapsack seed)
-    in
-    let name what = Printf.sprintf "seed %d: %s" seed what in
-    check_bool (name "jobs=1 optimal") true
-      (r1.Portfolio.solution.B.status = B.Optimal);
-    check_bool (name "jobs=4 optimal") true
-      (r4.Portfolio.solution.B.status = B.Optimal);
-    check_bool (name "same winner") true
-      (r1.Portfolio.stats.Portfolio.winner = r4.Portfolio.stats.Portfolio.winner);
-    (* bit-identical, not approximately equal *)
-    check_bool (name "identical objective") true
-      (r1.Portfolio.solution.B.obj = r4.Portfolio.solution.B.obj);
-    check_bool (name "identical assignment") true
-      (r1.Portfolio.solution.B.x = r4.Portfolio.solution.B.x)
-  done
-
-let test_portfolio_incumbent_exchange () =
-  (* the all-zero vector is feasible for any knapsack: pre-seeding it
-     into the shared cell guarantees at least one publish, and every
-     worker that reaches its first poll imports it *)
-  let p = knapsack 3 in
-  let r =
-    Portfolio.solve ~jobs:4 ~time_limit_s:30.0
-      ~incumbent:(Array.make (P.num_vars p) 0.0)
-      p
-  in
-  let st = r.Portfolio.stats in
-  check_bool "solved" true (r.Portfolio.solution.B.status = B.Optimal);
-  check_int "raced with 4 workers" 4 (List.length st.Portfolio.reports);
-  check_bool "incumbents were published" true
-    (st.Portfolio.incumbents_published >= 1);
-  check_bool "incumbents were imported" true
-    (st.Portfolio.incumbents_imported >= 1)
-
-(* Chaos injection: kill one worker's domain at task start. The pool
-   respawns it and the one crash retry re-runs the config, so the race
-   still completes with a solution. *)
-let test_portfolio_chaos_crash_recovery () =
-  let armed = Atomic.make true in
-  let chaos idx =
-    if idx = 0 && Atomic.exchange armed false then
-      raise (Pool.Poison "injected worker death")
-  in
-  let r = Portfolio.solve ~jobs:2 ~chaos ~time_limit_s:30.0 (knapsack 3) in
-  check_bool "race completed despite the crash" true
-    (r.Portfolio.solution.B.status = B.Optimal);
-  check_bool "supervisor handled at least one death" true
-    (r.Portfolio.stats.Portfolio.worker_crashes >= 1);
-  (* the retried config recovered, so no report is marked crashed *)
-  check_bool "no config ended crashed" true
-    (List.for_all
-       (fun (rep : Portfolio.report) -> not rep.Portfolio.crashed)
-       r.Portfolio.stats.Portfolio.reports)
-
-(* Out-of-retries crash: the config is reported crashed, the race still
-   returns the surviving workers' solution instead of hanging. *)
-let test_portfolio_crashed_config_reported () =
-  let chaos idx =
-    if idx = 1 then raise (Pool.Poison "persistent death")
-  in
-  let r = Portfolio.solve ~jobs:2 ~chaos ~time_limit_s:30.0 (knapsack 5) in
-  check_bool "survivors completed the race" true
-    (r.Portfolio.solution.B.status = B.Optimal);
-  let reps = Array.of_list r.Portfolio.stats.Portfolio.reports in
-  check_bool "the poisoned config is marked crashed" true
-    reps.(1).Portfolio.crashed;
-  check_bool "crashed config has no status" true
-    (reps.(1).Portfolio.status = B.Unknown);
-  check_bool "the winner is a survivor" true
-    (match r.Portfolio.stats.Portfolio.winner with
-     | Some w -> w <> 1
-     | None -> false)
-
-(* ------------------------------------------------------------------ *)
 (* Sweep                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -290,7 +124,7 @@ let test_sweep_map_and_funnel () =
     outs
 
 let test_sweep_deadline_carving () =
-  let global = Milp.Clock.deadline_of ~limit_s:60.0 in
+  let global = Milp.Clock.now () +. 60.0 in
   let outs =
     Sweep.map ~jobs:2 ~deadline:global
       (fun ~deadline x -> (deadline, x))
@@ -362,7 +196,7 @@ let test_sweep_worker_crash () =
 let test_sweep_dead_pool_deadline () =
   let dead = Pool.create ~jobs:1 () in
   Pool.shutdown dead;
-  let global = Milp.Clock.deadline_of ~limit_s:60.0 in
+  let global = Milp.Clock.now () +. 60.0 in
   let outs =
     Sweep.map ~pool:dead ~deadline:global (fun ~deadline:_ x -> x) [ 1; 2; 3 ]
   in
@@ -384,97 +218,6 @@ let test_sweep_dead_pool_deadline () =
       check_bool "unbounded fallback" true (o.Sweep.deadline = infinity))
     outs
 
-(* ------------------------------------------------------------------ *)
-(* End to end: Solve.solve ?jobs on WATERS, certified both ways        *)
-(* ------------------------------------------------------------------ *)
-
-let test_solve_jobs_certified () =
-  let app = Workload.Waters2019.make () in
-  let groups = Groups.compute app in
-  match Rt_analysis.Sensitivity.gammas app ~alpha:0.2 with
-  | None -> Alcotest.fail "WATERS unschedulable"
-  | Some s ->
-    let gamma = s.Rt_analysis.Sensitivity.gamma in
-    let warm = Letdma.Heuristic.solve_unchecked app groups ~gamma in
-    let solve jobs =
-      Letdma.Solve.solve ~jobs ~time_limit_s:30.0 ?warm
-        Letdma.Formulation.No_obj app groups ~gamma
-    in
-    let r1 = solve 1 and r4 = solve 4 in
-    let certified name (r : Letdma.Solve.result) =
-      check_bool (name ^ ": has a solution") true
-        (Option.is_some r.Letdma.Solve.solution);
-      match r.Letdma.Solve.certificate with
-      | Some (Ok _) -> ()
-      | Some (Error _) -> Alcotest.fail (name ^ ": certification rejected")
-      | None -> Alcotest.fail (name ^ ": no certificate")
-    in
-    certified "sequential" r1;
-    certified "portfolio jobs=4" r4
-
-(* ------------------------------------------------------------------ *)
-(* Property: sequential B&B and portfolio agree on generator MILPs     *)
-(* ------------------------------------------------------------------ *)
-
-let small_config =
-  {
-    Workload.Generator.default_config with
-    Workload.Generator.n_tasks = 3;
-    n_edges = 1;
-    max_labels_per_edge = 1;
-  }
-
-let prop_engines_agree =
-  QCheck.Test.make ~name:"engines and portfolio agree on random instances"
-    ~count:50
-    QCheck.(int_range 1 5_000)
-    (fun seed ->
-      let app = Workload.Generator.random ~seed ~config:small_config () in
-      let groups = Groups.compute app in
-      QCheck.assume (not (Comm.Set.is_empty (Groups.s0 groups)));
-      match Rt_analysis.Sensitivity.gammas app ~alpha:0.3 with
-      | None -> QCheck.assume_fail ()
-      | Some s when not s.Rt_analysis.Sensitivity.schedulable ->
-        QCheck.assume_fail ()
-      | Some s ->
-        let gamma = s.Rt_analysis.Sensitivity.gamma in
-        let inst =
-          Letdma.Formulation.make Letdma.Formulation.No_obj app groups ~gamma
-        in
-        let p = inst.Letdma.Formulation.problem in
-        let budget = 5.0 and nodes = 50_000 in
-        let bb = B.solve ~time_limit_s:budget ~node_limit:nodes p in
-        (* instances the sequential engine cannot close quickly are
-           outside this property's scope *)
-        QCheck.assume (bb.B.status = B.Optimal);
-        (* so are tolerance-edge instances whose optimum only satisfies
-           the constraints to worse than 1e-6: differently seeded searches
-           legitimately disagree on whether such a vertex is acceptable *)
-        QCheck.assume
-          (match bb.B.x with
-          | Some x -> P.check_solution ~eps:1.0e-6 p x = []
-          | None -> false);
-        let pf jobs =
-          Portfolio.solve ~jobs ~deterministic:true ~time_limit_s:budget
-            ~node_limit:nodes p
-        in
-        let p1 = pf 1 and p4 = pf 4 in
-        let obj_of name (s : B.solution) =
-          if s.B.status <> B.Optimal then
-            QCheck.Test.fail_reportf "seed %d: %s not optimal" seed name;
-          match s.B.obj with
-          | Some o -> o
-          | None -> QCheck.Test.fail_reportf "seed %d: %s no obj" seed name
-        in
-        let reference = obj_of "best-first" bb in
-        List.for_all
-          (fun (name, s) -> Float.abs (obj_of name s -. reference) < 1e-6)
-          [
-            ("portfolio jobs=1", p1.Portfolio.solution);
-            ("portfolio jobs=4", p4.Portfolio.solution);
-          ]
-        && p1.Portfolio.solution.B.obj = p4.Portfolio.solution.B.obj)
-
 let () =
   Alcotest.run "parallel"
     [
@@ -484,7 +227,6 @@ let () =
           Alcotest.test_case "exception funneling" `Quick
             test_pool_exception_funnel;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
-          Alcotest.test_case "token" `Quick test_token;
         ] );
       ( "supervision",
         [
@@ -494,22 +236,6 @@ let () =
             test_pool_retry_on_crash;
           Alcotest.test_case "shutdown after a crash" `Quick
             test_pool_shutdown_after_crash;
-        ] );
-      ( "hooks",
-        [
-          Alcotest.test_case "foreign prune (best-first)" `Quick
-            test_foreign_prune_best_first;
-        ] );
-      ( "portfolio",
-        [
-          Alcotest.test_case "deterministic mode is bit-identical" `Quick
-            test_portfolio_deterministic_bit_identical;
-          Alcotest.test_case "incumbent exchange counters" `Quick
-            test_portfolio_incumbent_exchange;
-          Alcotest.test_case "chaos crash recovery" `Quick
-            test_portfolio_chaos_crash_recovery;
-          Alcotest.test_case "crashed config reported" `Quick
-            test_portfolio_crashed_config_reported;
         ] );
       ( "sweep",
         [
@@ -522,11 +248,4 @@ let () =
           Alcotest.test_case "worker crash retried then surfaced" `Quick
             test_sweep_worker_crash;
         ] );
-      ( "end-to-end",
-        [
-          Alcotest.test_case "Solve ?jobs certified on WATERS" `Slow
-            test_solve_jobs_certified;
-        ] );
-      ( "properties",
-        [ QCheck_alcotest.to_alcotest ~long:true prop_engines_agree ] );
     ]

@@ -14,8 +14,8 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-(* Same deterministic knapsack family as test_parallel: fractional LP
-   roots, so every instance explores a real tree. *)
+(* A deterministic knapsack family with fractional LP roots, so every
+   instance explores a real tree. *)
 let knapsack seed =
   let n = 8 in
   let rand =
@@ -113,8 +113,6 @@ let test_large_bsig_roundtrip () =
       ck_tie = 2;
       ck_simplex_solves = 3;
       ck_best = Some (1.5, [| 0.0; 1.0 |]);
-      ck_cutoff_foreign = false;
-      ck_foreign_prunes = 0;
       ck_cold_ref_pivots = None;
       ck_counters = Milp.Simplex_core.fresh_counters ();
       ck_lp_time_s = 0.0;
@@ -202,13 +200,40 @@ let dfs_checkpoint =
    \"meta\":{\"objective\":\"dmat\",\"engine\":\"dfs\"},\
    \"state\":{\"nodes\":3,\"best\":{\"obj\":9,\"x\":[1,0,1]}}}\n"
 
+(* A version-1 document carries two more state fields, [cutoff_foreign]
+   and [foreign_prunes], which the reader ignores: the fixture rewritten
+   into version-1 form loads into the same state and writes back as the
+   version-2 original. *)
+let test_version1_loads () =
+  let ck = rich_checkpoint () in
+  let s = Ck.to_string ck in
+  let v1 =
+    replace_once ~needle:"{\"version\":2," ~by:"{\"version\":1," s
+    |> replace_once ~needle:",\"cold_ref_pivots\":"
+         ~by:",\"cutoff_foreign\":false,\"foreign_prunes\":0,\"cold_ref_pivots\":"
+  in
+  match Ck.of_string v1 with
+  | Error m -> Alcotest.fail ("version-1 document rejected: " ^ m)
+  | Ok ck' ->
+    check_bool "same search state" true (ck.Ck.ck_state = ck'.Ck.ck_state);
+    check_string "same fingerprint" ck.Ck.ck_fingerprint ck'.Ck.ck_fingerprint;
+    check_bool "same meta" true (ck.Ck.ck_meta = ck'.Ck.ck_meta);
+    check_string "writes back as version 2" s (Ck.to_string ck')
+
 let test_validator_rejections () =
   let s = Ck.to_string (rich_checkpoint ()) in
   expect_reject "garbage" "hello world";
   expect_reject "empty" "";
   expect_reject "truncated" (String.sub s 0 (String.length s - 5));
-  expect_reject "unknown version"
-    (replace_once ~needle:"{\"version\":1," ~by:"{\"version\":99," s);
+  (match
+     Ck.of_string
+       (replace_once ~needle:"{\"version\":2," ~by:"{\"version\":99," s)
+   with
+   | Error m ->
+     check_bool "unknown version refused by version" true
+       (String.starts_with ~prefix:"checkpoint: unsupported checkpoint version 99"
+          m)
+   | Ok _ -> Alcotest.fail "unknown version: corrupted checkpoint was accepted");
   expect_reject "unknown kind"
     (replace_once ~needle:"\"kind\":\"best_first\"" ~by:"\"kind\":\"mystery\"" s);
   expect_reject "NaN token"
@@ -521,6 +546,8 @@ let () =
           Alcotest.test_case "63-bit basis fingerprints survive" `Quick
             test_large_bsig_roundtrip;
           Alcotest.test_case "atomic save / load" `Quick test_save_load_files;
+          Alcotest.test_case "version-1 document still loads" `Quick
+            test_version1_loads;
           Alcotest.test_case "strict validator rejections" `Quick
             test_validator_rejections;
         ] );
