@@ -808,19 +808,18 @@ let robustness app =
      | Error f -> Fmt.pr "  pipeline: %s@." (Letdma.Pipeline.failure_to_string f))
 
 (* ------------------------------------------------------------------ *)
-(* RESILIENCE: checkpoint/interrupt/resume + supervised retry smoke    *)
+(* RESILIENCE: checkpoint/interrupt/resume smoke                      *)
 (* ------------------------------------------------------------------ *)
 
 (* The crash-resilience spine end to end on a small generator instance:
    a durable baseline solve (checkpoint cadence on, file auto-removed on
    the conclusive exit), a controlled mid-tree interrupt leaving a
-   checkpoint on disk, a resume that must land on the same objective
-   with the same cumulative node count, and a supervised solve that
-   recovers from an undersized LP iteration cap via the escalation
-   ladder. ci.sh drives the same flow through the CLI (chaos gate); this
-   section keeps the library-level numbers machine-readable. *)
+   checkpoint on disk, and a resume that must land on the same objective
+   with the same cumulative node count. ci.sh drives the same flow
+   through the CLI (chaos gate); this section keeps the library-level
+   numbers machine-readable. *)
 let resilience_section () =
-  section "RESILIENCE: checkpoint/resume round trip and supervised retry";
+  section "RESILIENCE: checkpoint/resume round trip";
   (* first small_config instance that is schedulable and explores a
      real tree (same selection rule as test_resilience) *)
   let picked = ref None in
@@ -851,8 +850,9 @@ let resilience_section () =
   match !picked with
   | None -> Fmt.pr "  no suitable generator instance in 60 seeds@."
   | Some (seed, app, groups, gamma, baseline) ->
-    let stats (r : Letdma.Solve.result) = r.Letdma.Solve.stats in
-    let nodes r = (stats r).Letdma.Solve.nodes in
+    let nodes (r : Letdma.Solve.result) =
+      r.Letdma.Solve.stats.Letdma.Solve.nodes
+    in
     emit "seed" (Json.Int seed);
     emit "baseline_nodes" (Json.Int (nodes baseline));
     let file = Filename.temp_file "bench_resilience" ".json" in
@@ -967,26 +967,7 @@ let resilience_section () =
            "  waters-x1/OBJ-DMAT: interrupt at node 2 (%d-byte checkpoint), \
             resumed to the 5-node budget: %s@."
            bytes
-           (if identical then "identical incumbent" else "DIVERGED"));
-    (* supervised recovery: a 25-pivot LP cap is too tight for this
-       formulation's root LP; the ladder's iter_factor (x4, then x16)
-       must scale it back into a workable one *)
-    let supervised =
-      Letdma.Solve.solve_supervised
-        ~policy:
-          {
-            Resilience.Retry.default_policy with
-            Resilience.Retry.backoff_s = 0.01;
-          }
-        ~time_limit_s:time_limit ~max_lp_iters:25 Letdma.Formulation.No_obj app
-        groups ~gamma
-    in
-    let recovered =
-      (stats supervised).Letdma.Solve.status = Milp.Branch_bound.Optimal
-    in
-    emit "supervised_recovered" (Json.Bool recovered);
-    Fmt.pr "  supervised solve under a 25-pivot LP cap: %s@."
-      (if recovered then "recovered via escalation" else "NOT recovered")
+           (if identical then "identical incumbent" else "DIVERGED"))
 
 (* ------------------------------------------------------------------ *)
 (* PARALLEL: speedup vs jobs                                           *)

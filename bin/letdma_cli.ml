@@ -398,25 +398,6 @@ let interrupt_after_t =
           "Stop the solve after exploring $(docv) nodes (testing hook for the \
            checkpoint/resume chaos gate; combine with $(b,--checkpoint)).")
 
-let retries_t =
-  Arg.(
-    value
-    & opt (nonneg_int "retries") 0
-    & info [ "retries" ] ~docv:"N"
-        ~doc:
-          "Supervise the solve with up to $(docv) escalating retries \
-           (Dantzig pricing, warm pool off, presolve off, scaled LP \
-           iteration budgets) after an inconclusive or uncertified attempt.")
-
-let backoff_t =
-  Arg.(
-    value
-    & opt (nonneg_float "backoff") 0.1
-    & info [ "backoff" ] ~docv:"SECONDS"
-        ~doc:
-          "Initial retry backoff (doubles per attempt, capped, \
-           deadline-aware). Only meaningful with $(b,--retries).")
-
 (* Alternative workloads for solve/resume: the WATERS case study is too
    LP-heavy to explore many nodes sequentially, so the chaos gate
    interrupts a seeded small random instance instead. The resume run must
@@ -442,13 +423,12 @@ let make_workload ~labels_per_edge ~seed = function
   | `Small ->
     Workload.Generator.random ~seed ~config:Workload.Generator.small_config ()
 
-(* Durable solve path: direct [Solve.solve] (or [solve_supervised]) on the
-   chosen workload so the checkpoint/retry plumbing is reachable from the
-   command line. Output is line-oriented and greppable — the CI chaos gate
-   compares `objective:` and `nodes:` across interrupted-and-resumed vs
-   uninterrupted runs. *)
+(* Durable solve path: direct [Solve.solve] on the chosen workload so the
+   checkpoint plumbing is reachable from the command line. Output is
+   line-oriented and greppable — the CI chaos gate compares `objective:`
+   and `nodes:` across interrupted-and-resumed vs uninterrupted runs. *)
 let durable_solve ~time_limit ~objective ~alpha ~presolve ~stats ~checkpoint
-    ~checkpoint_every ~interrupt_after ~retries ~backoff ~resume app =
+    ~checkpoint_every ~interrupt_after ~resume app =
   let groups = Groups.compute app in
   match Rt_analysis.Sensitivity.gammas app ~alpha with
   | None ->
@@ -460,20 +440,9 @@ let durable_solve ~time_limit ~objective ~alpha ~presolve ~stats ~checkpoint
   | Some s ->
     let gamma = s.Rt_analysis.Sensitivity.gamma in
     let r =
-      if retries > 0 then
-        Letdma.Solve.solve_supervised
-          ~policy:
-            {
-              Resilience.Retry.default_policy with
-              Resilience.Retry.attempts = retries + 1;
-              backoff_s = backoff;
-            }
-          ~time_limit_s:time_limit ~presolve ?checkpoint_file:checkpoint
-          ~checkpoint_every ?resume objective app groups ~gamma
-      else
-        Letdma.Solve.solve ~time_limit_s:time_limit ~presolve
-          ?checkpoint_file:checkpoint ~checkpoint_every ?resume
-          ?interrupt_after_nodes:interrupt_after objective app groups ~gamma
+      Letdma.Solve.solve ~time_limit_s:time_limit ~presolve
+        ?checkpoint_file:checkpoint ~checkpoint_every ?resume
+        ?interrupt_after_nodes:interrupt_after objective app groups ~gamma
     in
     let st = r.Letdma.Solve.stats in
     let status = Milp.Branch_bound.status_name st.Letdma.Solve.status in
@@ -514,24 +483,20 @@ let durable_solve ~time_limit ~objective ~alpha ~presolve ~stats ~checkpoint
 let solve_cmd =
   let run verbose time_limit labels_per_edge objective alpha heuristic
       no_presolve stats workload seed checkpoint checkpoint_every
-      interrupt_after retries backoff trace metrics =
+      interrupt_after trace metrics =
     guard @@ fun () ->
     setup_logs verbose;
     with_obs ~trace ~metrics @@ fun () ->
-    let durable =
-      checkpoint <> None || interrupt_after <> None || retries > 0
-    in
+    let durable = checkpoint <> None || interrupt_after <> None in
     let app = make_workload ~labels_per_edge ~seed workload in
     if durable && heuristic then begin
-      err "--heuristic cannot be combined with --checkpoint, \
-           --interrupt-after or --retries (they select the MILP-only \
-           durable path)";
+      err "--heuristic cannot be combined with --checkpoint or \
+           --interrupt-after (they select the MILP-only durable path)";
       exit_internal
     end
     else if durable then
       durable_solve ~time_limit ~objective ~alpha ~presolve:(not no_presolve)
-        ~stats ~checkpoint ~checkpoint_every ~interrupt_after ~retries
-        ~backoff ~resume:None app
+        ~stats ~checkpoint ~checkpoint_every ~interrupt_after ~resume:None app
     else
       let solver =
         if heuristic then Letdma.Experiment.Heuristic
@@ -559,15 +524,14 @@ let solve_cmd =
     (Cmd.info "solve"
        ~doc:
          "Solve one configuration and report the resulting plan/latencies. \
-          With $(b,--checkpoint), $(b,--interrupt-after) or $(b,--retries) \
-          the solve runs the durable sequential MILP path (which refuses \
-          $(b,--heuristic)) and reports greppable status/objective/nodes \
-          lines.")
+          With $(b,--checkpoint) or $(b,--interrupt-after) the solve runs \
+          the durable sequential MILP path (which refuses $(b,--heuristic)) \
+          and reports greppable status/objective/nodes lines.")
     Term.(
       const run $ verbose_t $ time_limit_t $ labels_per_edge_t $ objective_t
       $ alpha_t $ heuristic_t $ no_presolve_t $ stats_t $ workload_t
       $ seed_t $ checkpoint_t $ checkpoint_every_t $ interrupt_after_t
-      $ retries_t $ backoff_t $ trace_t $ metrics_t)
+      $ trace_t $ metrics_t)
 
 (* --- resume ------------------------------------------------------------ *)
 
@@ -580,8 +544,7 @@ let resume_cmd =
           ~doc:"Checkpoint file written by an interrupted $(b,solve).")
   in
   let run verbose time_limit labels_per_edge objective alpha no_presolve
-      workload seed checkpoint checkpoint_every interrupt_after retries
-      backoff trace metrics =
+      workload seed checkpoint checkpoint_every interrupt_after trace metrics =
     guard @@ fun () ->
     setup_logs verbose;
     with_obs ~trace ~metrics @@ fun () ->
@@ -593,7 +556,7 @@ let resume_cmd =
       let app = make_workload ~labels_per_edge ~seed workload in
       durable_solve ~time_limit ~objective ~alpha ~presolve:(not no_presolve)
         ~stats:false ~checkpoint:(Some checkpoint) ~checkpoint_every
-        ~interrupt_after ~retries ~backoff ~resume:(Some ck) app
+        ~interrupt_after ~resume:(Some ck) app
   in
   Cmd.v
     (Cmd.info "resume"
@@ -607,8 +570,7 @@ let resume_cmd =
     Term.(
       const run $ verbose_t $ time_limit_t $ labels_per_edge_t $ objective_t
       $ alpha_t $ no_presolve_t $ workload_t $ seed_t $ checkpoint_req_t
-      $ checkpoint_every_t $ interrupt_after_t $ retries_t $ backoff_t
-      $ trace_t $ metrics_t)
+      $ checkpoint_every_t $ interrupt_after_t $ trace_t $ metrics_t)
 
 (* --- pipeline --------------------------------------------------------- *)
 
@@ -620,18 +582,14 @@ let pipeline_cmd =
       & info [ "budget" ] ~docv:"SECONDS"
           ~doc:
             "Total wall-clock budget shared by every rung of the ladder \
-             (MILP rounds, perturbed retry, fallbacks).")
+             (MILP rounds, fallbacks).")
   in
-  let run verbose labels_per_edge objective alpha budget retries backoff
-      trace metrics =
+  let run verbose labels_per_edge objective alpha budget trace metrics =
     guard @@ fun () ->
     setup_logs verbose;
     with_obs ~trace ~metrics @@ fun () ->
     let app = waters ~labels_per_edge in
-    match
-      Letdma.Pipeline.run ~objective ~budget_s:budget ~alpha ~retries
-        ~backoff_s:backoff app
-    with
+    match Letdma.Pipeline.run ~objective ~budget_s:budget ~alpha app with
     | Ok o ->
       Fmt.pr "%a@." (Letdma.Pipeline.pp_outcome app) o;
       0
@@ -651,7 +609,7 @@ let pipeline_cmd =
           solution.")
     Term.(
       const run $ verbose_t $ labels_per_edge_t $ objective_t $ alpha_t
-      $ budget_t $ retries_t $ backoff_t $ trace_t $ metrics_t)
+      $ budget_t $ trace_t $ metrics_t)
 
 (* --- fault injection -------------------------------------------------- *)
 

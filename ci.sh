@@ -139,6 +139,20 @@ echo "pipeline smoke: $(head -n 1 "$TMP/ci_pipeline.out"), ${attempt_lines} atte
 [ "$attempt_lines" -eq 1 ] || {
   echo "FAIL: want exactly one attempt line:"; cat "$TMP/ci_pipeline.out"; exit 1; }
 
+echo "== pipeline OBJ-DMAT (warm start matches solve) =="
+# The ladder's MILP rung gets the MIP start `solve` uses: the grouped
+# heuristic plan for OBJ-DMAT. On WATERS at a 10 s budget the rung must
+# be accepted with at most 16 transfers (a per-task start gives 18).
+timeout 120 $CLI pipeline --objective dmat --budget 10 \
+  > "$TMP/ci_pipeline_dmat.out" || {
+    echo "FAIL: pipeline exited $? (want 0)"; cat "$TMP/ci_pipeline_dmat.out"; exit 1; }
+dmat_head=$(head -n 1 "$TMP/ci_pipeline_dmat.out")
+dmat_transfers=$(echo "$dmat_head" | sed -n 's/^accepted milp solution .*(\([0-9]*\) transfers)$/\1/p')
+echo "pipeline OBJ-DMAT: ${dmat_head}"
+[ -n "$dmat_transfers" ] && [ "$dmat_transfers" -le 16 ] || {
+  echo "FAIL: want an accepted milp solution with at most 16 transfers:"
+  cat "$TMP/ci_pipeline_dmat.out"; exit 1; }
+
 echo "== service smoke (daemon, cache hit, malformed request) =="
 # One daemon session over stdin/stdout: the same solve twice, one
 # malformed request, then EOF. The daemon must answer all three lines

@@ -28,6 +28,12 @@ let giotto_dma_a_mode app groups =
   Sim.Dma_barrier
     (fun time -> Giotto.singleton_transfers app (Groups.comms_at groups time))
 
+(* The Giotto-DMA-A plan as a solution: identity allocation, one
+   transfer per communication at s0 in Giotto order. *)
+let giotto_solution app groups =
+  Solution.make ~allocation:(Allocation.identity app)
+    ~slots:(Array.of_list (Giotto.singleton_transfers app (Groups.s0 groups)))
+
 (* (iv) Giotto order and barrier, but transfers grouped as much as the
    optimized memory layout allows. *)
 let giotto_dma_b_plan app allocation comms =

@@ -21,6 +21,12 @@ val giotto_cpu_mode : ?model:Sim.cpu_model -> unit -> Sim.mode
 (** (iii) Giotto with a DMA, one transfer per communication. *)
 val giotto_dma_a_mode : App.t -> Groups.t -> Sim.mode
 
+(** The last-resort plan of the pipeline's baseline rung and the
+    service's baseline tier: identity allocation and one transfer per
+    communication at s0, in Giotto order. It exists whenever the model is
+    valid and communications exist. *)
+val giotto_solution : App.t -> Groups.t -> Solution.t
+
 (** The transfers Giotto-DMA-B issues for one instant: Giotto order,
     grouped as much as the given allocation allows. *)
 val giotto_dma_b_plan :

@@ -100,16 +100,7 @@ let run_config ?(cpu_model = Sim.Parallel_phases) ?(solver = Heuristic)
           in
           (sol, None, cert)
         | Milp { objective; options; time_limit_s; node_limit; presolve } ->
-          (* warm-start with the heuristic variant matching the objective:
-             maximal grouping for OBJ-DMAT, per-task latency-oriented
-             transfers otherwise *)
-          let granularity =
-            match objective with
-            | Formulation.Min_transfers -> Heuristic.Grouped
-            | Formulation.No_obj | Formulation.Min_delay_ratio ->
-              Heuristic.Per_task
-          in
-          let warm = Heuristic.solve_unchecked ~granularity app groups ~gamma in
+          let warm = Solve.warm_start objective app groups ~gamma in
           (* Adjacent sweep configurations differ only in a few bounds /
              right-hand sides: hand the previous config's root basis to
              this solve and leave ours behind for the next config (see

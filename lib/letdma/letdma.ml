@@ -13,8 +13,8 @@
     - {!Certify}: independent re-verification of every solved
       configuration (MILP residuals, layout rules, LET Properties 1-3);
     - {!Pipeline}: the hardened entry point — model validation, one
-      global deadline, and the MILP -> perturbed MILP -> heuristic ->
-      baseline degradation ladder;
+      global deadline, and the MILP -> heuristic -> baseline degradation
+      ladder;
     - {!Experiment} and {!Report}: the Fig. 2 / Table I / alpha-sweep
       pipelines and their plain-text rendering. *)
 

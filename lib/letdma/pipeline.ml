@@ -1,12 +1,11 @@
 open Rt_model
 open Let_sem
-open Mem_layout
 
-(* The hardened entry point: validate, then walk MILP -> perturbed MILP ->
-   heuristic -> baseline under one absolute wall-clock deadline, accepting
-   the first rung whose output the independent certifier vouches for. The
-   pipeline re-certifies every rung itself — it never trusts a
-   certificate claimed by the solver hook. *)
+(* The hardened entry point: validate, then walk MILP -> heuristic ->
+   baseline under one absolute wall-clock deadline, accepting the first
+   rung whose output the independent certifier vouches for. The pipeline
+   re-certifies every rung itself — it never trusts a certificate
+   claimed by the solver hook. *)
 
 let src = Logs.Src.create "letdma.pipeline" ~doc:"degradation-ladder pipeline"
 
@@ -52,11 +51,10 @@ let validate_app app =
 
 (* --- ladder types ---------------------------------------------------- *)
 
-type rung = Milp | Milp_perturbed | Heuristic | Baseline
+type rung = Milp | Heuristic | Baseline
 
 let rung_name = function
   | Milp -> "milp"
-  | Milp_perturbed -> "milp-perturbed"
   | Heuristic -> "heuristic"
   | Baseline -> "baseline"
 
@@ -102,33 +100,15 @@ let pp_outcome app ppf o =
 
 type milp_solver =
   deadline_s:float ->
-  presolve:bool ->
   warm:Solution.t option ->
-  chain:Milp.Simplex_core.Basis.t option ref ->
-  options:Formulation.options ->
   Formulation.objective ->
   App.t ->
   Groups.t ->
   gamma:Time.t array ->
   Solve.result
 
-let default_milp_solve ~deadline_s ~presolve ~warm ~chain ~options
-    objective app groups ~gamma =
-  (* [chain] carries the root LP basis between consecutive rungs: read it
-     as this solve's warm-start offer, leave this solve's own root basis
-     behind for the next rung (structure mismatches fall back cold inside
-     the kernel, so a stale basis costs one fingerprint check) *)
-  let root_basis = !chain in
-  Solve.solve ~options ~deadline_s ~presolve ?warm ?root_basis
-    ~basis_out:chain objective app groups ~gamma
-
-(* Perturbed retry: tighten every gamma by 0.1% — a solution meeting the
-   tightened bound meets the original a fortiori, while the shifted
-   right-hand sides move the simplex away from whatever degenerate vertex
-   or tolerance edge broke the first attempt. *)
-let perturb_gamma =
-  Array.map (fun g ->
-      Time.of_ns (int_of_float (0.999 *. float_of_int (Time.to_ns g))))
+let default_milp_solve ~deadline_s ~warm objective app groups ~gamma =
+  Solve.solve ~deadline_s ?warm objective app groups ~gamma
 
 let violations_summary app vs =
   Fmt.str "certification failed: %d violations, e.g. %a" (List.length vs)
@@ -137,34 +117,8 @@ let violations_summary app vs =
 
 (* --- the ladder ------------------------------------------------------ *)
 
-(* Supervised MILP rung: route the rung through
-   [Solve.solve_supervised], whose retry ladder escalates solver
-   parameters (Dantzig pricing, no warm pool, no presolve, scaled
-   iteration budgets) between attempts. The supervised path does not
-   thread the basis [chain] — escalations may disable warm starts, so a
-   chained basis would be misleading. *)
-let supervised_milp_solve ~policy ~deadline_s ~presolve ~warm ~chain:_
-    ~options objective app groups ~gamma =
-  Solve.solve_supervised ~policy ~options ~deadline_s ~presolve ?warm objective
-    app groups ~gamma
-
-let run ?milp_solve ?(objective = Formulation.No_obj)
-    ?(options = Formulation.default_options) ?(budget_s = 60.0) ?(alpha = 0.2)
-    ?(presolve = true) ?(retries = 0) ?(backoff_s = 0.1) app =
-  let milp_solve =
-    match milp_solve with
-    | Some f -> f
-    | None when retries > 0 ->
-      let policy =
-        {
-          Resilience.Retry.default_policy with
-          Resilience.Retry.attempts = retries + 1;
-          backoff_s;
-        }
-      in
-      supervised_milp_solve ~policy
-    | None -> default_milp_solve
-  in
+let run ?(milp_solve = default_milp_solve) ?(objective = Formulation.No_obj)
+    ?(budget_s = 60.0) ?(alpha = 0.2) app =
   let t0 = Milp.Clock.now () in
   let deadline = t0 +. budget_s in
   match validate_app app with
@@ -207,24 +161,20 @@ let run ?milp_solve ?(objective = Formulation.No_obj)
               total_time_s = Milp.Clock.now () -. t0;
             }
         in
-        (* back-to-back MILP rungs share one basis chain: the perturbed
-           model differs from the primary only in its gamma right-hand
-           sides, so its root LP reoptimizes from the primary's root
-           basis *)
-        let chain = ref None in
-        (* one MILP rung: solve against [gamma_solve], then re-certify the
-           result against the ORIGINAL gamma, never trusting the hook *)
-        let try_milp rung ~gamma_solve ~warm =
-          Obs.span ~cat:"pipeline" (rung_name rung) @@ fun () ->
+        (* the MILP rung: solve, then re-certify the result, never
+           trusting the hook *)
+        let try_milp () =
+          Obs.span ~cat:"pipeline" (rung_name Milp) @@ fun () ->
           let ta = Milp.Clock.now () in
           let r =
-            milp_solve ~deadline_s:deadline ~presolve ~warm ~chain
-              ~options objective app groups ~gamma:gamma_solve
+            milp_solve ~deadline_s:deadline
+              ~warm:(Solve.warm_start objective app groups ~gamma)
+              objective app groups ~gamma
           in
           let dt = Milp.Clock.now () -. ta in
           match r.Solve.solution with
           | None ->
-            record rung false
+            record Milp false
               (Fmt.str "no solution (%s)"
                  (Milp.Branch_bound.status_name r.Solve.stats.Solve.status))
               dt;
@@ -239,7 +189,7 @@ let run ?milp_solve ?(objective = Formulation.No_obj)
             (match Certify.certify ?milp ~source app groups ~gamma sol with
              | Ok cert -> Some (sol, cert, Some r.Solve.stats, dt)
              | Error vs ->
-               record rung false (violations_summary app vs) dt;
+               record Milp false (violations_summary app vs) dt;
                None)
         in
         (* heuristic/baseline rung: certify a directly-constructed plan *)
@@ -259,24 +209,6 @@ let run ?milp_solve ?(objective = Formulation.No_obj)
                  (Milp.Clock.now () -. dt0);
                None)
         in
-        (* the heuristic plan warm-starts the primary rung and is the
-           heuristic rung's candidate *)
-        let heuristic = Heuristic.solve_unchecked app groups ~gamma in
-        let perturbed () =
-          if Milp.Clock.remaining ~deadline > 1.0 then
-            try_milp Milp_perturbed ~gamma_solve:(perturb_gamma gamma)
-              ~warm:None
-          else begin
-            record Milp_perturbed false "skipped: budget exhausted" 0.0;
-            None
-          end
-        in
-        let baseline () =
-          Solution.make
-            ~allocation:(Allocation.identity app)
-            ~slots:
-              (Array.of_list (Giotto.singleton_transfers app (Groups.s0 groups)))
-        in
         (* the rungs, tried in order until one certifies *)
         let rec walk = function
           | [] -> Error (Exhausted (List.rev !attempts))
@@ -285,13 +217,19 @@ let run ?milp_solve ?(objective = Formulation.No_obj)
             | Some acc -> finish rung acc
             | None -> walk rest)
         in
+        (* the heuristic rung keeps the per-task plan whatever the
+           objective: the grouped OBJ-DMAT warm start can break
+           Property 1 *)
         walk
           [
-            (Milp, fun () -> try_milp Milp ~gamma_solve:gamma ~warm:heuristic);
-            (Milp_perturbed, perturbed);
-            (Heuristic, fun () -> try_direct Heuristic Certify.Heuristic heuristic);
+            (Milp, try_milp);
+            ( Heuristic,
+              fun () ->
+                try_direct Heuristic Certify.Heuristic
+                  (Heuristic.solve_unchecked app groups ~gamma) );
             ( Baseline,
-              fun () -> try_direct Baseline Certify.Baseline (Some (baseline ()))
-            );
+              fun () ->
+                try_direct Baseline Certify.Baseline
+                  (Some (Baselines.giotto_solution app groups)) );
           ]
     end

@@ -16,7 +16,6 @@ let src = Logs.Src.create "letdma.solve" ~doc:"lazy MILP solver driver"
 module Log = (val Logs.src_log src : Logs.LOG)
 
 module Checkpoint = Resilience.Checkpoint
-module Retry = Resilience.Retry
 
 type stats = {
   rounds : int; (* lazy iterations (1 = no violation found) *)
@@ -46,8 +45,8 @@ type result = {
    after that many explored nodes — the controlled-interrupt half of the
    chaos gate (checkpoint, kill, resume). [ck] bundles the checkpoint
    arguments as (writer, every, resume). *)
-let bb_solve ~presolve ?root_basis ?basis_out ?basis_pool ?pricing
-    ?max_lp_iters ?stop_after_nodes ?ck ~deadline ~node_limit ?incumbent p =
+let bb_solve ~presolve ?root_basis ?basis_out ?basis_pool ?stop_after_nodes
+    ?ck ~deadline ~node_limit ?incumbent p =
   let hooks =
     match stop_after_nodes with
     | None -> Milp.Branch_bound.no_hooks
@@ -66,8 +65,8 @@ let bb_solve ~presolve ?root_basis ?basis_out ?basis_pool ?pricing
     | None -> (None, 0, None)
   in
   Milp.Branch_bound.solve ~deadline ~node_limit ?incumbent ~hooks ~presolve
-    ?root_basis ?basis_out ?basis_pool ?pricing ?max_lp_iters
-    ~checkpoint_every ?on_checkpoint ?resume p
+    ?root_basis ?basis_out ?basis_pool ~checkpoint_every ?on_checkpoint
+    ?resume p
 
 (* (pattern, class) blocks whose projected transfers break contiguity. *)
 let find_violations inst (sol : Solution.t) =
@@ -96,10 +95,21 @@ let find_violations inst (sol : Solution.t) =
    instance settles in round 1 (see EXPERIMENTS). *)
 let max_rounds = 50
 
+(* The MIP start every MILP caller hands to [solve ~warm]: the heuristic
+   variant matching the objective — maximal grouping for OBJ-DMAT,
+   per-task latency-oriented transfers otherwise. *)
+let warm_start objective app groups ~gamma =
+  let granularity =
+    match objective with
+    | Formulation.Min_transfers -> Heuristic.Grouped
+    | Formulation.No_obj | Formulation.Min_delay_ratio -> Heuristic.Per_task
+  in
+  Heuristic.solve_unchecked ~granularity app groups ~gamma
+
 let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
     ?deadline_s ?(node_limit = 200_000) ?(jobs = 1) ?(presolve = true) ?warm
-    ?root_basis ?basis_out ?basis_pool ?pricing ?max_lp_iters
-    ?checkpoint_file ?(checkpoint_every = 64) ?resume ?interrupt_after_nodes
+    ?root_basis ?basis_out ?basis_pool ?checkpoint_file
+    ?(checkpoint_every = 64) ?resume ?interrupt_after_nodes
     objective app groups ~gamma =
   (* [jobs] survives only for existing [~jobs:1] callers: every solve is
      one sequential search *)
@@ -181,8 +191,7 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
         Obs.span ~cat:"solver" "round" ~fields:[ ("round", Obs.Int round) ]
         @@ fun () ->
         bb_solve ~presolve ?root_basis ?basis_out ?basis_pool
-          ?pricing ?max_lp_iters ?stop_after_nodes:interrupt_after_nodes ?ck
-          ~deadline ~node_limit
+          ?stop_after_nodes:interrupt_after_nodes ?ck ~deadline ~node_limit
           ?incumbent:(encode_warm ()) inst.Formulation.problem
       in
       nodes_total := !nodes_total + bb.Milp.Branch_bound.stats.Milp.Branch_bound.nodes;
@@ -279,69 +288,6 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
       };
     instance = inst;
   }
-
-(* Supervised solve: wrap {!solve} in [Resilience.Retry]'s escalation
-   ladder. An attempt is retried when it ends inconclusively with no
-   solution (status [Unknown] — iteration-limit interrupts land here) or
-   when the accepted solution fails independent certification (numerical
-   trouble); escalations loosen pricing to Dantzig, disable the
-   warm-basis pool and presolve, and scale [max_lp_iters]. When a
-   checkpoint file is configured, retries resume from the latest
-   checkpoint instead of restarting — with the serialized basis pool
-   dropped if the escalation rung disables warm starts. *)
-let solve_supervised ?policy ?options ?(time_limit_s = 60.0) ?deadline_s
-    ?node_limit ?(presolve = true) ?warm ?basis_pool ?pricing ?max_lp_iters
-    ?checkpoint_file ?checkpoint_every ?resume objective app groups ~gamma =
-  let deadline =
-    match deadline_s with
-    | Some d -> d
-    | None -> Milp.Clock.now () +. time_limit_s
-  in
-  let attempt (esc : Retry.escalation) =
-    let pricing =
-      if esc.Retry.loosen_pricing then Some Milp.Simplex_core.Dantzig
-      else pricing
-    in
-    let basis_pool = if esc.Retry.disable_warm then Some 0 else basis_pool in
-    let presolve = presolve && not esc.Retry.disable_presolve in
-    let max_lp_iters =
-      Option.map (fun m -> m * esc.Retry.iter_factor) max_lp_iters
-    in
-    (* Later attempts continue from the latest checkpoint when one is on
-       disk; a fresh attempt starts over otherwise. *)
-    let resume =
-      if esc.Retry.attempt = 0 then resume
-      else
-        match checkpoint_file with
-        | Some file when Sys.file_exists file -> (
-          match Checkpoint.load file with
-          | Ok ck ->
-            if not esc.Retry.disable_warm then Some ck
-            else
-              let bf = ck.Checkpoint.ck_state in
-              Some
-                {
-                  ck with
-                  Checkpoint.ck_state =
-                    { bf with Milp.Branch_bound.ck_pool = [] };
-                }
-          | Error m ->
-            Log.warn (fun f ->
-                f "retry: checkpoint unreadable (%s); restarting" m);
-            resume)
-        | Some _ | None -> resume
-    in
-    solve ?options ~deadline_s:deadline ?node_limit ~presolve ?warm
-      ?basis_pool ?pricing ?max_lp_iters ?checkpoint_file ?checkpoint_every
-      ?resume objective app groups ~gamma
-  in
-  let classify (r : result) =
-    match (r.stats.status, r.solution, r.certificate) with
-    | Milp.Branch_bound.Unknown, None, _ -> `Retry "no solution (unknown)"
-    | _, Some _, Some (Error _) -> `Retry "certification failed"
-    | _ -> `Ok
-  in
-  Retry.run ?policy ~deadline ~classify attempt
 
 let pp_stats ppf s =
   let lp = s.lp in

@@ -638,9 +638,9 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000) ?incumbent
          | Simplex.Iteration_limit ->
            (* the node's LP was cut short: un-count the exploration, put
               the node back in the frontier and end the search so a
-              caller-side retry policy can escalate [max_lp_iters] and
-              resume without losing the subtree (its parent basis was
-              already consumed, so the retry re-solves it cold) *)
+              resume from the final checkpoint does not lose the subtree
+              (its parent basis was already consumed, so the resumed
+              search re-solves it cold) *)
            decr nodes;
            decr simplex_solves;
            Heap.push heap prio ptie node;

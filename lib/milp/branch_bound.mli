@@ -201,8 +201,7 @@ val feasibility_shortcut : Problem.t -> float array option -> solution option
       otherwise [basis_out] receives [None].
     - [max_lp_iters]: per-node LP iteration cap; a node whose LP hits it
       ends the search like a time limit (the incumbent is kept, a final
-      checkpoint is emitted). Meant to be driven by the retry policy in
-      [Resilience.Retry], which escalates the cap instead of crashing.
+      checkpoint is emitted): a cap is a limit, never a crash.
     - [checkpoint_every] (default 0 = off): emit a checkpoint through
       [on_checkpoint] every that many explored nodes.
     - [on_checkpoint]: receives each snapshot. Regardless of cadence, a

@@ -175,11 +175,6 @@ let solve_direct t ~id ~klass ~tier ~source ~t0 sol_opt app groups gamma =
     count t (fun t -> t.solved <- t.solved + 1);
     ok_response ~id ~klass ~cache:"none" ~pivots:0 ~nodes:0 ~t0 core
 
-let baseline_solution app groups =
-  Letdma.Solution.make
-    ~allocation:(Mem_layout.Allocation.identity app)
-    ~slots:(Array.of_list (Giotto.singleton_transfers app (Groups.s0 groups)))
-
 (* --- one solve request ----------------------------------------------- *)
 
 let handle_solve t ~arrival ~load ~deadline ~id (s : Protocol.solve) =
@@ -226,7 +221,7 @@ let handle_solve t ~arrival ~load ~deadline ~id (s : Protocol.solve) =
         | Qos.Baseline ->
           solve_direct t ~id ~klass:s.Protocol.klass ~tier:"baseline"
             ~source:Letdma.Certify.Baseline ~t0
-            (Some (baseline_solution app groups))
+            (Some (Letdma.Baselines.giotto_solution app groups))
             app groups gamma)
   end
 

@@ -49,9 +49,9 @@ let test_jobs_ok () =
     "no jobs complaint" false
     (contains ~needle:"jobs must be" out)
 
-(* Each MILP solve is one sequential search: solve and pipeline have no
-   --jobs, so cmdliner refuses it as an unknown option. *)
-let test_jobs_unknown () =
+(* cmdliner refuses a flag the command does not have: exit 124 and the
+   flag named in the message. *)
+let check_unknown flag cmd_lines =
   List.iter
     (fun cmd_line ->
       let code, out = run cmd_line in
@@ -59,8 +59,21 @@ let test_jobs_unknown () =
       Alcotest.(check bool)
         ("unknown option named by: " ^ cmd_line)
         true
-        (contains ~needle:"unknown option '--jobs'" out))
-    [ "solve --jobs 1"; "pipeline --jobs 2" ]
+        (contains ~needle:(Printf.sprintf "unknown option '%s'" flag) out))
+    cmd_lines
+
+(* Each MILP solve is one sequential search: solve and pipeline have no
+   --jobs. *)
+let test_jobs_unknown () =
+  check_unknown "--jobs" [ "solve --jobs 1"; "pipeline --jobs 2" ]
+
+(* Each ladder runs the MILP once: solve, resume and pipeline have no
+   --retries and no --backoff. *)
+let test_retries_unknown () =
+  check_unknown "--retries"
+    [ "solve --retries 1"; "resume --retries 1"; "pipeline --retries 1" ];
+  check_unknown "--backoff"
+    [ "solve --backoff 0.1"; "resume --backoff 0.1"; "pipeline --backoff 0.1" ]
 
 (* A checkpoint as the retired depth-first engine wrote it: [resume] must
    refuse it by kind, before building any model. *)
@@ -125,7 +138,7 @@ let test_solve_stats_bound () =
     (contains ~needle:" gap=0.0% bound=1\n" out)
 
 let test_solve_durable_refuses_heuristic () =
-  let code, out = run "solve --heuristic --retries 1" in
+  let code, out = run "solve --heuristic --interrupt-after 3" in
   Alcotest.(check int) "refused: exit 1" 1 code;
   Alcotest.(check bool)
     "one-line reason" true
@@ -141,6 +154,11 @@ let () =
           Alcotest.test_case "--jobs 2 accepted" `Slow test_jobs_ok;
           Alcotest.test_case "solve and pipeline have no --jobs" `Quick
             test_jobs_unknown;
+        ] );
+      ( "removed-flags",
+        [
+          Alcotest.test_case "solve, resume and pipeline have no --retries"
+            `Quick test_retries_unknown;
         ] );
       ( "checkpoint",
         [

@@ -1,14 +1,13 @@
 (* Tests for lib/resilience and the solver-side crash-resilience
    features it packages: byte-identical checkpoint round trips, strict
    load-time validation, kill-and-resume trajectory identity for the
-   best-first search (deterministic and property-based), the retry/backoff
-   ladder, and LP iteration-limit recovery. *)
+   best-first search (deterministic and property-based), and the LP
+   iteration limit ending a search gracefully. *)
 
 module P = Milp.Problem
 module L = Milp.Linexpr
 module B = Milp.Branch_bound
 module Ck = Resilience.Checkpoint
-module Retry = Resilience.Retry
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -334,86 +333,6 @@ let prop_kill_resume =
         && resumed.B.stats.B.simplex_solves = full.B.stats.B.simplex_solves)
 
 (* ------------------------------------------------------------------ *)
-(* Retry ladder                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_escalation_ladder () =
-  let e0 = Retry.escalate 0 in
-  check_bool "attempt 0 is the identity" true
-    ((not e0.Retry.loosen_pricing)
-    && (not e0.Retry.disable_warm)
-    && (not e0.Retry.disable_presolve)
-    && e0.Retry.iter_factor = 1);
-  let e1 = Retry.escalate 1 in
-  check_bool "attempt 1 loosens pricing only" true
-    (e1.Retry.loosen_pricing
-    && (not e1.Retry.disable_warm)
-    && (not e1.Retry.disable_presolve)
-    && e1.Retry.iter_factor = 4);
-  let e2 = Retry.escalate 2 in
-  check_bool "attempt 2 is the maximal rung" true
-    (e2.Retry.loosen_pricing && e2.Retry.disable_warm
-    && e2.Retry.disable_presolve
-    && e2.Retry.iter_factor = 16);
-  check_bool "the ladder is clamped" true (Retry.escalate 7 = { e2 with Retry.attempt = 7 })
-
-let test_retry_backoff_schedule () =
-  let sleeps = ref [] in
-  let policy =
-    { Retry.attempts = 4; backoff_s = 1.0; backoff_factor = 2.0;
-      max_backoff_s = 3.0 }
-  in
-  let r =
-    Retry.run ~policy
-      ~sleep:(fun s -> sleeps := s :: !sleeps)
-      ~classify:(fun (esc : Retry.escalation) ->
-        if esc.Retry.attempt >= 3 then `Ok else `Retry "not yet")
-      (fun esc -> esc)
-  in
-  check_int "succeeded on the final attempt" 3 r.Retry.attempt;
-  (* exponential, capped at max_backoff_s *)
-  Alcotest.(check (list (float 1e-9)))
-    "backoff doubles then clamps" [ 1.0; 2.0; 3.0 ] (List.rev !sleeps)
-
-let test_retry_exception_funnel () =
-  let calls = ref 0 in
-  let r =
-    Retry.run
-      ~policy:{ Retry.default_policy with Retry.backoff_s = 0.0 }
-      ~sleep:(fun _ -> ())
-      ~classify:(fun _ -> `Ok)
-      (fun esc ->
-        incr calls;
-        if esc.Retry.attempt < 2 then failwith "flaky" else esc.Retry.attempt)
-  in
-  check_int "exceptions consumed attempts" 3 !calls;
-  check_int "recovered on the last rung" 2 r;
-  (* an exception on the final attempt propagates to the caller *)
-  match
-    Retry.run
-      ~policy:{ Retry.default_policy with Retry.attempts = 2; backoff_s = 0.0 }
-      ~sleep:(fun _ -> ())
-      ~classify:(fun _ -> `Ok)
-      (fun _ -> failwith "always")
-  with
-  | exception Failure m -> check_string "last exception re-raised" "always" m
-  | _ -> Alcotest.fail "exhausted retries must re-raise"
-
-let test_retry_deadline () =
-  let calls = ref 0 in
-  let r =
-    Retry.run
-      ~policy:{ Retry.default_policy with Retry.attempts = 5 }
-      ~sleep:(fun _ -> Alcotest.fail "no backoff past the deadline")
-      ~deadline:(Milp.Clock.now () -. 1.0)
-      ~classify:(fun _ -> `Retry "never good enough")
-      (fun _ ->
-        incr calls;
-        !calls)
-  in
-  check_int "an expired deadline stops after one attempt" 1 r
-
-(* ------------------------------------------------------------------ *)
 (* LP iteration limit: a cap is a limit, never a crash                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -429,26 +348,6 @@ let test_iteration_limit_is_graceful () =
   check_bool "capped solve ends as a limit, not an exception" true
     (s.B.status = B.Unknown || s.B.status = B.Feasible);
   check_bool "a final checkpoint was emitted" true (Option.is_some !captured)
-
-let test_supervised_recovers_from_iteration_limit () =
-  let p = knapsack 3 in
-  let attempts = ref 0 in
-  let r =
-    Retry.run
-      ~policy:{ Retry.default_policy with Retry.backoff_s = 0.0 }
-      ~sleep:(fun _ -> ())
-      ~classify:(fun (s : B.solution) ->
-        if s.B.status = B.Optimal then `Ok else `Retry "iteration limit")
-      (fun esc ->
-        incr attempts;
-        (* the ladder's iter_factor scales an undersized cap back into a
-           workable one — the wiring Solve.solve_supervised relies on *)
-        B.solve ~time_limit_s:60.0
-          ~max_lp_iters:(1 * esc.Retry.iter_factor)
-          p)
-  in
-  check_bool "escalation recovered the solve" true (r.B.status = B.Optimal);
-  check_bool "at least one retry was needed" true (!attempts >= 2)
 
 (* ------------------------------------------------------------------ *)
 (* End to end: Letdma.Solve durable interrupt + resume                 *)
@@ -557,21 +456,10 @@ let () =
             test_resume_trajectory_identity;
           QCheck_alcotest.to_alcotest prop_kill_resume;
         ] );
-      ( "retry",
-        [
-          Alcotest.test_case "escalation ladder" `Quick test_escalation_ladder;
-          Alcotest.test_case "backoff schedule" `Quick
-            test_retry_backoff_schedule;
-          Alcotest.test_case "exception funnel" `Quick
-            test_retry_exception_funnel;
-          Alcotest.test_case "expired deadline" `Quick test_retry_deadline;
-        ] );
       ( "iteration-limit",
         [
           Alcotest.test_case "cap is a limit, not a crash" `Quick
             test_iteration_limit_is_graceful;
-          Alcotest.test_case "supervised escalation recovers" `Quick
-            test_supervised_recovers_from_iteration_limit;
         ] );
       ( "end-to-end",
         [
