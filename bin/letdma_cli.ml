@@ -710,7 +710,7 @@ let trace_check_cmd =
   Cmd.v
     (Cmd.info "trace-check"
        ~doc:
-         "Validate JSONL event traces and JSON bench reports (used by the CI \
+         "Validate JSONL event traces and JSON documents (used by the CI \
           gate to reject malformed or NaN-carrying output).")
     Term.(const run $ verbose_t $ files_t)
 

@@ -102,19 +102,24 @@ let run_config ?(cpu_model = Sim.Parallel_phases) ?(solver = Heuristic)
         | Milp { objective; options; time_limit_s; node_limit; presolve } ->
           let warm = Solve.warm_start objective app groups ~gamma in
           (* Adjacent sweep configurations differ only in a few bounds /
-             right-hand sides: hand the previous config's root basis to
-             this solve and leave ours behind for the next config (see
-             {!Parallel.Sweep.Chain}). Incompatible bases are rejected by
+             right-hand sides: [chain] hands the previous config's root
+             basis to this solve (taking it empties the slot) and keeps
+             ours for the next config. Incompatible bases are rejected by
              a fingerprint check inside the kernel and simply fall back
              to the cold solve. *)
-          let root_basis = Option.bind chain Parallel.Sweep.Chain.take in
+          let root_basis =
+            Option.bind chain (fun c ->
+                let b = !c in
+                c := None;
+                b)
+          in
           let basis_out = Option.map (fun _ -> ref None) chain in
           let r =
             Solve.solve ~options ~time_limit_s ~node_limit ~presolve ?warm
               ?root_basis ?basis_out objective app groups ~gamma
           in
           (match (chain, basis_out) with
-           | Some c, Some { contents = Some b } -> Parallel.Sweep.Chain.put c b
+           | Some c, Some { contents = Some b } -> c := Some b
            | _ -> ());
           (r.Solve.solution, Some r.Solve.stats, r.Solve.certificate)
       in
@@ -164,7 +169,7 @@ let fig2 ?(alphas = [ 0.2; 0.4 ])
       (fun alpha -> List.map (fun objective -> (alpha, objective)) objectives)
       alphas
   in
-  let chain = Parallel.Sweep.Chain.create () in
+  let chain = ref None in
   List.map
     (fun (alpha, objective) ->
       ((alpha, objective),
@@ -182,67 +187,50 @@ type table1_row = {
   status : string;
 }
 
+(* One Table I row from one configuration's result. *)
+let table1_row ((alpha, objective), res) =
+  match res with
+  | Ok r ->
+    {
+      objective;
+      t_alpha = alpha;
+      time_s = Option.map (fun s -> s.Solve.time_s) r.solve_stats;
+      transfers = Some r.num_transfers;
+      status =
+        (match r.solve_stats with
+         | Some { Solve.status = Milp.Branch_bound.Optimal; _ } -> "optimal"
+         | Some { Solve.status = Milp.Branch_bound.Feasible; _ } ->
+           "feasible (limit)"
+         | Some _ -> "other"
+         | None -> "heuristic");
+    }
+  | Error e ->
+    { objective; t_alpha = alpha; time_s = None; transfers = None;
+      status = error_to_string e }
+
 (* Build Table I rows from already-computed Fig. 2 results (same
    configurations; avoids re-solving). *)
-let table1_of_results results =
-  List.map
-    (fun ((alpha, objective), res) ->
-      match res with
-      | Ok r ->
-        {
-          objective;
-          t_alpha = alpha;
-          time_s = Option.map (fun s -> s.Solve.time_s) r.solve_stats;
-          transfers = Some r.num_transfers;
-          status =
-            (match r.solve_stats with
-             | Some { Solve.status = Milp.Branch_bound.Optimal; _ } -> "optimal"
-             | Some { Solve.status = Milp.Branch_bound.Feasible; _ } ->
-               "feasible (limit)"
-             | Some _ -> "other"
-             | None -> "heuristic");
-        }
-      | Error e ->
-        { objective; t_alpha = alpha; time_s = None; transfers = None;
-          status = error_to_string e })
-    results
+let table1_of_results results = List.map table1_row results
 
 let table1 ?(alphas = [ 0.2; 0.4 ])
     ?(objectives = [ Formulation.No_obj; Formulation.Min_transfers; Formulation.Min_delay_ratio ])
     ?(time_limit_s = 60.0) ?cpu_model app =
-  let chain = Parallel.Sweep.Chain.create () in
+  let chain = ref None in
   List.concat_map
     (fun objective ->
       List.map
         (fun alpha ->
-          match
-            run_config ?cpu_model ~chain
-              ~solver:(milp ~time_limit_s objective) app ~alpha
-          with
-          | Ok r ->
-            {
-              objective;
-              t_alpha = alpha;
-              time_s = Option.map (fun s -> s.Solve.time_s) r.solve_stats;
-              transfers = Some r.num_transfers;
-              status =
-                (match r.solve_stats with
-                 | Some { Solve.status = Milp.Branch_bound.Optimal; _ } -> "optimal"
-                 | Some { Solve.status = Milp.Branch_bound.Feasible; _ } ->
-                   "feasible (limit)"
-                 | Some _ -> "other"
-                 | None -> "heuristic");
-            }
-          | Error e ->
-            { objective; t_alpha = alpha; time_s = None; transfers = None;
-          status = error_to_string e })
+          table1_row
+            ( (alpha, objective),
+              run_config ?cpu_model ~chain
+                ~solver:(milp ~time_limit_s objective) app ~alpha ))
         alphas)
     objectives
 
 (* The alpha sweep of Section VII: feasibility for alpha in {0.1..0.5}. *)
 let alpha_sweep ?(alphas = [ 0.1; 0.2; 0.3; 0.4; 0.5 ]) ?(time_limit_s = 60.0)
     ?(objective = Formulation.No_obj) ?cpu_model app =
-  let chain = Parallel.Sweep.Chain.create () in
+  let chain = ref None in
   List.map
     (fun alpha ->
       (alpha,

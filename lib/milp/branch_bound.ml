@@ -319,7 +319,7 @@ let presolved_infeasible ~sense ~time_s ~(pre : Presolve.stats) row =
   }
 
 let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000) ?incumbent
-    ?(hooks = no_hooks) ?(pricing = Simplex_core.Devex) ?(presolve = true)
+    ?(hooks = no_hooks) ?(presolve = true)
     ?root_basis ?basis_out ?(basis_pool = 128) ?max_lp_iters
     ?(checkpoint_every = 0) ?on_checkpoint ?resume
     (p0 : Problem.t) : solution =
@@ -361,7 +361,7 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000) ?incumbent
      node id — a total order, so the victim never depends on Hashtbl
      iteration order) and its orphaned children fall back to the cold
      path, counted as misses. [basis_pool = 0] disables basis reuse
-     entirely (the measured cold baseline of the WARMSTART bench). *)
+     entirely (the cold baseline of the warm-start pivot test). *)
   let pool : (int, Simplex_core.Basis.t * int ref * int ref) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -593,7 +593,7 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000) ?incumbent
           else basis_pool > 0 && node.parent >= 0
         in
         let wr =
-          Simplex.solve_warm ~pricing ~counters:cnt ~deadline ~bounds:(lo, hi)
+          Simplex.solve_warm ~counters:cnt ~deadline ~bounds:(lo, hi)
             ?max_iters:max_lp_iters ?basis:offered p
         in
         let lp_result = wr.Simplex.wr_result in

@@ -177,8 +177,6 @@ val feasibility_shortcut : Problem.t -> float array option -> solution option
     - [time_limit_s] (default 60): relative convenience form, equivalent
       to [deadline = Clock.now () +. time_limit_s].
     - [incumbent]: a feasible assignment used as the initial cutoff.
-    - [pricing] (default [Devex]): entering-variable rule for every
-      node's LP solve (see {!Simplex.pricing}).
     - [presolve] (default [true]): run {!Presolve.run} once at the root
       and search the reduced problem. The reduction keeps every variable
       (same ids) and only tightens implied bounds / drops redundant
@@ -191,7 +189,7 @@ val feasibility_shortcut : Problem.t -> float array option -> solution option
       evicted (deterministically — ties break on the lower node id) and
       its orphaned children fall back to the cold path, counted in
       [lp_basis_evictions]. [0] disables warm starts entirely (the cold
-      baseline used by the WARMSTART bench).
+      baseline of the warm-start pivot test).
     - [root_basis]: an optimal basis from a structurally identical
       earlier solve (e.g. the previous configuration of a sweep) used to
       warm-start the root LP.
@@ -220,7 +218,6 @@ val solve :
   ?node_limit:int ->
   ?incumbent:float array ->
   ?hooks:hooks ->
-  ?pricing:Simplex_core.pricing ->
   ?presolve:bool ->
   ?root_basis:Simplex_core.Basis.t ->
   ?basis_out:Simplex_core.Basis.t option ref ->

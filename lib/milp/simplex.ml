@@ -4,8 +4,6 @@
 
 type pricing = Simplex_core.pricing = Dantzig | Devex | Bland
 
-let pricing_name = Simplex_core.pricing_name
-
 type result =
   | Optimal of { obj : float; x : float array }
   | Infeasible
@@ -43,12 +41,10 @@ type warm_result = {
   wr_warm : bool; (* the restored basis produced the answer *)
 }
 
-let solve_warm ?pricing ?counters ?bounds ?(max_iters = 200_000)
+let solve_warm ?counters ?bounds ?(max_iters = 200_000)
     ?(deadline = infinity) ?basis (p : Problem.t) : warm_result =
   let cold () =
-    let result, tb =
-      solve_core ?pricing ?counters ?bounds ~max_iters ~deadline p
-    in
+    let result, tb = solve_core ?counters ?bounds ~max_iters ~deadline p in
     { wr_result = result;
       wr_basis = Option.map Simplex_core.snapshot tb;
       wr_warm = false }
@@ -57,8 +53,7 @@ let solve_warm ?pricing ?counters ?bounds ?(max_iters = 200_000)
   | None -> cold ()
   | Some b -> (
     match
-      Simplex_core.restore ?pricing ?counters ?bounds ~max_iters ~deadline b
-        p
+      Simplex_core.restore ?counters ?bounds ~max_iters ~deadline b p
     with
     | `Infeasible_bounds ->
       (* crossed bounds are detected before any basis work: exact either

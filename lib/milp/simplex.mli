@@ -17,8 +17,6 @@
     and all reach an optimal basis — only the pivot trajectory differs. *)
 type pricing = Simplex_core.pricing = Dantzig | Devex | Bland
 
-val pricing_name : pricing -> string
-
 type result =
   | Optimal of { obj : float; x : float array }
   | Infeasible
@@ -57,8 +55,9 @@ type warm_result = {
   wr_warm : bool;
 }
 
-(** [solve_warm ?basis p] is {!solve} with basis reuse: when [basis] is
-    supplied and structurally compatible, the solve refactorizes the
+(** [solve_warm ?basis p] is {!solve} under the default [Devex] rule,
+    with basis reuse: when [basis] is supplied and structurally
+    compatible, the solve refactorizes the
     saved basis under the new [bounds] and reoptimizes with the bounded
     dual simplex followed by a primal cleanup — the warm claim is
     certified by the same full pricing scan as a cold solve, so results
@@ -67,7 +66,6 @@ type warm_result = {
     back to the cold path transparently; only deadline expiry is
     surfaced as [Iteration_limit] without a retry. *)
 val solve_warm :
-  ?pricing:pricing ->
   ?counters:Simplex_core.counters ->
   ?bounds:float array * float array ->
   ?max_iters:int ->

@@ -7,7 +7,8 @@
    feasibility while the reduced costs keep the basis (near) dual
    feasible.
 
-   Hot-path engineering (measured in the PRICING bench section):
+   Hot-path engineering (measured by the retired PRICING bench section,
+   EXPERIMENTS.md; perfbench's lp.* metrics now):
    - every tableau row carries its nonzero support (a superset compacted
      whenever the row pivots), so Gaussian eliminations, reduced-cost
      updates and the dual entering scan skip structurally-zero entries;
@@ -35,11 +36,6 @@ type status = At_lower | At_upper | Basic
    smallest-index full scan (terminating, slow). All three fall back to
    Bland's rule automatically after a degenerate stall. *)
 type pricing = Dantzig | Devex | Bland
-
-let pricing_name = function
-  | Dantzig -> "dantzig"
-  | Devex -> "devex"
-  | Bland -> "bland"
 
 (* Work counters, accumulated across every phase (and, via [?counters] on
    {!build}, across all tableaus of a branch-and-bound search). The warm
@@ -1456,9 +1452,9 @@ let crash_basis tb (b : Basis.t) =
    over (structure mismatch, or the dual repair stalled/claimed
    infeasibility it cannot certify — a restored cost row need not be
    exactly dual feasible): callers fall back to the cold path. *)
-let restore ?pricing ?counters ?bounds ~max_iters ~deadline (b : Basis.t)
+let restore ?counters ?bounds ~max_iters ~deadline (b : Basis.t)
     (p : Problem.t) =
-  match build ?pricing ?counters ?bounds p with
+  match build ?counters ?bounds p with
   | None -> `Infeasible_bounds
   | Some tb ->
     if

@@ -34,7 +34,8 @@ type event = {
 
 (* --- JSON rendering --------------------------------------------------- *)
 
-let escape b s =
+let add_json_string b s =
+  Buffer.add_char b '"';
   String.iter
     (fun c ->
       match c with
@@ -42,10 +43,12 @@ let escape b s =
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
       | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
       | c when Char.code c < 0x20 ->
         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
-    s
+    s;
+  Buffer.add_char b '"'
 
 (* Finite floats only ever reach the sink as JSON numbers; a non-finite
    value (which would not parse as JSON) is written as null. *)
@@ -57,10 +60,7 @@ let add_value b = function
   | Int i -> Buffer.add_string b (string_of_int i)
   | Float f -> add_float b f
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
-  | Str s ->
-    Buffer.add_char b '"';
-    escape b s;
-    Buffer.add_char b '"'
+  | Str s -> add_json_string b s
 
 let render ~t0 b e =
   Buffer.add_string b "{\"ts\":";
@@ -69,11 +69,10 @@ let render ~t0 b e =
   Buffer.add_string b (string_of_int e.ev_dom);
   Buffer.add_string b ",\"kind\":\"";
   Buffer.add_string b (kind_name e.ev_kind);
-  Buffer.add_string b "\",\"cat\":\"";
-  escape b e.ev_cat;
-  Buffer.add_string b "\",\"name\":\"";
-  escape b e.ev_name;
-  Buffer.add_char b '"';
+  Buffer.add_string b "\",\"cat\":";
+  add_json_string b e.ev_cat;
+  Buffer.add_string b ",\"name\":";
+  add_json_string b e.ev_name;
   (match e.ev_dur with
    | Some d ->
      Buffer.add_string b ",\"dur\":";
@@ -86,9 +85,8 @@ let render ~t0 b e =
      List.iteri
        (fun i (k, v) ->
          if i > 0 then Buffer.add_char b ',';
-         Buffer.add_char b '"';
-         escape b k;
-         Buffer.add_string b "\":";
+         add_json_string b k;
+         Buffer.add_char b ':';
          add_value b v)
        fs;
      Buffer.add_char b '}');
@@ -367,7 +365,7 @@ end
 
 (* Minimal JSON parser, sufficient to validate the sink's own output and
    any other JSON value: the ci gate runs it over trace files and the
-   bench's BENCH_*.json. Rejects NaN/Infinity tokens by construction
+   BENCH_LAYERS.json ledger. Rejects NaN/Infinity tokens by construction
    (they are not JSON). *)
 module Check = struct
   exception Bad of string
@@ -396,6 +394,44 @@ module Check = struct
   let literal c word =
     String.iter (fun ch -> expect c ch) word
 
+  (* The four hex digits of a \u escape, the cursor just past the u. *)
+  let hex4 c =
+    let v = ref 0 in
+    for _ = 1 to 4 do
+      let d =
+        match peek c with
+        | Some ('0' .. '9' as h) -> Char.code h - 48
+        | Some ('a' .. 'f' as h) -> Char.code h - 87
+        | Some ('A' .. 'F' as h) -> Char.code h - 55
+        | _ -> fail "bad unicode escape at %d" c.pos
+      in
+      v := (!v * 16) + d;
+      advance c
+    done;
+    !v
+
+  (* A \u escape decodes to the UTF-8 bytes of its code point; a code
+     point above U+FFFF arrives as a high+low surrogate pair. Raw bytes
+     are not validated as UTF-8: they pass through unchanged. *)
+  let add_unicode_escape c b =
+    let start = c.pos - 2 in
+    let u = hex4 c in
+    let u =
+      if u >= 0xDC00 && u <= 0xDFFF then fail "lone surrogate at %d" start
+      else if u >= 0xD800 && u <= 0xDBFF then begin
+        if not (peek c = Some '\\' && c.pos + 1 < String.length c.s
+                && c.s.[c.pos + 1] = 'u')
+        then fail "lone surrogate at %d" start;
+        advance c;
+        advance c;
+        let lo = hex4 c in
+        if lo < 0xDC00 || lo > 0xDFFF then fail "lone surrogate at %d" start;
+        0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00)
+      end
+      else u
+    in
+    Buffer.add_utf_8_uchar b (Uchar.of_int u)
+
   let parse_string c =
     expect c '"';
     let b = Buffer.create 16 in
@@ -416,12 +452,7 @@ module Check = struct
          | Some 'f' -> Buffer.add_char b '\012'; advance c
          | Some 'u' ->
            advance c;
-           for _ = 1 to 4 do
-             (match peek c with
-              | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance c
-              | _ -> fail "bad unicode escape at %d" c.pos)
-           done;
-           Buffer.add_char b '?'
+           add_unicode_escape c b
          | _ -> fail "bad escape at %d" c.pos);
         go ()
       | Some ch ->
@@ -578,8 +609,9 @@ module Check = struct
     in
     go 0
 
-  (* Validate that a file holds one well-formed JSON document (the bench's
-     BENCH_*.json): parseable, hence free of NaN/Infinity tokens. *)
+  (* Validate that a file holds one well-formed JSON document (e.g. the
+     BENCH_LAYERS.json ledger): parseable, hence free of NaN/Infinity
+     tokens. *)
   let json_file path =
     let ic = open_in path in
     Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->

@@ -91,12 +91,23 @@ module Solver_hooks : sig
       still run first. Identity when tracing is disabled. *)
 end
 
+(** {1 JSON} *)
+
+val add_json_string : Buffer.t -> string -> unit
+(** [add_json_string b s] appends [s] as a quoted JSON string: double
+    quote, backslash, newline, tab and carriage return as two-character
+    escapes, other bytes below 0x20 as [\u00XX], every other byte
+    unchanged. {!Check.parse_json} reads it back as [s]. This is the one
+    string escaper: traces use it here, durable documents through
+    [Resilience.Json.add_string]. *)
+
 (** {1 Validation} *)
 
 module Check : sig
   (** Parsed strict-JSON value: exactly the JSON data model — numbers
       are finite floats (the parser rejects NaN/Infinity tokens, which
-      are not JSON). *)
+      are not JSON), and strings hold bytes, with each [\uXXXX] escape
+      (or surrogate pair) decoded to UTF-8. *)
   type json =
     | Null
     | B of bool
@@ -107,9 +118,10 @@ module Check : sig
 
   val parse_json : string -> (json, string) result
   (** [parse_json s] parses [s] as one strict JSON document (no trailing
-      garbage, no NaN/Infinity, objects keep member order). This is the
-      same parser behind {!trace_file}/{!json_file}, exposed for
-      checkpoint loading in [Resilience]. *)
+      garbage, no NaN/Infinity, no lone surrogate escape, objects keep
+      member order). This is the same parser behind
+      {!trace_file}/{!json_file}, exposed for checkpoint loading in
+      [Resilience]. *)
 
   val trace_file : string -> (int, string) result
   (** [trace_file path] validates a JSONL trace: every line is a JSON

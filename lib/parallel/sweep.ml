@@ -21,25 +21,6 @@ let carve ~global ~unstarted ~jobs =
     let remaining = Float.max 0.0 (g -. now) in
     Float.min g (now +. (remaining /. float_of_int waves))
 
-(* Per-domain hand-off slot for chaining state (e.g. an optimal simplex
-   basis) between consecutive items that happen to run on the same
-   worker domain. Domain-local by construction: no cross-domain sharing,
-   no synchronization, and at jobs=1 the chain order equals item order,
-   so sequential sweeps stay deterministic. *)
-module Chain = struct
-  type 'a t = 'a option ref Domain.DLS.key
-
-  let create () = Domain.DLS.new_key (fun () -> ref None)
-
-  let take k =
-    let r = Domain.DLS.get k in
-    let v = !r in
-    r := None;
-    v
-
-  let put k v = Domain.DLS.get k := Some v
-end
-
 let crashed o =
   match o.result with Error (Pool.Worker_crashed _) -> true | _ -> false
 

@@ -2,7 +2,7 @@
     under one shared absolute deadline.
 
     A sweep maps one function over {e many} independent instances —
-    the service's request batches, batch experiment runs — and carves
+    the service's request batches — and carves
     the global time budget into per-item deadlines so early items
     cannot starve late ones. *)
 
@@ -12,27 +12,6 @@ type ('a, 'b) outcome = {
   deadline : float;  (** absolute per-item deadline the item ran under *)
   time_s : float;  (** wall time the item actually took *)
 }
-
-(** Per-domain hand-off slot for chaining state between consecutive
-    sweep items that run on the same worker domain — used to pass an
-    optimal simplex basis ({!Milp.Simplex_core.Basis}) from one
-    configuration's solve to the next so adjacent LPs warm-start.
-    Values never cross domains (the slot lives in domain-local
-    storage), so no synchronization is involved; with [jobs = 1] the
-    chain order equals item order and sweeps stay deterministic. *)
-module Chain : sig
-  type 'a t
-
-  val create : unit -> 'a t
-
-  val take : 'a t -> 'a option
-  (** [take t] consumes the calling domain's chained value, leaving the
-      slot empty ([None] if nothing was put since the last take). *)
-
-  val put : 'a t -> 'a -> unit
-  (** [put t v] stores [v] in the calling domain's slot for the next
-      item on this domain to {!take}. *)
-end
 
 (** [map f items] runs [f ~deadline item] for every item on a pool,
     returning outcomes in input order.

@@ -1,7 +1,8 @@
 (* Shared strict-JSON writer + validating reader. The parser itself is
-   Obs.Check.parse_json (one strict document, NaN/Infinity rejected);
-   this module adds the deterministic writer and the path-qualified
-   accessors that Checkpoint and the service protocol both build on. *)
+   Obs.Check.parse_json (one strict document, NaN/Infinity rejected) and
+   the string escaper is Obs.add_json_string; this module adds the
+   deterministic number writers and the path-qualified accessors that
+   Checkpoint and the service protocol both build on. *)
 
 type t = Obs.Check.json =
   | Null
@@ -15,21 +16,7 @@ let parse = Obs.Check.parse_json
 
 (* ---------- writing ---------- *)
 
-let add_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+let add_string = Obs.add_json_string
 
 let add_float b f =
   if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.17g" f)

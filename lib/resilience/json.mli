@@ -7,8 +7,9 @@
     everywhere at once:
 
     - {b writing} is deterministic: floats print with [%.17g] (exact for
-      doubles), strings are escaped per RFC 8259, and a non-finite float
-      outside an explicitly sanctioned [null] slot raises
+      doubles), strings are escaped per RFC 8259 by
+      {!Obs.add_json_string} (the escaper traces use too), and a
+      non-finite float outside an explicitly sanctioned [null] slot raises
       [Invalid_argument] instead of emitting a NaN/Infinity token that
       no strict parser would read back;
     - {b reading} goes through {!Obs.Check.parse_json} — one strict JSON
@@ -32,7 +33,8 @@ val parse : string -> (t, string) result
 (** {1 Writing} *)
 
 val add_string : Buffer.t -> string -> unit
-(** Append [s] as a quoted, escaped JSON string. *)
+(** [add_string] is {!Obs.add_json_string}: append [s] as a quoted,
+    escaped JSON string. *)
 
 val add_float : Buffer.t -> float -> unit
 (** Append a finite float as [%.17g] (round-trips doubles exactly).

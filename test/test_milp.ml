@@ -1349,6 +1349,47 @@ let test_warm_determinism_two_runs () =
   Alcotest.(check int) "pinned evictions" 0 evictions;
   Alcotest.(check int) "pinned incumbent count" 3 (List.length trail)
 
+(* Parent-basis reuse pays on the paper's instance: WATERS OBJ-DMAT at
+   alpha 0.2, where each node LP costs seconds from scratch. Cold
+   ([basis_pool:0]) and warm (default pool) runs get the same Grouped
+   heuristic incumbent and the same 5-node budget, so they are
+   comparable point for point: the warm run must land on the same
+   objective with at most 75% of the cold run's primal + dual pivots.
+   Presolve is off in both runs: the presolved root LP of this model
+   alone takes about 50 s. *)
+let test_warm_pivots_waters () =
+  let app = Workload.Waters2019.make ~labels_per_edge:1 () in
+  let groups = Let_sem.Groups.compute app in
+  let gamma =
+    match Rt_analysis.Sensitivity.gammas app ~alpha:0.2 with
+    | Some s -> s.Rt_analysis.Sensitivity.gamma
+    | None -> Alcotest.fail "WATERS unschedulable at alpha 0.2"
+  in
+  let inst =
+    Letdma.Formulation.make Letdma.Formulation.Min_transfers app groups ~gamma
+  in
+  let incumbent =
+    Option.bind
+      (Letdma.Heuristic.solve_unchecked ~granularity:Letdma.Heuristic.Grouped
+         app groups ~gamma)
+      (Letdma.Formulation.encode inst)
+  in
+  let run ?basis_pool () =
+    let r =
+      B.solve ~time_limit_s:120.0 ~node_limit:5 ?incumbent ~presolve:false
+        ?basis_pool inst.Letdma.Formulation.problem
+    in
+    let lp = r.B.stats.B.lp in
+    (r, lp.B.lp_pivots + lp.B.lp_dual_pivots)
+  in
+  let cold, cold_pivots = run ~basis_pool:0 () in
+  let warm, warm_pivots = run () in
+  Alcotest.(check int) "cold explores the budget" 5 cold.B.stats.B.nodes;
+  Alcotest.(check int) "warm explores the budget" 5 warm.B.stats.B.nodes;
+  Alcotest.(check (option (float 0.0))) "same objective" cold.B.obj warm.B.obj;
+  if float_of_int warm_pivots > 0.75 *. float_of_int cold_pivots then
+    Alcotest.failf "warm %d pivots > 75%% of cold %d" warm_pivots cold_pivots
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -1408,6 +1449,8 @@ let () =
         [
           Alcotest.test_case "jobs=1 determinism + pinned trajectory" `Quick
             test_warm_determinism_two_runs;
+          Alcotest.test_case "WATERS OBJ-DMAT warm pivots <= 75% of cold"
+            `Slow test_warm_pivots_waters;
         ] );
       ( "helpers",
         [

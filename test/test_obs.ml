@@ -163,6 +163,31 @@ let test_check_json_file () =
   | Ok () -> Alcotest.fail "accepted an Infinity token"
   | Error _ -> ()
 
+(* Every byte string survives the shared escaper and the strict parser:
+   control bytes travel as \u00XX escapes and must decode back to the
+   byte, bytes >= 0x80 pass through raw. The same bytes also survive as
+   a trace line's cat, name and field, through the sink and the trace
+   validator. *)
+let prop_string_round_trip =
+  QCheck.Test.make ~name:"JSON string round trip" ~count:500 QCheck.string
+    (fun s ->
+      Resilience.Json.parse (Resilience.Json.escape s)
+      = Ok (Resilience.Json.S s)
+      &&
+      with_temp @@ fun path ->
+      Obs.with_trace ~file:path (fun () -> Obs.point ~cat:s s [ (s, Obs.Str s) ]);
+      Obs.Check.trace_file path = Ok 1
+      &&
+      match read_lines path with
+      | [ line ] -> (
+        match Obs.Check.parse_json line with
+        | Ok (Obs.Check.O ms) ->
+          List.assoc_opt "cat" ms = Some (Obs.Check.S s)
+          && List.assoc_opt "name" ms = Some (Obs.Check.S s)
+          && List.assoc_opt "args" ms = Some (Obs.Check.O [ (s, Obs.Check.S s) ])
+        | _ -> false)
+      | _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* End to end: traced solves                                           *)
 (* ------------------------------------------------------------------ *)
@@ -287,6 +312,7 @@ let () =
           Alcotest.test_case "rejects bad traces" `Quick
             test_check_rejects_bad_traces;
           Alcotest.test_case "whole-file JSON" `Quick test_check_json_file;
+          QCheck_alcotest.to_alcotest prop_string_round_trip;
         ] );
       ( "end-to-end",
         [

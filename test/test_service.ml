@@ -375,6 +375,59 @@ let test_engine_stats_sees_batch () =
     check_int "cached model" 1 (ifield ms "cache_size")
   | _ -> Alcotest.fail "expected two responses"
 
+(* Ids sent with \u escapes, as Python's json.dumps sends any non-ASCII
+   text, come back as their UTF-8 bytes: two ids that differ only in an
+   accent stay two ids, a surrogate pair is one 4-byte code point, and
+   a lone surrogate is not a string. *)
+let test_engine_escaped_ids () =
+  with_engine @@ fun e ->
+  match
+    run_batch e
+      [
+        {|{"id":"caf\u00e9","op":"stats"}|};
+        {|{"id":"caf\u00e8","op":"stats"}|};
+        {|{"id":"\ud83d\ude00","op":"stats"}|};
+        {|{"id":"\ud800","op":"stats"}|};
+      ]
+  with
+  | [ l1; l2; l3; l4 ] ->
+    check_string "e acute" "caf\xc3\xa9" (sfield (parse_obj l1) "id");
+    check_string "e grave" "caf\xc3\xa8" (sfield (parse_obj l2) "id");
+    check_string "surrogate pair" "\xf0\x9f\x98\x80" (sfield (parse_obj l3) "id");
+    let ms = parse_obj l4 in
+    check_string "lone surrogate is an error" "error" (sfield ms "status");
+    check_bool "says invalid request" true
+      (find_sub (sfield ms "error") "invalid request" <> None)
+  | ls -> Alcotest.failf "expected 4 responses, got %d" (List.length ls)
+
+(* Real solves on two worker domains answer exactly what one domain
+   answers: same tier, solver status, objective, transfers and work,
+   request by request. Only the wall time may differ. *)
+let test_engine_two_domains () =
+  let mask_time line =
+    match find_sub line "\"time_s\":" with
+    | None -> line
+    | Some i ->
+      let j = ref (i + 9) in
+      while !j < String.length line && line.[!j] <> ',' && line.[!j] <> '}' do
+        incr j
+      done;
+      String.sub line 0 (i + 9) ^ "0" ^ String.sub line !j (String.length line - !j)
+  in
+  let batch jobs =
+    with_engine ~jobs @@ fun e ->
+    List.map mask_time
+      (run_batch e
+         (List.map
+            (fun seed -> small ~id:(Printf.sprintf "p%d" seed) ~deadline:120.0 seed)
+            [ 2; 4; 7; 9; 11; 12 ]))
+  in
+  let one = batch 1 and two = batch 2 in
+  List.iter
+    (fun l -> check_string "answered" "ok" (sfield (parse_obj l) "status"))
+    one;
+  List.iter2 (check_string "jobs 2 answers as jobs 1") one two
+
 (* ---------- daemon end-to-end ---------- *)
 
 let write_all fd s =
@@ -570,6 +623,10 @@ let () =
           Alcotest.test_case "bronze shedding" `Quick test_engine_shedding;
           Alcotest.test_case "stats sees its batch" `Quick
             test_engine_stats_sees_batch;
+          Alcotest.test_case "escaped ids decode to UTF-8" `Quick
+            test_engine_escaped_ids;
+          Alcotest.test_case "two domains answer as one" `Quick
+            test_engine_two_domains;
         ] );
       ( "daemon",
         [
