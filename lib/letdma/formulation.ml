@@ -689,6 +689,60 @@ let set_objective inst =
       inst.lambda_var;
     P.set_objective p P.Minimize (L.var l)
 
+(* A proven lower bound on the objective of every integer-feasible
+   assignment, from the model's structure alone (no LP). A slot carries
+   one class (CLS/CLS1), so communications of k classes fill at least k
+   slots.
+   - OBJ-DMAT: every communication sits in a slot <= max_i RGI_i (C3a for
+     ready sets, C7 for the writes of a task that reads), so the K
+     classes of C(s0) give max_i RGI_i >= K - 1.
+   - OBJ-DEL: S_i, tau_i's ready set plus every write that C7 or C8
+     orders before one of its reads, sits in slots <= RGI_i. C9 at
+     gbar = RGI_i then charges lambda_i >= lambda_O |classes(S_i)|
+     + omega bytes(S_i), and Eq. (5) divides by T_i.
+   The argument uses C1-C3, C7-C9 and the class rows only, so the floor
+   holds under lazy Constraint-6 rows, any [g_max] and either form of
+   Constraint 10. NO-OBJ has none. *)
+let objective_floor inst =
+  match inst.objective with
+  | No_obj -> None
+  | Min_transfers -> Some (float_of_int (Array.length inst.classes - 1))
+  | Min_delay_ratio ->
+    let writes_before z =
+      let r = inst.comms.(z) in
+      List.filter
+        (fun w ->
+          let c = inst.comms.(w) in
+          c.Comm.kind = Comm.Write
+          && (c.Comm.task = r.Comm.task || c.Comm.label = r.Comm.label))
+        (List.init (Array.length inst.comms) Fun.id)
+    in
+    let floor = ref 0.0 in
+    Array.iteri
+      (fun i ready ->
+        if ready <> [] then begin
+          let reads =
+            List.filter (fun z -> inst.comms.(z).Comm.kind = Comm.Read) ready
+          in
+          let s =
+            List.sort_uniq Int.compare (ready @ List.concat_map writes_before reads)
+          in
+          let classes =
+            List.length
+              (List.sort_uniq Int.compare (List.map (fun z -> inst.class_of.(z)) s))
+          in
+          let bytes = List.fold_left (fun acc z -> acc + size_of inst z) 0 s in
+          let lam =
+            (float_of_int classes *. inst.lambda_o_us)
+            +. (inst.omega_us_per_byte *. float_of_int bytes)
+          in
+          floor :=
+            Float.max !floor
+              (lam /. us_of_time (App.task inst.app i).Task.period)
+        end)
+      inst.ready_set;
+    Some !floor
+
 (* Build the whole model (without Constraint 6 unless [full_c6]). *)
 let make ?options objective app groups ~gamma =
   let inst = build ?options objective app groups ~gamma in

@@ -34,7 +34,9 @@ type stats = {
 
 type result = {
   solution : Solution.t option;
-  x : float array option; (* the accepted raw MILP assignment *)
+  x : float array option;
+      (* the accepted MILP assignment: the plan's exact encoding when it
+         passes every row, else the raw LP vertex *)
   certificate : (Certify.t, Certify.violation list) Stdlib.result option;
       (* independent re-verification of [solution]; [None] iff no solution *)
   stats : stats;
@@ -44,9 +46,10 @@ type result = {
 (* One branch-and-bound round. [stop_after_nodes] interrupts the search
    after that many explored nodes — the controlled-interrupt half of the
    chaos gate (checkpoint, kill, resume). [ck] bundles the checkpoint
-   arguments as (writer, every, resume). *)
+   arguments as (writer, every, resume). [bound] is the model's proven
+   objective floor. *)
 let bb_solve ~presolve ?root_basis ?basis_out ?basis_pool ?stop_after_nodes
-    ?ck ~deadline ~node_limit ?incumbent p =
+    ?ck ~deadline ~node_limit ?incumbent ?bound p =
   let hooks =
     match stop_after_nodes with
     | None -> Milp.Branch_bound.no_hooks
@@ -64,7 +67,8 @@ let bb_solve ~presolve ?root_basis ?basis_out ?basis_pool ?stop_after_nodes
     | Some (f, every, resume) -> (Some f, every, resume)
     | None -> (None, 0, None)
   in
-  Milp.Branch_bound.solve ~deadline ~node_limit ?incumbent ~hooks ~presolve
+  Milp.Branch_bound.solve ~deadline ~node_limit ?incumbent ?bound ~hooks
+    ~presolve
     ?root_basis ?basis_out ?basis_pool ~checkpoint_every ?on_checkpoint
     ?resume p
 
@@ -124,6 +128,9 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
   Log.info (fun f -> f "built %s model: %s"
                (Formulation.objective_name objective)
                (Formulation.stats_string inst));
+  (* Derived from the model alone, so a resumed search gets the same one;
+     it stays valid as lazy rounds add Constraint-6 rows. *)
+  let bound = Formulation.objective_floor inst in
   let durable = checkpoint_file <> None || resume <> None in
   let fp = if durable then Checkpoint.fingerprint inst.Formulation.problem
     else "" in
@@ -192,7 +199,7 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
         @@ fun () ->
         bb_solve ~presolve ?root_basis ?basis_out ?basis_pool
           ?stop_after_nodes:interrupt_after_nodes ?ck ~deadline ~node_limit
-          ?incumbent:(encode_warm ()) inst.Formulation.problem
+          ?incumbent:(encode_warm ()) ?bound inst.Formulation.problem
       in
       nodes_total := !nodes_total + bb.Milp.Branch_bound.stats.Milp.Branch_bound.nodes;
       lp_total :=
@@ -224,6 +231,35 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
     end
   in
   let accepted, status, bb_stats, rounds = loop 1 in
+  (* An accepted LP vertex satisfies the kernel's perturbed rows, which
+     can sit up to ~1.8e-6 off the model's own (see Simplex_core.build).
+     The plan it decodes to is exact: its encoding is returned, and
+     certified, when it passes every row at 1e-6. The point records the
+     vertex's worst row residual. *)
+  let accepted =
+    Option.map
+      (fun (sol, x) ->
+        let p = inst.Formulation.problem in
+        if Obs.enabled () then
+          Obs.point ~cat:"solver" "accepted_vertex"
+            [
+              ( "worst_row_residual",
+                Obs.Float
+                  (List.fold_left
+                     (fun acc (r : Milp.Problem.residual) ->
+                       if r.res_kind = Milp.Problem.Row then
+                         Float.max acc r.res_amount
+                       else acc)
+                     0.0
+                     (Milp.Problem.residuals ~eps:0.0 p x)) );
+            ];
+        match Formulation.encode inst sol with
+        | Some exact when Milp.Problem.check_solution ~eps:1.0e-6 p exact = []
+          ->
+          (sol, exact)
+        | _ -> (sol, x))
+      accepted
+  in
   (* A conclusive finish makes the checkpoint stale (resuming it would
      re-prove what is already proven): remove it so an operator loop
      "resume while a checkpoint exists" terminates. *)

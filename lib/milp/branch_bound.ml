@@ -265,38 +265,39 @@ module Heap = struct
 end
 
 
-(* Pure feasibility problems (constant objective) with a feasible warm
-   incumbent are already solved — no search needed. *)
-let feasibility_shortcut (p : Problem.t) incumbent =
-  let _, obj_expr = Problem.objective p in
+(* The shortcut: a checked warm incumbent that no node can beat, because
+   every node's bound is at least the caller's [floor] (minimization
+   sense), is already optimal. No presolve and no LP run; the check
+   against every row is the work this path performs, and its time is
+   stamped so per-rung --stats totals agree with the callers' clocks. *)
+let floor_shortcut (p : Problem.t) ~sense ~floor incumbent =
   match incumbent with
-  | Some x when Linexpr.is_constant obj_expr ->
-    (* stamp the certification cost: checking the warm incumbent against
-       every row is the work this fast path actually performs, and the
-       historical hard-coded 0.0 made per-rung --stats totals disagree
-       with the drivers' wall clocks *)
+  | None -> None
+  | Some x ->
     let t0 = Clock.now () in
-    if Problem.check_solution ~eps:1.0e-6 p x = [] then begin
-      let c = Linexpr.constant obj_expr in
-      let time_s = Clock.now () -. t0 in
+    let _, obj_expr = Problem.objective p in
+    let obj = Linexpr.eval obj_expr x in
+    let integral = Problem.integral_objective p in
+    if
+      keeps ~integral ~best:(sense *. obj) floor
+      || Problem.check_solution ~eps:1.0e-6 p x <> []
+    then None
+    else
       Some
         {
           status = Optimal;
-          obj = Some c;
+          obj = Some obj;
           x = Some (Array.copy x);
           stats =
             {
               nodes = 0;
               simplex_solves = 0;
-              time_s;
-              best_bound = c;
+              time_s = Clock.now () -. t0;
+              best_bound = sense *. Float.max floor (sense *. obj);
               gap = Some 0.0;
               lp = lp_zero;
             };
         }
-    end
-    else None
-  | Some _ | None -> None
 
 (* [Infeasible] result proven by presolve alone (no search ran). *)
 let presolved_infeasible ~sense ~time_s ~(pre : Presolve.stats) row =
@@ -319,11 +320,26 @@ let presolved_infeasible ~sense ~time_s ~(pre : Presolve.stats) row =
   }
 
 let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000) ?incumbent
-    ?(hooks = no_hooks) ?(presolve = true)
+    ?bound ?(hooks = no_hooks) ?(presolve = true)
     ?root_basis ?basis_out ?(basis_pool = 128) ?max_lp_iters
     ?(checkpoint_every = 0) ?on_checkpoint ?resume
     (p0 : Problem.t) : solution =
-  match (if resume = None then feasibility_shortcut p0 incumbent else None) with
+  let dir0, obj0 = Problem.objective p0 in
+  let sense0 =
+    match dir0 with Problem.Minimize -> 1.0 | Problem.Maximize -> -1.0
+  in
+  (* The caller's proven bound in minimization sense: every node's bound
+     is at least this floor. A constant objective is its own. *)
+  let floor =
+    match bound with
+    | Some b -> sense0 *. b
+    | None when Linexpr.is_constant obj0 -> sense0 *. Linexpr.constant obj0
+    | None -> neg_infinity
+  in
+  match
+    if resume = None then floor_shortcut p0 ~sense:sense0 ~floor incumbent
+    else None
+  with
   | Some early -> early
   | None ->
   let t0 = Clock.now () in
@@ -343,10 +359,6 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000) ?incumbent
       (r, pre)
     end
     else (Presolve.Reduced p0, no_presolve_stats)
-  in
-  let dir0, _ = Problem.objective p0 in
-  let sense0 =
-    match dir0 with Problem.Minimize -> 1.0 | Problem.Maximize -> -1.0
   in
   match presolve_outcome with
   | Presolve.Infeasible row, pre ->
@@ -436,7 +448,9 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000) ?incumbent
   (* decided once on the model the search runs on: presolve keeps every
      variable and may only drop rows or tighten bounds *)
   let integral = Problem.integral_objective p in
-  let keep b = keeps ~integral ~best:!best_obj b in
+  (* a node's bound: its LP bound, lifted to the caller's floor *)
+  let lift b = Float.max b floor in
+  let keep b = keeps ~integral ~best:!best_obj (lift b) in
   let simplex_solves = ref 0 in
   let consider_incumbent x obj_orig =
     let obj_min = sense *. obj_orig in
@@ -680,14 +694,14 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000) ?incumbent
                 | Some b when basis_pool > 0 -> pool_put my_id b
                 | _ -> ());
                incr tie;
-               Heap.push heap bound_min !tie
+               Heap.push heap (lift bound_min) !tie
                  {
                    overrides = (j, neg_infinity, fl) :: node.overrides;
                    depth = node.depth + 1;
                    parent = my_id;
                  };
                incr tie;
-               Heap.push heap bound_min !tie
+               Heap.push heap (lift bound_min) !tie
                  {
                    overrides = (j, fl +. 1.0, infinity) :: node.overrides;
                    depth = node.depth + 1;
@@ -710,7 +724,9 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000) ?incumbent
   in
   let best_bound_min =
     if !root_unbounded then neg_infinity
-    else Float.min !best_obj (proven_bound ~integral open_bound)
+    else
+      Float.max floor
+        (Float.min !best_obj (proven_bound ~integral (lift open_bound)))
   in
   let has_incumbent = !best_x <> None in
   let status =

@@ -14,7 +14,11 @@
     incumbent, within [1e-5] of an integer, as that integer, wherever the
     search prunes and in the final bound, gap and status: an OBJ-DMAT
     bound of 2.44 under an incumbent of 3 closes its subtree. The rule
-    is re-derived from the model, so checkpoints are unaffected. *)
+    is re-derived from the model, so checkpoints are unaffected.
+
+    A caller that knows a proven bound on the optimum passes it as
+    [?bound] (see {!solve}); the search then reads every node's bound as
+    max(LP bound, [bound]). *)
 
 type status =
   | Optimal     (** incumbent proven optimal *)
@@ -137,7 +141,8 @@ val no_hooks : hooks
     only fields exempt from the bit-identity claim. *)
 
 (** One open node of the frontier. [ck_prio]/[ck_node_tie] are the heap
-    key (parent LP bound in minimization sense, insertion tie-breaker);
+    key (parent LP bound, lifted to the caller's [bound], in minimization
+    sense; insertion tie-breaker);
     [ck_overrides] are the branching bound changes relative to the root,
     as [(var, lo, hi)] with one-sided infinities. *)
 type ck_node = {
@@ -164,11 +169,7 @@ type checkpoint = {
   ck_pool_tick : int;
 }
 
-(** Pure feasibility problems (constant objective) with a feasible
-    incumbent need no search: returns the incumbent as [Optimal]. *)
-val feasibility_shortcut : Problem.t -> float array option -> solution option
-
-(** [solve ?time_limit_s ?deadline ?node_limit ?incumbent ?hooks p]
+(** [solve ?time_limit_s ?deadline ?node_limit ?incumbent ?bound ?hooks p]
     solves the MILP [p].
 
     - [deadline]: absolute monotonic {!Clock.now} instant after which the
@@ -177,6 +178,17 @@ val feasibility_shortcut : Problem.t -> float array option -> solution option
     - [time_limit_s] (default 60): relative convenience form, equivalent
       to [deadline = Clock.now () +. time_limit_s].
     - [incumbent]: a feasible assignment used as the initial cutoff.
+    - [bound]: a proven bound on the optimum, in the problem's own sense,
+      that the caller knows from the model (a lower bound when
+      minimizing). It is not a tuning option: a wrong one makes the
+      search stop early with a wrong [Optimal]. Default: the constant of
+      a constant objective, no bound otherwise. Every node's bound is
+      read as max(LP bound, [bound]) wherever the search prunes, orders
+      its frontier and reports [best_bound] and [gap], so the search ends
+      as soon as an incumbent meets it. A checked [incumbent] that no
+      such node can beat is returned as [Optimal] with 0 nodes, before
+      presolve and without an LP. A resumed search must be passed the
+      same bound.
     - [presolve] (default [true]): run {!Presolve.run} once at the root
       and search the reduced problem. The reduction keeps every variable
       (same ids) and only tightens implied bounds / drops redundant
@@ -217,6 +229,7 @@ val solve :
   ?deadline:float ->
   ?node_limit:int ->
   ?incumbent:float array ->
+  ?bound:float ->
   ?hooks:hooks ->
   ?presolve:bool ->
   ?root_basis:Simplex_core.Basis.t ->

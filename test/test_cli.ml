@@ -120,8 +120,8 @@ let test_solve_durable_stats () =
     "stats of the durable solve" true
     (contains ~needle:"solver stats: status=unknown" out)
 
-(* OBJ-DMAT counts transfers, so its LP bound may be rounded up: on this
-   draw the root bound already rounds up to the warm start's value, and
+(* OBJ-DMAT's structural floor (classes - 1) already equals the warm
+   start's value on this draw: the solve is proved before any LP, and
    --stats shows the proven bound next to the gap. *)
 let test_solve_stats_bound () =
   let code, out =
@@ -130,9 +130,9 @@ let test_solve_stats_bound () =
   in
   Alcotest.(check int) "solve exits 0" 0 code;
   Alcotest.(check bool)
-    "proved at the root" true
+    "proved without a node" true
     (contains ~needle:"solver stats: status=optimal " out
-     && contains ~needle:" nodes=1 " out);
+     && contains ~needle:" nodes=0 " out);
   Alcotest.(check bool)
     "proven bound printed" true
     (contains ~needle:" gap=0.0% bound=1\n" out)

@@ -285,8 +285,8 @@ let test_solve_presolve_default_unchanged () =
   let app = fixture () in
   let groups = Groups.compute app in
   let gamma = gamma_for app 0.3 in
-  (* no warm start: a warm incumbent triggers the feasibility shortcut on
-     NO-OBJ and no search (hence no presolve) would run at all.
+  (* no warm start: a warm incumbent meets NO-OBJ's floor (a constant
+     objective is its own) and no search (hence no presolve) would run.
      [basis_pool:0] keeps both solves on the cold per-node path: a warm
      restore may land on a different (equally optimal) degenerate vertex
      of the reduced model, which legitimately changes the branching
@@ -310,6 +310,23 @@ let test_solve_presolve_default_unchanged () =
    | _ -> Alcotest.fail "expected raw assignments");
   check_bool "presolve reduced something" true
     (on.Solve.stats.Solve.lp.Milp.Branch_bound.presolve_rounds > 0)
+
+(* A cold NO-OBJ solve ends on an LP vertex of the kernel's perturbed
+   model, whose C5 rows sit up to 1.18e-6 off the model's own. The plan
+   it decodes to is exact, and Solve returns (and certifies) that plan's
+   encoding, so the accepted plan certifies. *)
+let test_solve_cold_certified () =
+  let app = fixture () in
+  let groups = Groups.compute app in
+  let gamma = gamma_for app 0.2 in
+  let r = Solve.solve ~time_limit_s:20.0 Formulation.No_obj app groups ~gamma in
+  match r.Solve.certificate with
+  | Some (Ok _) -> ()
+  | Some (Error vs) ->
+    Alcotest.failf "cold solve failed certification: %a"
+      Fmt.(list ~sep:(any "; ") (Certify.pp_violation app))
+      vs
+  | None -> Alcotest.fail "cold solve returned no plan"
 
 let test_solve_infeasible_gamma () =
   let app = fixture () in
@@ -1003,6 +1020,75 @@ let prop_milp_solutions_validate =
              r.Solve.stats.Solve.status = Milp.Branch_bound.Infeasible
              || r.Solve.stats.Solve.status = Milp.Branch_bound.Unknown))
 
+(* The objective floor is a proven bound: it never exceeds the objective
+   of a feasible heuristic plan, and branch-and-bound proves the same
+   optimum with and without it. *)
+let prop_objective_floor_sound =
+  QCheck.Test.make ~name:"objective floor is sound on generator draws"
+    ~count:8
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let app =
+        Workload.Generator.random ~seed ~config:Workload.Generator.small_config
+          ()
+      in
+      let groups = Groups.compute app in
+      match Rt_analysis.Sensitivity.gammas app ~alpha:0.3 with
+      | Some s
+        when s.Rt_analysis.Sensitivity.schedulable
+             && not (Comm.Set.is_empty (Groups.s0 groups)) ->
+        let gamma = s.Rt_analysis.Sensitivity.gamma in
+        List.for_all
+          (fun objective ->
+            let inst = Formulation.make objective app groups ~gamma in
+            let p = inst.Formulation.problem in
+            let floor = Option.get (Formulation.objective_floor inst) in
+            let _, obj = Milp.Problem.objective p in
+            let encoded granularity =
+              match
+                Option.bind
+                  (Heuristic.solve_unchecked ~granularity app groups ~gamma)
+                  (Formulation.encode inst)
+              with
+              | Some x when Milp.Problem.check_solution p x = [] -> Some x
+              | _ -> None
+            in
+            let plans =
+              List.filter_map encoded [ Heuristic.Grouped; Heuristic.Per_task ]
+            in
+            let below_plans =
+              List.for_all
+                (fun x -> floor <= Milp.Linexpr.eval obj x +. 1e-9)
+                plans
+            in
+            let solve ?bound () =
+              Milp.Branch_bound.solve ~node_limit:200 ?bound
+                ?incumbent:(List.nth_opt plans 0) p
+            in
+            (* the objective of a proof's plan, on its exact encoding: an
+               LP-vertex incumbent can read ~2e-6 off (the kernel's
+               anti-degeneracy perturbation) *)
+            let proved (r : Milp.Branch_bound.solution) =
+              match (r.status, r.x) with
+              | Milp.Branch_bound.Optimal, Some x ->
+                Some
+                  (match Formulation.encode inst (Formulation.decode inst x) with
+                   | Some exact -> Milp.Linexpr.eval obj exact
+                   | None -> Option.get r.obj)
+              | _ -> None
+            in
+            let agree =
+              match proved (solve ~bound:floor ()) with
+              | None -> true
+              | Some a -> (
+                match proved (solve ()) with
+                | None -> true
+                | Some b -> Float.abs (a -. b) <= 1e-6)
+            in
+            below_plans && agree)
+          [ Formulation.Min_transfers; Formulation.Min_delay_ratio ]
+      | _ -> true)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -1010,6 +1096,7 @@ let () =
         prop_heuristic_plans_validate;
         prop_theorem1_on_random_workloads;
         prop_milp_solutions_validate;
+        prop_objective_floor_sound;
       ]
   in
   Alcotest.run "letdma"
@@ -1041,6 +1128,8 @@ let () =
             test_solve_waters_certified;
           Alcotest.test_case "jobs other than 1 refused" `Quick
             test_solve_jobs_refused;
+          Alcotest.test_case "cold NO-OBJ certifies at alpha 0.2" `Slow
+            test_solve_cold_certified;
         ] );
       ( "solution",
         [

@@ -511,20 +511,70 @@ let test_core_bound_move_infeasible () =
   | S.Infeasible -> ()
   | _ -> Alcotest.fail "cold solve under the moved bound must be infeasible"
 
+(* The one shortcut rule: a checked warm incumbent that no node can beat,
+   because every node's bound is at least the floor, is returned as
+   [Optimal] before presolve, with no node and no pivot. A constant
+   objective is its own floor. *)
 let test_feasibility_shortcut () =
   let p = P.create () in
   let x = P.binary ~name:"fs" p in
   ignore (P.add_constr p (L.var x) P.Le 1.0);
+  let searched (s : B.solution) = s.B.stats.B.nodes > 0 in
   (* constant objective + feasible incumbent -> immediate optimal *)
-  let s = Option.get (B.feasibility_shortcut p (Some [| 1.0 |])) in
+  let s = B.solve ~incumbent:[| 1.0 |] p in
   Alcotest.(check bool) "optimal" true (s.B.status = B.Optimal);
+  Alcotest.(check bool) "without search" false (searched s);
   (* infeasible incumbent -> no shortcut *)
   Alcotest.(check bool) "no shortcut for bad incumbent" true
-    (B.feasibility_shortcut p (Some [| 2.0 |]) = None);
+    (searched (B.solve ~incumbent:[| 2.0 |] p));
   (* non-constant objective -> no shortcut *)
   P.set_objective p P.Maximize (L.var x);
   Alcotest.(check bool) "no shortcut with objective" true
-    (B.feasibility_shortcut p (Some [| 1.0 |]) = None)
+    (searched (B.solve ~incumbent:[| 1.0 |] p))
+
+(* min 3a + 2b + 4.5c over a binary vertex cover of a triangle: the LP
+   bound is 4.75 at a = b = c = 1/2, the optimum 5 at (1, 1, 0). *)
+let cover_triangle () =
+  let p = P.create () in
+  let v = Array.init 3 (fun i -> P.binary ~name:(Printf.sprintf "v%d" i) p) in
+  List.iter
+    (fun (i, j) ->
+      ignore (P.add_constr p (L.of_list [ (1.0, v.(i)); (1.0, v.(j)) ]) P.Ge 1.0))
+    [ (0, 1); (1, 2); (0, 2) ];
+  P.set_objective p P.Minimize
+    (L.of_list [ (3.0, v.(0)); (2.0, v.(1)); (4.5, v.(2)) ]);
+  p
+
+let test_bound_closes_at_incumbent () =
+  let p = cover_triangle () in
+  let s = B.solve ~incumbent:[| 1.0; 1.0; 0.0 |] ~bound:5.0 p in
+  Alcotest.(check bool) "optimal" true (s.B.status = B.Optimal);
+  check_float "objective" 5.0 (Option.get s.B.obj);
+  Alcotest.(check int) "no node" 0 s.B.stats.B.nodes;
+  Alcotest.(check int) "no pivot" 0
+    (s.B.stats.B.lp.B.lp_pivots + s.B.stats.B.lp.B.lp_dual_pivots)
+
+let test_bound_below_incumbent_searches () =
+  let p = cover_triangle () in
+  let s = B.solve ~incumbent:[| 1.0; 0.0; 1.0 |] ~bound:5.0 p in
+  Alcotest.(check bool) "optimal" true (s.B.status = B.Optimal);
+  check_float "objective" 5.0 (Option.get s.B.obj);
+  Alcotest.(check bool) "searched" true (s.B.stats.B.nodes > 0)
+
+let test_best_bound_respects_bound () =
+  let p = cover_triangle () in
+  List.iter
+    (fun (bound, node_limit, incumbent) ->
+      let s = B.solve ?incumbent ~bound ~node_limit p in
+      Alcotest.(check bool)
+        (Printf.sprintf "bound %g, %d nodes: best_bound %g" bound node_limit
+           s.B.stats.B.best_bound)
+        true
+        (s.B.stats.B.best_bound >= bound))
+    [
+      (4.9, 0, None); (4.9, 1, None); (4.9, 1, Some [| 1.0; 0.0; 1.0 |]);
+      (5.0, 0, None); (5.0, 1, Some [| 1.0; 0.0; 1.0 |]); (5.0, 100, None);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* LP file round trip                                                  *)
@@ -1477,6 +1527,12 @@ let () =
           Alcotest.test_case "bound move to infeasible" `Quick
             test_core_bound_move_infeasible;
           Alcotest.test_case "feasibility shortcut" `Quick test_feasibility_shortcut;
+          Alcotest.test_case "incumbent at the bound: 0 nodes, 0 pivots" `Quick
+            test_bound_closes_at_incumbent;
+          Alcotest.test_case "incumbent above the bound searches" `Quick
+            test_bound_below_incumbent_searches;
+          Alcotest.test_case "best_bound never below the bound" `Quick
+            test_best_bound_respects_bound;
         ] );
       ( "presolve",
         [
