@@ -735,7 +735,7 @@ let serve_cmd =
       & info [ "cache" ] ~docv:"N"
           ~doc:
             "Capacity of the fingerprint-keyed warm cache (LRU entries, \
-             each one solved model with its optimal basis).")
+             each one solved model with its plan).")
   in
   let max_batch_t =
     Arg.(
@@ -780,7 +780,8 @@ let serve_cmd =
           requests on stdin (and optionally a Unix-domain socket), one JSON \
           response per line. Batches compatible requests under a shared \
           fair deadline, caches solved models by fingerprint (exact repeats \
-          replay instantly, perturbed repeats warm-start), and sheds \
+          replay instantly, a perturbed repeat starts from its sibling's \
+          plan), and sheds \
           over-deadline work down the degradation ladder by QoS class. See \
           README: Running as a service for the protocol.")
     Term.(

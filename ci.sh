@@ -150,20 +150,23 @@ echo "pipeline OBJ-DMAT: ${dmat_head}"
   echo "FAIL: want an accepted milp solution with at most 16 transfers:"
   cat "$TMP/ci_pipeline_dmat.out"; exit 1; }
 
-echo "== service smoke (daemon, cache hit, malformed request) =="
+echo "== service smoke (daemon, cache hit, malformed request, plan seed) =="
 # One daemon session over stdin/stdout: the same solve twice, one
-# malformed request, then EOF. The daemon must answer all three lines
-# (malformed -> structured error, not a crash), the second solve must be
-# answered from the cache with a byte-identical %.17g objective, and the
+# malformed request, an alpha sibling of the first solve, then EOF. The
+# daemon must answer all four lines (malformed -> structured error, not
+# a crash), the second solve must be answered from the cache with a
+# byte-identical %.17g objective, the sibling must start from the first
+# solve's plan and prove it optimal with no node, certified, and the
 # drained EOF shutdown must exit 0.
 printf '%s\n' \
   '{"id":"s1","op":"solve","workload":"small","seed":7,"deadline_s":120,"class":"gold"}' \
   '{"id":"s2","op":"solve","workload":"small","seed":7,"deadline_s":120,"class":"gold"}' \
   '{"id":"s3","op":"solve","oops":true}' \
+  '{"id":"s4","op":"solve","workload":"small","seed":7,"alpha":0.25,"deadline_s":120,"class":"gold"}' \
   | timeout 200 $CLI serve --jobs 1 > "$TMP/ci_service.out" || {
     echo "FAIL: serve exited $? (want 0 after EOF drain)"; exit 1; }
-[ "$(wc -l < "$TMP/ci_service.out")" -eq 3 ] || {
-  echo "FAIL: expected 3 responses, got:"; cat "$TMP/ci_service.out"; exit 1; }
+[ "$(wc -l < "$TMP/ci_service.out")" -eq 4 ] || {
+  echo "FAIL: expected 4 responses, got:"; cat "$TMP/ci_service.out"; exit 1; }
 grep -q '"id":"s2".*"cache":"hit"' "$TMP/ci_service.out" || {
   echo "FAIL: repeated solve was not a cache hit"; cat "$TMP/ci_service.out"; exit 1; }
 s1_core=$(sed -n 's/.*"id":"s1".*\("tier".*\)/\1/p' "$TMP/ci_service.out")
@@ -173,5 +176,10 @@ echo "service smoke: cached core ${s2_core}"
   echo "FAIL: cache hit not byte-identical:"; cat "$TMP/ci_service.out"; exit 1; }
 grep -q '"id":"s3","status":"error"' "$TMP/ci_service.out" || {
   echo "FAIL: malformed request did not get a structured error"; cat "$TMP/ci_service.out"; exit 1; }
+s4=$(grep '"id":"s4"' "$TMP/ci_service.out")
+echo "service smoke: alpha sibling ${s4}"
+case "$s4" in *'"cache":"warm"'*'"nodes":0,'*'"certified":true'*) ;; *)
+  echo "FAIL: alpha sibling not answered warm from its sibling's plan with 0 nodes, certified:"
+  cat "$TMP/ci_service.out"; exit 1 ;; esac
 
 echo "== ci.sh: all green =="

@@ -19,8 +19,8 @@ let all_approaches = [ Proposed; Giotto_cpu; Giotto_dma_a; Giotto_dma_b ]
 let proposed_mode app groups solution =
   Sim.Dma_protocol (Solution.schedule app groups solution)
 
-(* (ii) Giotto with CPU copies. *)
-let giotto_cpu_mode ?(model = Sim.Parallel_phases) () = Sim.Cpu_copy model
+(* (ii) Giotto with CPU copies, the cores copying in parallel phases. *)
+let giotto_cpu_mode = Sim.Cpu_copy Sim.Parallel_phases
 
 (* (iii) Giotto with a DMA, one transfer per communication (no memory
    layout knowledge), barrier readiness. *)
@@ -70,14 +70,14 @@ let giotto_dma_b_mode app groups allocation =
     (fun time -> giotto_dma_b_plan app allocation (Groups.comms_at groups time))
 
 (* Run one approach; [solution] is required for Proposed and Giotto-DMA-B. *)
-let run ?record_trace ?cpu_model app groups approach ~solution =
+let run ?record_trace app groups approach ~solution =
   let mode =
     match approach with
     | Proposed ->
       (match solution with
        | Some s -> proposed_mode app groups s
        | None -> invalid_arg "Baselines.run: Proposed requires a solution")
-    | Giotto_cpu -> giotto_cpu_mode ?model:cpu_model ()
+    | Giotto_cpu -> giotto_cpu_mode
     | Giotto_dma_a -> giotto_dma_a_mode app groups
     | Giotto_dma_b ->
       (match solution with

@@ -14,9 +14,9 @@ val all_approaches : approach list
 (** (i) the paper's protocol: optimized transfers, per-task readiness. *)
 val proposed_mode : App.t -> Groups.t -> Solution.t -> Sim.mode
 
-(** (ii) Giotto with CPU copies (default contention model:
-    {!Sim.Parallel_phases}). *)
-val giotto_cpu_mode : ?model:Sim.cpu_model -> unit -> Sim.mode
+(** (ii) Giotto with CPU copies, under the {!Sim.Parallel_phases}
+    contention model. *)
+val giotto_cpu_mode : Sim.mode
 
 (** (iii) Giotto with a DMA, one transfer per communication. *)
 val giotto_dma_a_mode : App.t -> Groups.t -> Sim.mode
@@ -39,7 +39,6 @@ val giotto_dma_b_mode : App.t -> Groups.t -> Allocation.t -> Sim.mode
     [Proposed] and [Giotto_dma_b] (raises [Invalid_argument] otherwise). *)
 val run :
   ?record_trace:bool ->
-  ?cpu_model:Sim.cpu_model ->
   App.t ->
   Groups.t ->
   approach ->

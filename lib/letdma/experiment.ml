@@ -78,8 +78,7 @@ let best_improvement r approach =
   done;
   !best
 
-let run_config ?(cpu_model = Sim.Parallel_phases) ?(solver = Heuristic)
-    ?chain app ~alpha =
+let run_config ?(solver = Heuristic) app ~alpha =
   let groups = Groups.compute app in
   if Comm.Set.is_empty (Groups.s0 groups) then Error No_communications
   else
@@ -101,26 +100,10 @@ let run_config ?(cpu_model = Sim.Parallel_phases) ?(solver = Heuristic)
           (sol, None, cert)
         | Milp { objective; options; time_limit_s; node_limit; presolve } ->
           let warm = Solve.warm_start objective app groups ~gamma in
-          (* Adjacent sweep configurations differ only in a few bounds /
-             right-hand sides: [chain] hands the previous config's root
-             basis to this solve (taking it empties the slot) and keeps
-             ours for the next config. Incompatible bases are rejected by
-             a fingerprint check inside the kernel and simply fall back
-             to the cold solve. *)
-          let root_basis =
-            Option.bind chain (fun c ->
-                let b = !c in
-                c := None;
-                b)
-          in
-          let basis_out = Option.map (fun _ -> ref None) chain in
           let r =
             Solve.solve ~options ~time_limit_s ~node_limit ~presolve ?warm
-              ?root_basis ?basis_out objective app groups ~gamma
+              objective app groups ~gamma
           in
-          (match (chain, basis_out) with
-           | Some c, Some { contents = Some b } -> c := Some b
-           | _ -> ());
           (r.Solve.solution, Some r.Solve.stats, r.Solve.certificate)
       in
       (match (solution, certificate) with
@@ -141,7 +124,7 @@ let run_config ?(cpu_model = Sim.Parallel_phases) ?(solver = Heuristic)
                   timeline and bridge it into the event sink *)
                let record_trace = Obs.enabled () && a = Baselines.Proposed in
                let m =
-                 Baselines.run ~record_trace ~cpu_model app groups a
+                 Baselines.run ~record_trace app groups a
                    ~solution:(Some solution)
                in
                if record_trace then Obs_bridge.emit app m.Sim.trace;
@@ -163,18 +146,16 @@ let run_config ?(cpu_model = Sim.Parallel_phases) ?(solver = Heuristic)
 (* The paper's Fig. 2 grid: alphas 0.2 and 0.4, the three objectives. *)
 let fig2 ?(alphas = [ 0.2; 0.4 ])
     ?(objectives = [ Formulation.No_obj; Formulation.Min_transfers; Formulation.Min_delay_ratio ])
-    ?(time_limit_s = 60.0) ?cpu_model app =
+    ?(time_limit_s = 60.0) app =
   let configs =
     List.concat_map
       (fun alpha -> List.map (fun objective -> (alpha, objective)) objectives)
       alphas
   in
-  let chain = ref None in
   List.map
     (fun (alpha, objective) ->
       ((alpha, objective),
-       run_config ?cpu_model ~chain ~solver:(milp ~time_limit_s objective) app
-         ~alpha))
+       run_config ~solver:(milp ~time_limit_s objective) app ~alpha))
     configs
 
 (* Table I: solver running time and number of DMA transfers per objective
@@ -214,26 +195,21 @@ let table1_of_results results = List.map table1_row results
 
 let table1 ?(alphas = [ 0.2; 0.4 ])
     ?(objectives = [ Formulation.No_obj; Formulation.Min_transfers; Formulation.Min_delay_ratio ])
-    ?(time_limit_s = 60.0) ?cpu_model app =
-  let chain = ref None in
+    ?(time_limit_s = 60.0) app =
   List.concat_map
     (fun objective ->
       List.map
         (fun alpha ->
           table1_row
             ( (alpha, objective),
-              run_config ?cpu_model ~chain
-                ~solver:(milp ~time_limit_s objective) app ~alpha ))
+              run_config ~solver:(milp ~time_limit_s objective) app ~alpha ))
         alphas)
     objectives
 
 (* The alpha sweep of Section VII: feasibility for alpha in {0.1..0.5}. *)
 let alpha_sweep ?(alphas = [ 0.1; 0.2; 0.3; 0.4; 0.5 ]) ?(time_limit_s = 60.0)
-    ?(objective = Formulation.No_obj) ?cpu_model app =
-  let chain = ref None in
+    ?(objective = Formulation.No_obj) app =
   List.map
     (fun alpha ->
-      (alpha,
-       run_config ?cpu_model ~chain ~solver:(milp ~time_limit_s objective) app
-         ~alpha))
+      (alpha, run_config ~solver:(milp ~time_limit_s objective) app ~alpha))
     alphas

@@ -48,8 +48,8 @@ type result = {
    chaos gate (checkpoint, kill, resume). [ck] bundles the checkpoint
    arguments as (writer, every, resume). [bound] is the model's proven
    objective floor. *)
-let bb_solve ~presolve ?root_basis ?basis_out ?basis_pool ?stop_after_nodes
-    ?ck ~deadline ~node_limit ?incumbent ?bound p =
+let bb_solve ~presolve ?basis_pool ?stop_after_nodes ?ck ~deadline
+    ~node_limit ?incumbent ?bound p =
   let hooks =
     match stop_after_nodes with
     | None -> Milp.Branch_bound.no_hooks
@@ -68,9 +68,7 @@ let bb_solve ~presolve ?root_basis ?basis_out ?basis_pool ?stop_after_nodes
     | None -> (None, 0, None)
   in
   Milp.Branch_bound.solve ~deadline ~node_limit ?incumbent ?bound ~hooks
-    ~presolve
-    ?root_basis ?basis_out ?basis_pool ~checkpoint_every ?on_checkpoint
-    ?resume p
+    ~presolve ?basis_pool ~checkpoint_every ?on_checkpoint ?resume p
 
 (* (pattern, class) blocks whose projected transfers break contiguity. *)
 let find_violations inst (sol : Solution.t) =
@@ -112,7 +110,7 @@ let warm_start objective app groups ~gamma =
 
 let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
     ?deadline_s ?(node_limit = 200_000) ?(jobs = 1) ?(presolve = true) ?warm
-    ?root_basis ?basis_out ?basis_pool ?checkpoint_file
+    ?basis_pool ?checkpoint_file
     ?(checkpoint_every = 64) ?resume ?interrupt_after_nodes
     objective app groups ~gamma =
   (* [jobs] survives only for existing [~jobs:1] callers: every solve is
@@ -197,7 +195,7 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
       let bb =
         Obs.span ~cat:"solver" "round" ~fields:[ ("round", Obs.Int round) ]
         @@ fun () ->
-        bb_solve ~presolve ?root_basis ?basis_out ?basis_pool
+        bb_solve ~presolve ?basis_pool
           ?stop_after_nodes:interrupt_after_nodes ?ck ~deadline ~node_limit
           ?incumbent:(encode_warm ()) ?bound inst.Formulation.problem
       in

@@ -321,7 +321,7 @@ let presolved_infeasible ~sense ~time_s ~(pre : Presolve.stats) row =
 
 let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000) ?incumbent
     ?bound ?(hooks = no_hooks) ?(presolve = true)
-    ?root_basis ?basis_out ?(basis_pool = 128) ?max_lp_iters
+    ?(basis_pool = 128) ?max_lp_iters
     ?(checkpoint_every = 0) ?on_checkpoint ?resume
     (p0 : Problem.t) : solution =
   let dir0, obj0 = Problem.objective p0 in
@@ -556,7 +556,6 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000) ?incumbent
     on_checkpoint <> None && checkpoint_every > 0
     && !nodes mod checkpoint_every = 0
   in
-  let root_snapshot = ref None in
   let hit_limit = ref false in
   let root_infeasible = ref false in
   let root_unbounded = ref false in
@@ -595,17 +594,12 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000) ?incumbent
         incr simplex_solves;
         let pivots_before = cnt.Simplex_core.pivots + cnt.Simplex_core.dual_pivots in
         let lp_t0 = Clock.now () in
-        (* the parent's basis, when it survived in the pool (the root may
-           be offered one by a caller chaining across adjacent solves) *)
+        (* the parent's basis, when it survived in the pool; the root has
+           no parent and always solves cold *)
         let offered =
-          if node.depth = 0 then root_basis
-          else if node.parent >= 0 then pool_take node.parent
-          else None
+          if node.parent >= 0 then pool_take node.parent else None
         in
-        let wanted_warm =
-          if node.depth = 0 then root_basis <> None
-          else basis_pool > 0 && node.parent >= 0
-        in
+        let wanted_warm = basis_pool > 0 && node.parent >= 0 in
         let wr =
           Simplex.solve_warm ~counters:cnt ~deadline ~bounds:(lo, hi)
             ?max_iters:max_lp_iters ?basis:offered p
@@ -634,7 +628,6 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000) ?incumbent
             hooks.on_basis ~node:!nodes Warm_miss
           end
         end;
-        if node.depth = 0 then root_snapshot := wr.Simplex.wr_basis;
         hooks.on_node ~node:!nodes ~depth:node.depth
           ~bound:
             (match lp_result with
@@ -715,9 +708,6 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000) ?incumbent
   (* interrupt checkpoint: deadline, node limit, should_stop or an LP
      iteration limit — anything that leaves unexplored work behind *)
   if !hit_limit then emit_checkpoint ();
-  (match basis_out with
-   | Some r -> r := !root_snapshot
-   | None -> ());
   let time_s = Clock.now () -. t0 in
   let open_bound =
     Heap.fold (fun acc (prio, _, _) -> Float.min acc prio) infinity heap

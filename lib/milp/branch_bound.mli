@@ -54,17 +54,6 @@ type lp_stats = {
 val lp_zero : lp_stats
 val lp_add : lp_stats -> lp_stats -> lp_stats
 
-(** Package raw kernel counters (plus LP wall-clock and presolve
-    reductions) as an [lp_stats]. *)
-val lp_of_counters :
-  Simplex_core.counters ->
-  lp_time_s:float ->
-  presolve:Presolve.stats ->
-  lp_stats
-
-(** The all-zero {!Presolve.stats} reported when presolve is disabled. *)
-val no_presolve_stats : Presolve.stats
-
 type stats = {
   nodes : int;
   simplex_solves : int;
@@ -201,14 +190,9 @@ type checkpoint = {
       evicted (deterministically — ties break on the lower node id) and
       its orphaned children fall back to the cold path, counted in
       [lp_basis_evictions]. [0] disables warm starts entirely (the cold
-      baseline of the warm-start pivot test).
-    - [root_basis]: an optimal basis from a structurally identical
-      earlier solve (e.g. the previous configuration of a sweep) used to
-      warm-start the root LP.
-    - [basis_out]: receives the root LP's optimal basis, for chaining
-      into the next solve's [root_basis]. A resumed solve only re-solves
-      the root LP if the interrupt happened before the root was explored;
-      otherwise [basis_out] receives [None].
+      baseline of the warm-start pivot test). A basis never leaves the
+      search: the root LP always solves cold, and only a [resume]
+      checkpoint brings bases in from outside.
     - [max_lp_iters]: per-node LP iteration cap; a node whose LP hits it
       ends the search like a time limit (the incumbent is kept, a final
       checkpoint is emitted): a cap is a limit, never a crash.
@@ -232,8 +216,6 @@ val solve :
   ?bound:float ->
   ?hooks:hooks ->
   ?presolve:bool ->
-  ?root_basis:Simplex_core.Basis.t ->
-  ?basis_out:Simplex_core.Basis.t option ref ->
   ?basis_pool:int ->
   ?max_lp_iters:int ->
   ?checkpoint_every:int ->

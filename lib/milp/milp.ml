@@ -15,6 +15,5 @@ module Problem = Problem
 module Simplex = Simplex
 module Simplex_core = Simplex_core
 module Branch_bound = Branch_bound
-module Lp_file = Lp_file
 module Presolve = Presolve
 module Vec = Vec

@@ -42,12 +42,14 @@ let create ?(big_m = 1.0e6) () =
   }
 
 let big_m t = t.default_big_m
-let set_big_m t m = t.default_big_m <- m
 
 let num_vars t = Vec.length t.vars
 let num_constrs t = Vec.length t.constrs
 
-let add_var ?name ?(lo = neg_infinity) ?(hi = infinity) t kind =
+(* Every variable is bounded below: the LP kernel shifts each one onto a
+   column with lower bound 0 and has no free or upper-only columns. *)
+let add_var ?name ?(lo = 0.0) ?(hi = infinity) t kind =
+  if lo = neg_infinity then invalid_arg "Problem.add_var: lo = -inf";
   if lo > hi then invalid_arg "Problem.add_var: lo > hi";
   let lo, hi =
     match kind with
@@ -63,11 +65,9 @@ let add_var ?name ?(lo = neg_infinity) ?(hi = infinity) t kind =
 
 let binary ?name t = add_var ?name t Binary
 
-let continuous ?name ?(lo = neg_infinity) ?(hi = infinity) t =
-  add_var ?name ~lo ~hi t Continuous
+let continuous ?name ?lo ?hi t = add_var ?name ?lo ?hi t Continuous
 
-let integer ?name ?(lo = neg_infinity) ?(hi = infinity) t =
-  add_var ?name ~lo ~hi t Integer
+let integer ?name ?lo ?hi t = add_var ?name ?lo ?hi t Integer
 
 let var_name t v = (Vec.get t.vars v).v_name
 let var_kind t v = (Vec.get t.vars v).v_kind
@@ -75,21 +75,12 @@ let var_bounds t v =
   let vi = Vec.get t.vars v in
   (vi.v_lo, vi.v_hi)
 
-(* Change a variable's kind after creation (used by the LP reader, where
-   integrality sections come after the variables appear). Binary clamps
-   the bounds to [0, 1]. *)
-let set_kind t v kind =
-  let vi = Vec.get t.vars v in
-  vi.v_kind <- kind;
-  match kind with
-  | Binary ->
-    vi.v_lo <- Float.max 0.0 vi.v_lo;
-    vi.v_hi <- Float.min 1.0 vi.v_hi
-  | Integer | Continuous -> ()
-
 let set_bounds ?lo ?hi t v =
   let vi = Vec.get t.vars v in
-  (match lo with Some l -> vi.v_lo <- l | None -> ());
+  (match lo with
+   | Some l when l = neg_infinity -> invalid_arg "Problem.set_bounds: lo = -inf"
+   | Some l -> vi.v_lo <- l
+   | None -> ());
   (match hi with Some h -> vi.v_hi <- h | None -> ());
   if vi.v_lo > vi.v_hi then invalid_arg "Problem.set_bounds: lo > hi"
 
@@ -166,33 +157,6 @@ let integral_objective t =
 (* Logic / big-M helpers                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* z <= x_i for each i, so z = 1 forces every x_i = 1. Sufficient when z
-   appears only where setting it to 1 is "advantageous" for the solver
-   (e.g. on the >= side of covering constraints). *)
-let add_and_upper ?name t z xs =
-  List.iter
-    (fun x ->
-      ignore
-        (add_constr ?name t
-           (Linexpr.sub (Linexpr.var z) (Linexpr.var x))
-           Le 0.0))
-    xs
-
-(* z >= sum x_i - (k - 1): together with [add_and_upper] makes z the exact
-   conjunction of the x_i. *)
-let add_and_lower ?name t z xs =
-  let k = List.length xs in
-  let expr =
-    List.fold_left
-      (fun acc x -> Linexpr.add_term acc (-1.0) x)
-      (Linexpr.var z) xs
-  in
-  ignore (add_constr ?name t expr Ge (float_of_int (1 - k)))
-
-let add_and_exact ?name t z xs =
-  add_and_upper ?name t z xs;
-  add_and_lower ?name t z xs
-
 (* b = 1 implies expr <= rhs: encoded as expr <= rhs + M (1 - b). *)
 let add_implies_le ?name ?m t b expr rhs =
   let m = match m with Some m -> m | None -> t.default_big_m in
@@ -202,13 +166,6 @@ let add_implies_le ?name ?m t b expr rhs =
 let add_implies_ge ?name ?m t b expr rhs =
   let m = match m with Some m -> m | None -> t.default_big_m in
   ignore (add_constr ?name t (Linexpr.add_term expr (-.m) b) Ge (rhs -. m))
-
-(* y >= expr_i for each i; exact max when the objective pushes y down. *)
-let add_max_lower ?name t y exprs =
-  List.iter
-    (fun e ->
-      ignore (add_constr ?name t (Linexpr.sub (Linexpr.var y) e) Ge 0.0))
-    exprs
 
 (* ------------------------------------------------------------------ *)
 (* Validation and export                                               *)
@@ -231,7 +188,7 @@ let validate t =
       if vi.v_lo > vi.v_hi then issues := Bad_bounds vi.v_name :: !issues;
       match vi.v_kind with
       | Integer | Binary ->
-        if vi.v_lo = neg_infinity || vi.v_hi = infinity then
+        if vi.v_hi = infinity then
           issues := Unbounded_integer vi.v_name :: !issues
       | Continuous -> ())
     t.vars;
@@ -243,7 +200,9 @@ let pp_issue ppf = function
   | Bad_bounds n -> Fmt.pf ppf "variable %s has lo > hi" n
 
 (* Writes the model in CPLEX LP format, readable by cplex/gurobi/glpk for
-   external cross-checking of small instances. *)
+   external cross-checking of small instances. It is also the canonical
+   text that [Resilience.Checkpoint.fingerprint] hashes, so its output
+   for a given model must never change. *)
 let to_lp_string t =
   let buf = Buffer.create 4096 in
   let name v = (Vec.get t.vars v).v_name in
@@ -279,17 +238,11 @@ let to_lp_string t =
   Buffer.add_string buf "Bounds\n";
   Vec.iter
     (fun vi ->
-      let lo, hi = (vi.v_lo, vi.v_hi) in
-      if lo = neg_infinity && hi = infinity then
-        Buffer.add_string buf (Printf.sprintf " %s free\n" vi.v_name)
-      else begin
-        let lo_s =
-          if lo = neg_infinity then "-inf" else Printf.sprintf "%.12g" lo
-        in
-        let hi_s = if hi = infinity then "+inf" else Printf.sprintf "%.12g" hi in
-        Buffer.add_string buf
-          (Printf.sprintf " %s <= %s <= %s\n" lo_s vi.v_name hi_s)
-      end)
+      let hi_s =
+        if vi.v_hi = infinity then "+inf" else Printf.sprintf "%.12g" vi.v_hi
+      in
+      Buffer.add_string buf
+        (Printf.sprintf " %.12g <= %s <= %s\n" vi.v_lo vi.v_name hi_s))
     t.vars;
   let generals =
     Vec.fold_left

@@ -1,9 +1,11 @@
 (** Mutable MILP model builder: variables, linear constraints, an objective,
-    plus big-M/logic helpers, validation, solution checking, and CPLEX LP
-    format export.
+    plus big-M implication helpers, validation, solution checking, and
+    CPLEX LP format export.
 
     Variables are dense integer ids starting at 0, as produced by
-    {!add_var} and friends. *)
+    {!add_var} and friends. Every variable is bounded below: the lower
+    bound defaults to 0, the LP-format convention, and a lower bound of
+    [neg_infinity] is rejected. *)
 
 type var_kind = Continuous | Integer | Binary
 type sense = Le | Ge | Eq
@@ -28,12 +30,13 @@ type t
 val create : ?big_m:float -> unit -> t
 
 val big_m : t -> float
-val set_big_m : t -> float -> unit
 val num_vars : t -> int
 val num_constrs : t -> int
 
-(** [add_var ?name ?lo ?hi t kind] returns the new variable's id. Binary
-    variables are clamped to [0,1]. *)
+(** [add_var ?name ?lo ?hi t kind] returns the new variable's id. [lo]
+    defaults to [0.], [hi] to [infinity]. Binary variables are clamped to
+    [0,1]. Raises [Invalid_argument] when [lo] is [neg_infinity] or
+    [lo > hi]. *)
 val add_var : ?name:string -> ?lo:float -> ?hi:float -> t -> var_kind -> int
 
 val binary : ?name:string -> t -> int
@@ -43,11 +46,10 @@ val integer : ?name:string -> ?lo:float -> ?hi:float -> t -> int
 val var_name : t -> int -> string
 val var_kind : t -> int -> var_kind
 val var_bounds : t -> int -> float * float
-val set_bounds : ?lo:float -> ?hi:float -> t -> int -> unit
 
-(** Change a variable's kind after creation; [Binary] clamps its bounds
-    to [0, 1]. *)
-val set_kind : t -> int -> var_kind -> unit
+(** Raises [Invalid_argument] when [lo] is [neg_infinity] or the new
+    bounds cross. *)
+val set_bounds : ?lo:float -> ?hi:float -> t -> int -> unit
 
 (** [add_constr ?name ?id t e sense rhs] adds the constraint [e sense rhs]
     (any constant term of [e] is moved to the right-hand side) and returns
@@ -73,29 +75,15 @@ val iter_vars : (int -> var_kind -> float * float -> unit) -> t -> unit
     e.g. [min w] with [w >= sum_g g * x_g] over binaries. *)
 val integral_objective : t -> bool
 
-(** {1 Logic helpers}
+(** {1 Implication helpers}
 
-    All take binary variable ids. *)
-
-(** [add_and_upper t z xs] adds [z <= x_i] for each [i] — the upper half of
-    [z = AND xs], sufficient when z only appears where 1 is advantageous. *)
-val add_and_upper : ?name:string -> t -> int -> int list -> unit
-
-(** [add_and_lower t z xs] adds [z >= sum x_i - (|xs| - 1)]. *)
-val add_and_lower : ?name:string -> t -> int -> int list -> unit
-
-(** Exact conjunction: both halves. *)
-val add_and_exact : ?name:string -> t -> int -> int list -> unit
+    Both take a binary variable id. *)
 
 (** [add_implies_le t b e rhs] adds [b = 1 => e <= rhs] via big-M. *)
 val add_implies_le : ?name:string -> ?m:float -> t -> int -> Linexpr.t -> float -> unit
 
 (** [add_implies_ge t b e rhs] adds [b = 1 => e >= rhs] via big-M. *)
 val add_implies_ge : ?name:string -> ?m:float -> t -> int -> Linexpr.t -> float -> unit
-
-(** [add_max_lower t y es] adds [y >= e] for every [e]; exact max when the
-    objective (or other constraints) push [y] down. *)
-val add_max_lower : ?name:string -> t -> int -> Linexpr.t list -> unit
 
 (** {1 Validation and export} *)
 
@@ -107,7 +95,8 @@ type issue =
 val validate : t -> issue list
 val pp_issue : Format.formatter -> issue -> unit
 
-(** CPLEX LP file format, for external cross-checking. *)
+(** CPLEX LP file format, for external cross-checking. It is also the
+    canonical text [Resilience.Checkpoint.fingerprint] hashes. *)
 val to_lp_string : t -> string
 
 (** {1 Residual checking}

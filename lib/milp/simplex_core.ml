@@ -20,9 +20,10 @@
    - [row_of_col] inverts the basis so {!col_value} and the basis crash's
      basic-column lookups are O(1) instead of an O(m) basis scan.
 
-   Conventions: every structural column has lower bound 0 after a per-
-   variable shift; nonbasic columns rest at a bound; [beta] holds the
-   basic values. See {!Simplex} for the one-shot API. *)
+   Conventions: every variable is bounded below ({!Problem} rejects a
+   lower bound of -inf), so each structural column has lower bound 0
+   after a per-variable shift; nonbasic columns rest at a bound; [beta]
+   holds the basic values. See {!Simplex} for the one-shot API. *)
 
 let src = Logs.Src.create "milp.simplex" ~doc:"LP simplex solver"
 
@@ -92,15 +93,6 @@ let set_counters ~into c =
   into.dual_pivots_saved <- c.dual_pivots_saved;
   into.basis_evictions <- c.basis_evictions
 
-(* How an original variable maps to solver columns. The shift of Shifted /
-   Flipped columns is the variable's finite bound under the bounds the
-   tableau was built with ([build ?bounds] takes a node's overrides). *)
-type var_map =
-  | Fixed                          (* lo = hi; value = shift *)
-  | Shifted of int                 (* x = shift + y_col *)
-  | Flipped of int                 (* x = shift - y_col  (lo = -inf) *)
-  | Split of int * int             (* x = y_pos - y_neg  (free) *)
-
 type t = {
   problem : Problem.t;
   n : int;
@@ -115,9 +107,12 @@ type t = {
   stat : status array;
   upper : float array;             (* column upper bounds (lower is 0) *)
   enterable : bool array;
-  vmap : var_map array;
+  (* Every variable is bounded below, so it maps to solver columns as
+     x = shift + y_col, with shift its lower bound under the bounds the
+     tableau was built with ([build ?bounds] takes a node's overrides);
+     a fixed variable (lo = hi) has no column and x = shift. *)
   shift : float array;             (* per original variable *)
-  col_of_var : int array;          (* structural column of Shifted vars, -1 otherwise *)
+  col_of_var : int array;          (* structural column, -1 if fixed *)
   artificials : int list;
   row_slack : int array;           (* m: slack column of each row, -1 if none *)
   sense_sig : int;                 (* order-sensitive hash of the problem's
@@ -547,7 +542,6 @@ let build ?(pricing = Devex) ?counters ?bounds (p : Problem.t) =
     | Some (lo, hi) -> (lo.(j), hi.(j))
     | None -> Problem.var_bounds p j
   in
-  let vmap = Array.make n Fixed in
   let shift = Array.make n 0.0 in
   let col_of_var = Array.make n (-1) in
   let ncols_struct = ref 0 in
@@ -555,32 +549,16 @@ let build ?(pricing = Devex) ?counters ?bounds (p : Problem.t) =
   let infeasible_bounds = ref false in
   for j = 0 to n - 1 do
     let lo, hi = get_bounds j in
+    if lo = neg_infinity then
+      invalid_arg "Simplex_core.build: a variable is not bounded below";
     if lo > hi +. 1.0e-12 then infeasible_bounds := true
-    else if Float.abs (hi -. lo) <= 1.0e-12 && lo > neg_infinity then begin
-      vmap.(j) <- Fixed;
-      shift.(j) <- lo
-    end
-    else if lo > neg_infinity then begin
-      let c = !ncols_struct in
-      incr ncols_struct;
-      col_upper := (hi -. lo) :: !col_upper;
-      vmap.(j) <- Shifted c;
-      shift.(j) <- lo;
-      col_of_var.(j) <- c
-    end
-    else if hi < infinity then begin
-      let c = !ncols_struct in
-      incr ncols_struct;
-      col_upper := infinity :: !col_upper;
-      vmap.(j) <- Flipped c;
-      shift.(j) <- hi
-    end
     else begin
-      let c1 = !ncols_struct in
-      let c2 = !ncols_struct + 1 in
-      ncols_struct := !ncols_struct + 2;
-      col_upper := infinity :: infinity :: !col_upper;
-      vmap.(j) <- Split (c1, c2)
+      shift.(j) <- lo;
+      if Float.abs (hi -. lo) > 1.0e-12 then begin
+        col_upper := (hi -. lo) :: !col_upper;
+        col_of_var.(j) <- !ncols_struct;
+        incr ncols_struct
+      end
     end
   done;
   if !infeasible_bounds then None
@@ -592,17 +570,9 @@ let build ?(pricing = Devex) ?counters ?bounds (p : Problem.t) =
       let const = ref (Linexpr.constant expr) in
       Linexpr.iter_terms
         (fun c j ->
-          match vmap.(j) with
-          | Fixed -> const := !const +. (c *. shift.(j))
-          | Shifted col ->
-            row.(col) <- row.(col) +. c;
-            const := !const +. (c *. shift.(j))
-          | Flipped col ->
-            row.(col) <- row.(col) -. c;
-            const := !const +. (c *. shift.(j))
-          | Split (cp, cn) ->
-            row.(cp) <- row.(cp) +. c;
-            row.(cn) <- row.(cn) -. c)
+          let col = col_of_var.(j) in
+          if col >= 0 then row.(col) <- row.(col) +. c;
+          const := !const +. (c *. shift.(j)))
         expr;
       (row, !const)
     in
@@ -753,7 +723,6 @@ let build ?(pricing = Devex) ?counters ?bounds (p : Problem.t) =
         stat;
         upper;
         enterable;
-        vmap;
         shift;
         col_of_var;
         artificials = !artificials;
@@ -902,13 +871,8 @@ let install_objective tb =
   let c2 = Array.make tb.ncols 0.0 in
   Linexpr.iter_terms
     (fun c j ->
-      match tb.vmap.(j) with
-      | Fixed -> ()
-      | Shifted col -> c2.(col) <- c2.(col) +. (tb.obj_sign *. c)
-      | Flipped col -> c2.(col) <- c2.(col) -. (tb.obj_sign *. c)
-      | Split (cp, cn) ->
-        c2.(cp) <- c2.(cp) +. (tb.obj_sign *. c);
-        c2.(cn) <- c2.(cn) -. (tb.obj_sign *. c))
+      let col = tb.col_of_var.(j) in
+      if col >= 0 then c2.(col) <- c2.(col) +. (tb.obj_sign *. c))
     obj_expr;
   tb.cost <- reduced_costs tb c2;
   perturb_costs tb;
@@ -939,16 +903,9 @@ let solution tb =
   for i = 0 to tb.m - 1 do
     yval.(tb.basis.(i)) <- tb.beta.(i)
   done;
-  let x = Array.make tb.n 0.0 in
-  for j = 0 to tb.n - 1 do
-    x.(j) <-
-      (match tb.vmap.(j) with
-       | Fixed -> tb.shift.(j)
-       | Shifted col -> tb.shift.(j) +. yval.(col)
-       | Flipped col -> tb.shift.(j) -. yval.(col)
-       | Split (cp, cn) -> yval.(cp) -. yval.(cn))
-  done;
-  x
+  Array.init tb.n (fun j ->
+      let col = tb.col_of_var.(j) in
+      if col >= 0 then tb.shift.(j) +. yval.(col) else tb.shift.(j))
 
 let objective_value tb =
   let _, obj_expr = Problem.objective tb.problem in
@@ -1283,7 +1240,7 @@ let primal_repair tb ~max_iters ~deadline =
   loop ()
 
 (* ------------------------------------------------------------------ *)
-(* Basis snapshots: compact warm-start state across solves             *)
+(* Basis snapshots: compact warm-start state within one search        *)
 (* ------------------------------------------------------------------ *)
 
 (* A basis snapshot is combinatorial, not numerical: which entity each
@@ -1305,8 +1262,7 @@ module Basis = struct
   type entry =
     | Bvar of int    (* structural column, by original variable id *)
     | Bslack of int  (* slack column, by owning row *)
-    | Bnone          (* not restorable (Split column / artificial); keep
-                        the fresh basic *)
+    | Bnone          (* artificial, not restorable: keep the fresh basic *)
 
   type t = {
     rows : entry array;    (* basic entity per tableau row *)
@@ -1320,15 +1276,10 @@ module Basis = struct
   let size_words b = Array.length b.rows + Array.length b.at_upper + 8
 end
 
-(* Inverse of [vmap] restricted to single-column maps: the variable owning
-   each structural column ([Split] halves stay -1). *)
+(* Inverse of [col_of_var]: the variable owning each structural column. *)
 let var_of_col tb =
   let inv = Array.make tb.nstruct (-1) in
-  for v = 0 to tb.n - 1 do
-    match tb.vmap.(v) with
-    | Shifted c | Flipped c -> inv.(c) <- v
-    | Fixed | Split _ -> ()
-  done;
+  Array.iteri (fun v c -> if c >= 0 then inv.(c) <- v) tb.col_of_var;
   inv
 
 let snapshot tb : Basis.t =
@@ -1345,10 +1296,7 @@ let snapshot tb : Basis.t =
           match slack_row.(col) with
           | -1 -> Basis.Bnone (* artificial *)
           | r' -> Basis.Bslack r'
-        else
-          match inv.(col) with
-          | -1 -> Basis.Bnone
-          | v -> Basis.Bvar v)
+        else Basis.Bvar inv.(col))
   in
   let ups = ref [] in
   for c = tb.nstruct - 1 downto 0 do
@@ -1390,10 +1338,7 @@ let crash_basis tb (b : Basis.t) =
       match b.Basis.rows.(r) with
       | Basis.Bnone -> -1
       | Basis.Bslack r' -> if r' < tb.m then tb.row_slack.(r') else -1
-      | Basis.Bvar v -> (
-        match tb.vmap.(v) with
-        | Shifted c | Flipped c -> c
-        | Fixed | Split _ -> -1)
+      | Basis.Bvar v -> tb.col_of_var.(v)
     in
     if c >= 0 then
       if tb.stat.(c) = Basic then begin
@@ -1451,7 +1396,12 @@ let crash_basis tb (b : Basis.t) =
    exactly as trustworthy. [`Cold_needed] means the basis did not carry
    over (structure mismatch, or the dual repair stalled/claimed
    infeasibility it cannot certify — a restored cost row need not be
-   exactly dual feasible): callers fall back to the cold path. *)
+   exactly dual feasible): callers fall back to the cold path.
+
+   A basis only ever comes from a node of the same search or from a
+   checkpoint of it. The row-count / variable-count / sense fingerprint
+   check guards the checkpoint case: a checkpoint file comes from outside
+   the program. *)
 let restore ?counters ?bounds ~max_iters ~deadline (b : Basis.t)
     (p : Problem.t) =
   match build ?counters ?bounds p with
@@ -1465,9 +1415,9 @@ let restore ?counters ?bounds ~max_iters ~deadline (b : Basis.t)
       crash_basis tb b;
       Array.iter
         (fun v ->
-          match tb.vmap.(v) with
-          | Shifted c
-            when tb.stat.(c) = At_lower && tb.upper.(c) < infinity ->
+          match tb.col_of_var.(v) with
+          | c when c >= 0 && tb.stat.(c) = At_lower && tb.upper.(c) < infinity
+            ->
             let u = tb.upper.(c) in
             tb.stat.(c) <- At_upper;
             if u <> 0.0 then

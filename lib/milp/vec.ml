@@ -29,10 +29,6 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Vec.get: index out of bounds";
   t.data.(i)
 
-let set t i x =
-  if i < 0 || i >= t.len then invalid_arg "Vec.set: index out of bounds";
-  t.data.(i) <- x
-
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.data.(i)
@@ -49,10 +45,3 @@ let fold_left f init t =
     acc := f !acc t.data.(i)
   done;
   !acc
-
-let to_array t = Array.sub t.data 0 t.len
-
-let of_array ~dummy a =
-  let t = create ~dummy in
-  Array.iter (fun x -> ignore (push t x)) a;
-  t

@@ -11,9 +11,6 @@ val length : 'a t -> int
 val push : 'a t -> 'a -> int
 
 val get : 'a t -> int -> 'a
-val set : 'a t -> int -> 'a -> unit
 val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-val to_array : 'a t -> 'a array
-val of_array : dummy:'a -> 'a array -> 'a t

@@ -8,11 +8,11 @@ let src = Logs.Src.create "service.engine" ~doc:"solver service engine"
 module Log = (val Logs.src_log src : Logs.LOG)
 
 (* Cached payload of one solved model: the solution's response fields
-   (replayed byte-for-byte on a hit) and the optimal root basis (the
-   warm seed for perturbed siblings). *)
+   (replayed byte-for-byte on a hit) and the solved plan (the MIP start
+   for perturbed siblings). *)
 type payload = {
   core : (string * Protocol.value) list;
-  basis : Milp.Simplex_core.Basis.t option;
+  plan : Letdma.Solution.t;
 }
 
 type t = {
@@ -111,15 +111,15 @@ let solve_milp t ~id ~deadline ~t0 (s : Protocol.solve) app groups gamma =
     ok_response ~id ~klass:s.Protocol.klass ~cache:"hit" ~pivots:0 ~nodes:0
       ~t0 payload.core
   | None ->
-    let root_basis =
-      match Cache.find_family t.cache ~family with
-      | Some (_, sibling) -> sibling.basis
-      | None -> None
+    (* a perturbed repeat starts from its sibling's plan; [Solve] checks
+       it against this model's rows and solves cold if it fails them *)
+    let warm =
+      Option.map (fun (_, sibling) -> sibling.plan)
+        (Cache.find_family t.cache ~family)
     in
-    let basis_out = ref None in
     let r =
-      Letdma.Solve.solve ~deadline_s:deadline ?root_basis ~basis_out
-        s.Protocol.objective app groups ~gamma
+      Letdma.Solve.solve ~deadline_s:deadline ?warm s.Protocol.objective app
+        groups ~gamma
     in
     let st = r.Letdma.Solve.stats in
     (match (r.Letdma.Solve.solution, r.Letdma.Solve.x) with
@@ -142,11 +142,10 @@ let solve_milp t ~id ~deadline ~t0 (s : Protocol.solve) app groups gamma =
           ("certified", Protocol.B certified);
         ]
       in
-      Cache.add t.cache ~fingerprint:fp ~family
-        { core; basis = !basis_out };
+      Cache.add t.cache ~fingerprint:fp ~family { core; plan = sol };
       count t (fun t -> t.solved <- t.solved + 1);
       ok_response ~id ~klass:s.Protocol.klass
-        ~cache:(if root_basis <> None then "warm" else "miss")
+        ~cache:(if warm <> None then "warm" else "miss")
         ~pivots:st.Letdma.Solve.lp.Milp.Branch_bound.lp_pivots
         ~nodes:st.Letdma.Solve.nodes ~t0 core
     | _ ->

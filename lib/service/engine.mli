@@ -14,9 +14,12 @@
       looked up in a bounded LRU ({!Cache}). An exact hit replays the
       stored solution fields byte-for-byte (["cache":"hit"], zero
       pivots); a miss whose family (workload/seed/objective, ignoring
-      the perturbable [alpha]) has a cached sibling warm-starts from
-      that sibling's optimal basis (["cache":"warm"], PR-5 path);
-      everything else solves cold (["cache":"miss"]);
+      the perturbable [alpha]) has a cached sibling gets that sibling's
+      plan as its MIP start (["cache":"warm"]): when the plan passes the
+      new model's rows, the search starts from it as the incumbent, and
+      under NO-OBJ it is then proven optimal with no node and no pivot;
+      when it fails them, the request solves cold. Everything else
+      solves cold (["cache":"miss"]);
     - {b QoS}: the request's class and the batch's load factor pick the
       solving tier through {!Qos.plan}; shed requests are answered by
       the heuristic or baseline rung instead of queueing;

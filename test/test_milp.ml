@@ -125,11 +125,12 @@ let test_lp_upper_bounds () =
   check_float "x at ub" 1.5 sol.(x);
   check_float "y at ub" 2.5 sol.(y)
 
-(* negative lower bounds and a free variable *)
+(* negative lower bounds shift onto columns at 0; every variable is
+   bounded below, so a lower bound of -inf is refused *)
 let test_lp_shifted_and_free () =
   let p = P.create () in
   let x = P.continuous ~lo:(-5.0) ~hi:5.0 p in
-  let y = P.continuous p (* free *) in
+  let y = P.continuous ~lo:(-10.0) p in
   ignore (P.add_constr p (L.of_list [ (1.0, x); (1.0, y) ]) P.Eq 1.0);
   ignore (P.add_constr p (L.of_list [ (1.0, y) ]) P.Le 4.0);
   (* min x  => push x down; x = 1 - y >= 1 - 4 = -3 *)
@@ -137,16 +138,16 @@ let test_lp_shifted_and_free () =
   let obj, sol = lp_opt p in
   check_float "objective" (-3.0) obj;
   check_float "x" (-3.0) sol.(x);
-  check_float "y" 4.0 sol.(y)
-
-(* lower bound of -inf with finite upper bound (the Flipped mapping) *)
-let test_lp_flipped_var () =
-  let p = P.create () in
-  let x = P.continuous ~hi:7.0 p in
-  ignore (P.add_constr p (L.var x) P.Ge 2.0);
-  P.set_objective p P.Maximize (L.var x);
-  let obj, _ = lp_opt p in
-  check_float "objective" 7.0 obj
+  check_float "y" 4.0 sol.(y);
+  Alcotest.check_raises "add_var refuses lo = -inf"
+    (Invalid_argument "Problem.add_var: lo = -inf") (fun () ->
+      ignore (P.continuous ~lo:neg_infinity p));
+  Alcotest.check_raises "set_bounds refuses lo = -inf"
+    (Invalid_argument "Problem.set_bounds: lo = -inf") (fun () ->
+      P.set_bounds ~lo:neg_infinity p y);
+  Alcotest.(check (pair (float 0.0) (float 0.0)))
+    "the default lower bound is 0" (0.0, infinity)
+    (P.var_bounds p (P.continuous p))
 
 (* degenerate LP that loops without anti-cycling care (Beale-like) *)
 let test_lp_degenerate () =
@@ -300,39 +301,6 @@ let test_implies_ge () =
   P.set_objective p P.Minimize (L.var x);
   let obj, _, _ = milp_opt p in
   check_float "objective" 40.0 obj
-
-let test_and_exact () =
-  let p = P.create () in
-  let x = P.binary ~name:"x" p in
-  let y = P.binary ~name:"y" p in
-  let z = P.binary ~name:"z" p in
-  P.add_and_exact p z [ x; y ];
-  (* force x = y = 1; then z must be 1. minimize z. *)
-  ignore (P.add_constr p (L.var x) P.Eq 1.0);
-  ignore (P.add_constr p (L.var y) P.Eq 1.0);
-  P.set_objective p P.Minimize (L.var z);
-  let obj, _, _ = milp_opt p in
-  check_float "z forced to 1" 1.0 obj
-
-let test_and_upper_blocks () =
-  let p = P.create () in
-  let x = P.binary ~name:"x" p in
-  let z = P.binary ~name:"z" p in
-  P.add_and_upper p z [ x ];
-  ignore (P.add_constr p (L.var x) P.Eq 0.0);
-  P.set_objective p P.Maximize (L.var z);
-  let obj, _, _ = milp_opt p in
-  check_float "z blocked by x=0" 0.0 obj
-
-let test_max_lower () =
-  let p = P.create () in
-  let a = P.continuous ~lo:3.0 ~hi:3.0 p in
-  let b = P.continuous ~lo:7.0 ~hi:7.0 p in
-  let y = P.continuous ~lo:0.0 ~hi:100.0 p in
-  P.add_max_lower p y [ L.var a; L.var b ];
-  P.set_objective p P.Minimize (L.var y);
-  let obj, _, _ = milp_opt p in
-  check_float "max" 7.0 obj
 
 (* ------------------------------------------------------------------ *)
 (* Model utilities                                                     *)
@@ -575,91 +543,6 @@ let test_best_bound_respects_bound () =
       (4.9, 0, None); (4.9, 1, None); (4.9, 1, Some [| 1.0; 0.0; 1.0 |]);
       (5.0, 0, None); (5.0, 1, Some [| 1.0; 0.0; 1.0 |]); (5.0, 100, None);
     ]
-
-(* ------------------------------------------------------------------ *)
-(* LP file round trip                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_lp_parse_simple () =
-  let text =
-    "Minimize\n obj: 2 x + 3 y\nSubject To\n c1: x + y >= 4\n c2: x - y <= 2\n\
-     Bounds\n 0 <= x <= 10\n 0 <= y <= 10\nEnd\n"
-  in
-  match Milp.Lp_file.of_string text with
-  | Error e -> Alcotest.fail e
-  | Ok p ->
-    Alcotest.(check int) "two vars" 2 (P.num_vars p);
-    Alcotest.(check int) "two constraints" 2 (P.num_constrs p);
-    (match S.solve p with
-     | S.Optimal { obj; _ } ->
-       (* optimum of min 2x+3y st x+y>=4, x-y<=2: at (3,1): 9; at (4,0)? 8
-          but x-y=4 > 2 violates; at (3,1): 6+3=9 *)
-       check_float "objective" 9.0 obj
-     | _ -> Alcotest.fail "expected optimal")
-
-let test_lp_parse_binaries_and_free () =
-  let text =
-    "Maximize\n obj: z + w\nSubject To\n c: z + 0.5 w <= 1.2\nBounds\n\
-     w free\nBinaries\n z\nEnd\n"
-  in
-  match Milp.Lp_file.of_string text with
-  | Error e -> Alcotest.fail e
-  | Ok p ->
-    Alcotest.(check bool) "z is binary" true
-      (let found = ref false in
-       P.iter_vars
-         (fun v kind _ -> if P.var_name p v = "z" && kind = P.Binary then found := true)
-         p;
-       !found);
-    (* max z + w st z + 0.5 w <= 1.2: w <= 2.4 - 2z, so obj <= 2.4 - z,
-       best at z = 0 with w = 2.4 *)
-    (match S.solve p with
-     | S.Optimal { obj; _ } -> check_float "objective" 2.4 obj
-     | _ -> Alcotest.fail "expected optimal")
-
-let test_lp_parse_errors () =
-  Alcotest.(check bool) "garbage rejected" true
-    (Result.is_error (Milp.Lp_file.of_string "Minimize\n obj: ~~~\nEnd\n"));
-  Alcotest.(check bool) "missing relation rejected" true
-    (Result.is_error
-       (Milp.Lp_file.of_string "Minimize\n obj: x\nSubject To\n c: x 5\nEnd\n"))
-
-(* Malformed input must come back as [Error _] — never an exception and
-   never a silently-empty problem. *)
-let test_lp_parse_malformed () =
-  let rejects name text =
-    Alcotest.(check bool) name true
-      (try Result.is_error (Milp.Lp_file.of_string text)
-       with _ -> Alcotest.failf "%s: parser raised" name)
-  in
-  rejects "empty string" "";
-  rejects "whitespace only" "  \n\t\n";
-  rejects "binary garbage" "\x00\x01\xfe\xff random bytes";
-  rejects "stray text before sections" "hello world\nMinimize\n obj: x\nEnd\n";
-  rejects "truncated mid-constraint" "Minimize\n obj: x\nSubject To\n c1: x +";
-  rejects "truncated bounds" "Minimize\n obj: x\nBounds\n 0 <=";
-  rejects "relation without rhs" "Minimize\n obj: x\nSubject To\n c: x <=\nEnd\n";
-  rejects "unknown token in bounds"
-    "Minimize\n obj: x\nBounds\n x banana 3\nEnd\n"
-
-let test_lp_roundtrip_hand () =
-  let p = P.create () in
-  let x = P.binary ~name:"x" p in
-  let y = P.integer ~name:"y" ~lo:0.0 ~hi:9.0 p in
-  let z = P.continuous ~name:"z" ~lo:(-2.5) ~hi:4.0 p in
-  ignore (P.add_constr ~name:"r1" p (L.of_list [ (1.0, x); (2.0, y); (-1.0, z) ]) P.Le 7.0);
-  ignore (P.add_constr ~name:"r2" p (L.of_list [ (3.0, y); (1.0, z) ]) P.Ge 1.0);
-  P.set_objective p P.Maximize (L.of_list [ (5.0, x); (1.0, y); (0.5, z) ]);
-  let text = Milp.Lp_file.to_string p in
-  match Milp.Lp_file.of_string text with
-  | Error e -> Alcotest.fail e
-  | Ok q ->
-    Alcotest.(check int) "vars" (P.num_vars p) (P.num_vars q);
-    Alcotest.(check int) "constraints" (P.num_constrs p) (P.num_constrs q);
-    (match (B.solve ~time_limit_s:10.0 p, B.solve ~time_limit_s:10.0 q) with
-     | { B.obj = Some a; _ }, { B.obj = Some b; _ } ->
-       check_float "same optimum" a b
-     | _ -> Alcotest.fail "expected both optimal")
 
 (* ------------------------------------------------------------------ *)
 (* Presolve                                                            *)
@@ -1012,56 +895,6 @@ let test_milp_unbounded_integer_var () =
   P.set_objective p P.Maximize (L.var x);
   let s = B.solve ~time_limit_s:10.0 p in
   check_float "branches to the integral optimum" 4.0 (Option.get s.B.obj)
-
-let prop_lp_roundtrip =
-  QCheck.Test.make ~name:"LP write/parse round trip preserves the optimum"
-    ~count:40
-    QCheck.(int_range 1 10_000)
-    (fun seed ->
-      let st = Random.State.make [| seed |] in
-      let n = 3 + Random.State.int st 4 in
-      let p = P.create () in
-      let xs =
-        Array.init n (fun i ->
-            match Random.State.int st 3 with
-            | 0 -> P.binary ~name:(Printf.sprintf "rb%d" i) p
-            | 1 ->
-              P.integer ~name:(Printf.sprintf "ri%d" i) ~lo:0.0
-                ~hi:(float_of_int (1 + Random.State.int st 8))
-                p
-            | _ ->
-              P.continuous ~name:(Printf.sprintf "rc%d" i) ~lo:0.0
-                ~hi:(float_of_int (1 + Random.State.int st 20))
-                p)
-      in
-      for r = 0 to 1 + Random.State.int st 2 do
-        let expr =
-          Array.fold_left
-            (fun acc x ->
-              L.add_term acc (float_of_int (Random.State.int st 9 - 4)) x)
-            L.zero xs
-        in
-        if not (L.is_constant expr) then
-          ignore
-            (P.add_constr ~name:(Printf.sprintf "rr%d" r) p expr P.Le
-               (float_of_int (Random.State.int st 30)))
-      done;
-      P.set_objective p P.Maximize
-        (L.of_list
-           (Array.to_list
-              (Array.map (fun x -> (float_of_int (1 + Random.State.int st 5), x)) xs)));
-      match Milp.Lp_file.of_string (Milp.Lp_file.to_string p) with
-      | Error _ -> false
-      | Ok q ->
-        P.num_vars q = P.num_vars p
-        && P.num_constrs q = P.num_constrs p
-        &&
-        let a = B.solve ~time_limit_s:10.0 p in
-        let b = B.solve ~time_limit_s:10.0 q in
-        (match (a.B.obj, b.B.obj) with
-         | Some oa, Some ob -> Float.abs (oa -. ob) < 1.0e-6
-         | None, None -> true
-         | _ -> false))
 
 let prop_bb_obj_never_beats_lp_bound =
   QCheck.Test.make ~name:"MILP optimum never beats its LP relaxation" ~count:40
@@ -1451,7 +1284,6 @@ let () =
         prop_bb_matches_enumeration_dmat;
         prop_warm_simplex_matches_cold;
         prop_warm_bb_matches_cold;
-        prop_lp_roundtrip;
         prop_presolve_preserves_optimum;
         prop_cross_pricing_same_objective;
         prop_presolve_solution_roundtrip;
@@ -1474,7 +1306,6 @@ let () =
           Alcotest.test_case "unbounded" `Quick test_lp_unbounded;
           Alcotest.test_case "upper bounds" `Quick test_lp_upper_bounds;
           Alcotest.test_case "shifted and free vars" `Quick test_lp_shifted_and_free;
-          Alcotest.test_case "flipped var" `Quick test_lp_flipped_var;
           Alcotest.test_case "degenerate (Beale)" `Quick test_lp_degenerate;
           Alcotest.test_case "bound overrides" `Quick test_lp_bounds_override;
         ] );
@@ -1506,9 +1337,6 @@ let () =
         [
           Alcotest.test_case "implies <=" `Quick test_implies_le;
           Alcotest.test_case "implies >=" `Quick test_implies_ge;
-          Alcotest.test_case "and exact" `Quick test_and_exact;
-          Alcotest.test_case "and upper blocks" `Quick test_and_upper_blocks;
-          Alcotest.test_case "max lower" `Quick test_max_lower;
         ] );
       ( "model",
         [
@@ -1539,15 +1367,6 @@ let () =
           Alcotest.test_case "tighten and drop" `Quick test_presolve_tightens_and_drops;
           Alcotest.test_case "detect infeasible" `Quick test_presolve_detects_infeasible;
           Alcotest.test_case "fix binaries" `Quick test_presolve_fixes_binaries;
-        ] );
-      ( "lp-file",
-        [
-          Alcotest.test_case "parse simple" `Quick test_lp_parse_simple;
-          Alcotest.test_case "binaries and free vars" `Quick
-            test_lp_parse_binaries_and_free;
-          Alcotest.test_case "parse errors" `Quick test_lp_parse_errors;
-          Alcotest.test_case "malformed input" `Quick test_lp_parse_malformed;
-          Alcotest.test_case "round trip" `Quick test_lp_roundtrip_hand;
         ] );
       ("properties", qsuite);
     ]

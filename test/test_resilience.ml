@@ -91,6 +91,44 @@ let test_roundtrip_byte_identity () =
       ck'.Ck.ck_fingerprint;
     check_bool "meta survives in order" true (ck.Ck.ck_meta = ck'.Ck.ck_meta)
 
+(* The model fingerprint hashes [Problem.to_lp_string], so that text
+   must carry everything a solve reads from the model: two builds of one
+   model agree, and changing any one bound, coefficient, right-hand side,
+   row sense, variable kind or the objective changes the fingerprint. *)
+let test_fingerprint_tracks_the_model () =
+  let build ?(lo_z = 0.5) ?(hi_y = 9.0) ?(coef = 2.0) ?(rhs = 7.0)
+      ?(sense = P.Le) ?(kind_z = P.Continuous) ?(dir = P.Maximize)
+      ?(obj_y = 1.0) () =
+    let p = P.create () in
+    let x = P.binary ~name:"x" p in
+    let y = P.integer ~name:"y" ~lo:1.0 ~hi:hi_y p in
+    let z = P.add_var ~name:"z" ~lo:lo_z ~hi:4.0 p kind_z in
+    ignore
+      (P.add_constr ~name:"r1" p
+         (L.of_list [ (1.0, x); (coef, y); (-1.0, z) ])
+         sense rhs);
+    ignore
+      (P.add_constr ~name:"r2" p (L.of_list [ (3.0, y); (1.0, z) ]) P.Ge 1.0);
+    P.set_objective p dir (L.of_list [ (5.0, x); (obj_y, y); (0.5, z) ]);
+    p
+  in
+  let base = Ck.fingerprint (build ()) in
+  check_string "two builds of one model" base (Ck.fingerprint (build ()));
+  List.iter
+    (fun (what, p) ->
+      check_bool (what ^ " changes the fingerprint") true
+        (Ck.fingerprint p <> base))
+    [
+      ("a lower bound", build ~lo_z:0.25 ());
+      ("an upper bound", build ~hi_y:8.0 ());
+      ("a coefficient", build ~coef:2.5 ());
+      ("a right-hand side", build ~rhs:7.5 ());
+      ("a row sense", build ~sense:P.Ge ());
+      ("a variable kind", build ~kind_z:P.Integer ());
+      ("an objective coefficient", build ~obj_y:2.0 ());
+      ("the objective sense", build ~dir:P.Minimize ());
+    ]
+
 (* Basis fingerprints span the full 63-bit range; a JSON number would
    round them through a float and lose low bits past 2^53, making every
    restored basis fail its signature check on resume. Pin the string
@@ -449,6 +487,8 @@ let () =
             test_version1_loads;
           Alcotest.test_case "strict validator rejections" `Quick
             test_validator_rejections;
+          Alcotest.test_case "model fingerprint tracks every model field"
+            `Quick test_fingerprint_tracks_the_model;
         ] );
       ( "kill-and-resume",
         [

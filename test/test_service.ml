@@ -296,6 +296,12 @@ let test_engine_hit_and_warm () =
     (* the solution fields of the hit are byte-identical to the miss *)
     check_string "byte-identical core" (core_suffix la) (core_suffix lb);
     check_string "perturbed repeat warm-starts" "warm" (sfield c "cache");
+    (* the sibling's plan passes c's rows and, under NO-OBJ, is proven
+       optimal as it stands: no node, no pivot *)
+    check_int "plan seed explores no nodes" 0 (ifield c "nodes");
+    check_int "plan seed does no pivots" 0 (ifield c "pivots");
+    check_bool "plan seed certified" true
+      (J.as_bool "certified" (J.field "r" c "certified"));
     let cs = E.cache_stats e in
     check_int "one hit" 1 cs.C.hits;
     check_int "one warm seed" 1 cs.C.warm_seeds
