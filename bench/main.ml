@@ -49,8 +49,7 @@ let fig2_and_table1 app =
   let results = Letdma.Experiment.fig2 ~time_limit_s:time_limit app in
   Fmt.pr "%a@." (fun ppf -> Letdma.Report.fig2 ppf app) results;
   section "TABLE1: solver running times and #DMA transfers (Table I)";
-  Fmt.pr "%a@." Letdma.Report.table1
-    (Letdma.Experiment.table1_of_results results)
+  Fmt.pr "%a@." Letdma.Report.table1 (Letdma.Experiment.table1 results)
 
 (* ------------------------------------------------------------------ *)
 (* ALPHA sweep                                                         *)

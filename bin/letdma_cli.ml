@@ -50,6 +50,17 @@ let exit_of_experiment_error = function
   | Letdma.Experiment.No_solution _ | Letdma.Experiment.Uncertified _ ->
     exit_no_solution
 
+let report_experiment_error e =
+  err "%s" (Letdma.Experiment.error_to_string e);
+  exit_of_experiment_error e
+
+(* [k groups gamma] when [Experiment.prepare] accepts the configuration;
+   otherwise its rejection, reported with its exit code. *)
+let with_prepared app ~alpha k =
+  match Letdma.Experiment.prepare app ~alpha with
+  | Error e -> report_experiment_error e
+  | Ok (groups, gamma) -> k groups gamma
+
 let setup_logs verbose =
   (* the format reporter is not domain-safe; the service's pool workers
      log concurrently *)
@@ -296,8 +307,8 @@ let table1_cmd =
     guard @@ fun () ->
     setup_logs verbose;
     let app = waters ~labels_per_edge in
-    let rows = Letdma.Experiment.table1 ~time_limit_s:time_limit app in
-    Fmt.pr "%a@." Letdma.Report.table1 rows;
+    let results = Letdma.Experiment.fig2 ~time_limit_s:time_limit app in
+    Fmt.pr "%a@." Letdma.Report.table1 (Letdma.Experiment.table1 results);
     0
   in
   Cmd.v
@@ -326,17 +337,9 @@ let alpha_cmd =
 (* --- solve ------------------------------------------------------------ *)
 
 let objective_t =
-  let obj_conv =
-    Arg.enum
-      [
-        ("no-obj", Letdma.Formulation.No_obj);
-        ("dmat", Letdma.Formulation.Min_transfers);
-        ("del", Letdma.Formulation.Min_delay_ratio);
-      ]
-  in
   Arg.(
     value
-    & opt obj_conv Letdma.Formulation.No_obj
+    & opt (enum Letdma.Formulation.objective_flags) Letdma.Formulation.No_obj
     & info [ "objective" ] ~docv:"OBJ"
         ~doc:"Objective: $(b,no-obj), $(b,dmat) (Eq. 4) or $(b,del) (Eq. 5).")
 
@@ -404,12 +407,9 @@ let interrupt_after_t =
    rebuild the same workload (same flags); any mismatch is caught by the
    checkpoint's model fingerprint. *)
 let workload_t =
-  let kind =
-    Arg.enum [ ("waters", `Waters); ("random", `Random); ("small", `Small) ]
-  in
   Arg.(
     value
-    & opt kind `Waters
+    & opt (enum Workload.kinds) Workload.Waters
     & info [ "workload" ] ~docv:"KIND"
         ~doc:
           "Workload to solve: $(b,waters) (default, the case study), \
@@ -417,68 +417,53 @@ let workload_t =
            $(b,small) (seeded generator, small instances that solve to \
            optimality in seconds — used by the CI chaos gate).")
 
-let make_workload ~labels_per_edge ~seed = function
-  | `Waters -> waters ~labels_per_edge
-  | `Random -> Workload.Generator.random ~seed ()
-  | `Small ->
-    Workload.Generator.random ~seed ~config:Workload.Generator.small_config ()
-
 (* Durable solve path: direct [Solve.solve] on the chosen workload so the
    checkpoint plumbing is reachable from the command line. Output is
    line-oriented and greppable — the CI chaos gate compares `objective:`
    and `nodes:` across interrupted-and-resumed vs uninterrupted runs. *)
 let durable_solve ~time_limit ~objective ~alpha ~presolve ~stats ~checkpoint
     ~checkpoint_every ~interrupt_after ~resume app =
-  let groups = Groups.compute app in
-  match Rt_analysis.Sensitivity.gammas app ~alpha with
-  | None ->
-    err "task set unschedulable at zero jitter";
-    exit_unschedulable
-  | Some s when not s.Rt_analysis.Sensitivity.schedulable ->
-    err "task set unschedulable with alpha=%.2f jitter bound" alpha;
-    exit_unschedulable
-  | Some s ->
-    let gamma = s.Rt_analysis.Sensitivity.gamma in
-    let r =
-      Letdma.Solve.solve ~time_limit_s:time_limit ~presolve
-        ?checkpoint_file:checkpoint ~checkpoint_every ?resume
-        ?interrupt_after_nodes:interrupt_after objective app groups ~gamma
-    in
-    let st = r.Letdma.Solve.stats in
-    let status = Milp.Branch_bound.status_name st.Letdma.Solve.status in
-    Fmt.pr "status: %s@." status;
-    (match r.Letdma.Solve.x with
-     | Some x ->
-       let _, e =
-         Milp.Problem.objective r.Letdma.Solve.instance.Letdma.Formulation.problem
-       in
-       Fmt.pr "objective: %.17g@." (Milp.Linexpr.eval e x)
-     | None -> ());
-    Fmt.pr "nodes: %d@." st.Letdma.Solve.nodes;
-    Fmt.pr "rounds: %d@." st.Letdma.Solve.rounds;
-    if stats then Fmt.pr "solver stats: @[%a@]@." Letdma.Solve.pp_stats st;
-    let interrupted =
-      match (checkpoint, st.Letdma.Solve.status) with
-      | ( Some file,
-          (Milp.Branch_bound.Feasible | Milp.Branch_bound.Unknown) ) ->
-        Sys.file_exists file
-      | _ -> false
-    in
-    if interrupted then begin
-      Fmt.pr "checkpoint: %s@." (Option.get checkpoint);
-      exit_interrupted
-    end
-    else
-      (match (r.Letdma.Solve.solution, r.Letdma.Solve.certificate) with
-       | Some _, Some (Ok c) ->
-         Fmt.pr "certified: %d checks@." c.Letdma.Certify.checks;
-         0
-       | Some _, (Some (Error _) | None) ->
-         err "solution failed certification";
-         exit_no_solution
-       | None, _ ->
-         err "no solution (%s)" status;
-         exit_no_solution)
+  with_prepared app ~alpha @@ fun groups gamma ->
+  let r =
+    Letdma.Solve.solve ~time_limit_s:time_limit ~presolve
+      ?checkpoint_file:checkpoint ~checkpoint_every ?resume
+      ?interrupt_after_nodes:interrupt_after objective app groups ~gamma
+  in
+  let st = r.Letdma.Solve.stats in
+  let status = Milp.Branch_bound.status_name st.Letdma.Solve.status in
+  Fmt.pr "status: %s@." status;
+  (match r.Letdma.Solve.x with
+   | Some x ->
+     let _, e =
+       Milp.Problem.objective r.Letdma.Solve.instance.Letdma.Formulation.problem
+     in
+     Fmt.pr "objective: %.17g@." (Milp.Linexpr.eval e x)
+   | None -> ());
+  Fmt.pr "nodes: %d@." st.Letdma.Solve.nodes;
+  Fmt.pr "rounds: %d@." st.Letdma.Solve.rounds;
+  if stats then Fmt.pr "solver stats: @[%a@]@." Letdma.Solve.pp_stats st;
+  let interrupted =
+    match (checkpoint, st.Letdma.Solve.status) with
+    | ( Some file,
+        (Milp.Branch_bound.Feasible | Milp.Branch_bound.Unknown) ) ->
+      Sys.file_exists file
+    | _ -> false
+  in
+  if interrupted then begin
+    Fmt.pr "checkpoint: %s@." (Option.get checkpoint);
+    exit_interrupted
+  end
+  else
+    (match (r.Letdma.Solve.solution, r.Letdma.Solve.certificate) with
+     | Some _, Some (Ok c) ->
+       Fmt.pr "certified: %d checks@." c.Letdma.Certify.checks;
+       0
+     | Some _, (Some (Error _) | None) ->
+       err "solution failed certification";
+       exit_no_solution
+     | None, _ ->
+       err "no solution (%s)" status;
+       exit_no_solution)
 
 let solve_cmd =
   let run verbose time_limit labels_per_edge objective alpha heuristic
@@ -488,7 +473,7 @@ let solve_cmd =
     setup_logs verbose;
     with_obs ~trace ~metrics @@ fun () ->
     let durable = checkpoint <> None || interrupt_after <> None in
-    let app = make_workload ~labels_per_edge ~seed workload in
+    let app = Workload.make ~labels_per_edge ~seed workload in
     if durable && heuristic then begin
       err "--heuristic cannot be combined with --checkpoint or \
            --interrupt-after (they select the MILP-only durable path)";
@@ -505,9 +490,7 @@ let solve_cmd =
             ~presolve:(not no_presolve) objective
       in
       match Letdma.Experiment.run_config ~solver app ~alpha with
-      | Error e ->
-        err "%s" (Letdma.Experiment.error_to_string e);
-        exit_of_experiment_error e
+      | Error e -> report_experiment_error e
       | Ok r ->
         Fmt.pr "%a@.@.%a@."
           (Letdma.Solution.pp app)
@@ -553,7 +536,7 @@ let resume_cmd =
       err "checkpoint %s: %s" checkpoint m;
       exit_internal
     | Ok ck ->
-      let app = make_workload ~labels_per_edge ~seed workload in
+      let app = Workload.make ~labels_per_edge ~seed workload in
       durable_solve ~time_limit ~objective ~alpha ~presolve:(not no_presolve)
         ~stats:false ~checkpoint:(Some checkpoint) ~checkpoint_every
         ~interrupt_after ~resume:(Some ck) app
@@ -597,8 +580,7 @@ let pipeline_cmd =
       err "%s" (Letdma.Pipeline.failure_to_string f);
       (match f with
        | Letdma.Pipeline.Invalid_model _ -> exit_invalid_model
-       | Letdma.Pipeline.No_communications | Letdma.Pipeline.Unschedulable _ ->
-         exit_unschedulable
+       | Letdma.Pipeline.Rejected e -> exit_of_experiment_error e
        | Letdma.Pipeline.Exhausted _ -> exit_no_solution)
   in
   Cmd.v
@@ -625,38 +607,29 @@ let faults_cmd =
     guard @@ fun () ->
     setup_logs verbose;
     let app = waters ~labels_per_edge in
-    let groups = Groups.compute app in
-    match Rt_analysis.Sensitivity.gammas app ~alpha with
-    | None ->
-      err "task set unschedulable at zero jitter";
-      exit_unschedulable
-    | Some s when not s.Rt_analysis.Sensitivity.schedulable ->
-      err "task set unschedulable with alpha=%.2f jitter bound" alpha;
-      exit_unschedulable
-    | Some s -> (
-      let gamma = s.Rt_analysis.Sensitivity.gamma in
-      match Letdma.Heuristic.solve app groups ~gamma with
-      | Error e ->
-        err "heuristic: %s" e;
-        exit_no_solution
-      | Ok solution ->
-        let schedule = Letdma.Solution.schedule app groups solution in
-        let reports =
-          Dma_sim.Robustness.sweep ~seed ~intensities app groups schedule
-        in
-        Fmt.pr "== FAULT INJECTION (seed %d) ==@." seed;
-        List.iter
-          (fun r -> Fmt.pr "%a@." Dma_sim.Robustness.pp_report r)
-          reports;
-        (match
-           List.find_opt
-             (fun r -> not (Dma_sim.Robustness.survives r))
-             reports
-         with
-         | None -> Fmt.pr "all properties survive every swept intensity@."
-         | Some r ->
-           Fmt.pr "properties first break at intensity %g@." r.intensity);
-        0)
+    with_prepared app ~alpha @@ fun groups gamma ->
+    match Letdma.Heuristic.solve app groups ~gamma with
+    | Error e ->
+      err "heuristic: %s" e;
+      exit_no_solution
+    | Ok solution ->
+      let schedule = Letdma.Solution.schedule app groups solution in
+      let reports =
+        Dma_sim.Robustness.sweep ~seed ~intensities app groups schedule
+      in
+      Fmt.pr "== FAULT INJECTION (seed %d) ==@." seed;
+      List.iter
+        (fun r -> Fmt.pr "%a@." Dma_sim.Robustness.pp_report r)
+        reports;
+      (match
+         List.find_opt
+           (fun r -> not (Dma_sim.Robustness.survives r))
+           reports
+       with
+       | None -> Fmt.pr "all properties survive every swept intensity@."
+       | Some r ->
+         Fmt.pr "properties first break at intensity %g@." r.intensity);
+      0
   in
   Cmd.v
     (Cmd.info "faults"
@@ -803,9 +776,7 @@ let random_cmd =
              Letdma.Formulation.No_obj)
         app ~alpha:0.3
     with
-    | Error e ->
-      err "%s" (Letdma.Experiment.error_to_string e);
-      exit_of_experiment_error e
+    | Error e -> report_experiment_error e
     | Ok r ->
       Fmt.pr "%a@." (fun ppf -> Letdma.Report.fig2_subplot ppf app) r;
       0

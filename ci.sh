@@ -68,8 +68,9 @@ timeout 120 ./_build/default/bin/letdma_cli.exe solve \
 
 echo "== chaos gate (checkpoint / interrupt / resume) =="
 # Durable-solve round trip through the CLI: an uninterrupted baseline, a
-# run killed mid-tree (exit 7, checkpoint left on disk), and a resume
-# that must land on the exact same objective and cumulative node count.
+# run killed mid-tree (exit 7, checkpoint left on disk), a corrupted copy
+# of that checkpoint that resume must refuse (exit 1), and a resume that
+# must land on the exact same objective and cumulative node count.
 # The instance is the small generator workload, seed 5, OBJ-DMAT; both
 # conclusive runs must certify their plan (exit 0).
 CLI=./_build/default/bin/letdma_cli.exe
@@ -86,6 +87,23 @@ $CLI solve $CHAOS --checkpoint "$CK" --interrupt-after 300 \
 [ "$rc" -eq 7 ] || {
   echo "FAIL: interrupted solve exited $rc, want 7"; exit 1; }
 [ -f "$CK" ] || { echo "FAIL: interrupt left no checkpoint"; exit 1; }
+# A corrupted copy (first pool row entry naming a variable far beyond
+# its basis's own count) must be refused with a structured one-line
+# error and exit 1, never a crash.
+python3 - "$CK" "$TMP/ci_chaos_bad.json" <<'PY'
+import json, sys
+with open(sys.argv[1]) as f:
+    ck = json.load(f)
+ck["state"]["pool"][0][1]["rows"][0] = "v99999999"
+with open(sys.argv[2], "w") as f:
+    json.dump(ck, f)
+PY
+$CLI resume $CHAOS --checkpoint "$TMP/ci_chaos_bad.json" \
+  > "$TMP/ci_chaos_bad.out" 2>&1 && rc=0 || rc=$?
+echo "chaos gate: corrupted checkpoint: exit $rc, $(tail -n 1 "$TMP/ci_chaos_bad.out")"
+[ "$rc" -eq 1 ] && grep -q '^letdma: error: ' "$TMP/ci_chaos_bad.out" || {
+  echo "FAIL: resume of a corrupted checkpoint exited $rc, want 1 with a 'letdma: error:' line"
+  exit 1; }
 $CLI resume $CHAOS --checkpoint "$CK" > "$TMP/ci_chaos_res.out" || {
   echo "FAIL: resumed solve exited $? (want 0)"; exit 1; }
 grep -q '^status: optimal$' "$TMP/ci_chaos_res.out" || {

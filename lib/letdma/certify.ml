@@ -20,6 +20,10 @@ let source_name = function
   | Heuristic -> "heuristic"
   | Baseline -> "baseline"
 
+let milp_source = function
+  | Milp.Branch_bound.Optimal -> Milp_optimal
+  | _ -> Milp_incumbent
+
 type violation =
   | Missing_layout of Platform.memory
   | Bad_coverage of Platform.memory * string

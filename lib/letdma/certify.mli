@@ -31,6 +31,10 @@ type source = Milp_optimal | Milp_incumbent | Heuristic | Baseline
 
 val source_name : source -> string
 
+(** The source of a MILP plan: [Milp_optimal] when the search that found
+    it ended [Optimal], [Milp_incumbent] otherwise. *)
+val milp_source : Milp.Branch_bound.status -> source
+
 type violation =
   | Missing_layout of Platform.memory
       (** a memory the mapping rules populate has no layout *)

@@ -10,16 +10,15 @@ open Dma_sim
 type solver =
   | Milp of {
       objective : Formulation.objective;
-      options : Formulation.options;
       time_limit_s : float;
       node_limit : int;
       presolve : bool; (* MILP root presolve (default on) *)
     }
   | Heuristic
 
-let milp ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
-    ?(node_limit = 200_000) ?(presolve = true) objective =
-  Milp { objective; options; time_limit_s; node_limit; presolve }
+let milp ?(time_limit_s = 60.0) ?(node_limit = 200_000) ?(presolve = true)
+    objective =
+  Milp { objective; time_limit_s; node_limit; presolve }
 
 let solver_name = function
   | Milp { objective; _ } -> Formulation.objective_name objective
@@ -78,7 +77,10 @@ let best_improvement r approach =
   done;
   !best
 
-let run_config ?(solver = Heuristic) app ~alpha =
+(* The one place a configuration is turned away: Section VII's gamma
+   exists only for a schedulable task set, and a set with no inter-core
+   communication leaves the DMA nothing to do. *)
+let prepare app ~alpha =
   let groups = Groups.compute app in
   if Comm.Set.is_empty (Groups.s0 groups) then Error No_communications
   else
@@ -86,62 +88,63 @@ let run_config ?(solver = Heuristic) app ~alpha =
     | None -> Error (Unschedulable None)
     | Some s when not s.Rt_analysis.Sensitivity.schedulable ->
       Error (Unschedulable (Some alpha))
-    | Some s ->
-      let gamma = s.Rt_analysis.Sensitivity.gamma in
-      let solution, solve_stats, certificate =
-        match solver with
-        | Heuristic ->
-          let sol = Heuristic.solve_unchecked app groups ~gamma in
-          let cert =
-            Option.map
-              (Certify.certify ~source:Certify.Heuristic app groups ~gamma)
-              sol
-          in
-          (sol, None, cert)
-        | Milp { objective; options; time_limit_s; node_limit; presolve } ->
-          let warm = Solve.warm_start objective app groups ~gamma in
-          let r =
-            Solve.solve ~options ~time_limit_s ~node_limit ~presolve ?warm
-              objective app groups ~gamma
-          in
-          (r.Solve.solution, Some r.Solve.stats, r.Solve.certificate)
+    | Some s -> Ok (groups, s.Rt_analysis.Sensitivity.gamma)
+
+let run_config ?(solver = Heuristic) app ~alpha =
+  Result.bind (prepare app ~alpha) @@ fun (groups, gamma) ->
+  let solution, solve_stats, certificate =
+    match solver with
+    | Heuristic ->
+      let sol = Heuristic.solve_unchecked app groups ~gamma in
+      let cert =
+        Option.map
+          (Certify.certify ~source:Certify.Heuristic app groups ~gamma)
+          sol
       in
-      (match (solution, certificate) with
-       | None, _ | _, None ->
-         Error (No_solution { alpha; solver_name = solver_name solver })
-       | Some _, Some (Error violations) ->
-         let source =
-           match solver with
-           | Heuristic -> Certify.Heuristic
-           | Milp _ -> Certify.Milp_incumbent
-         in
-         Error (Uncertified (source, violations))
-       | Some solution, Some (Ok certificate) ->
-         let metrics =
-           List.map
-             (fun a ->
-               (* when tracing, record the Proposed run's simulator
-                  timeline and bridge it into the event sink *)
-               let record_trace = Obs.enabled () && a = Baselines.Proposed in
-               let m =
-                 Baselines.run ~record_trace app groups a
-                   ~solution:(Some solution)
-               in
-               if record_trace then Obs_bridge.emit app m.Sim.trace;
-               (a, m))
-             Baselines.all_approaches
-         in
-         Ok
-           {
-             alpha;
-             solver;
-             gamma;
-             solution;
-             certificate;
-             solve_stats;
-             num_transfers = Solution.num_transfers solution;
-             metrics;
-           })
+      (sol, None, cert)
+    | Milp { objective; time_limit_s; node_limit; presolve } ->
+      let warm = Solve.warm_start objective app groups ~gamma in
+      let r =
+        Solve.solve ~time_limit_s ~node_limit ~presolve ?warm objective app
+          groups ~gamma
+      in
+      (r.Solve.solution, Some r.Solve.stats, r.Solve.certificate)
+  in
+  match (solution, certificate) with
+  | None, _ | _, None ->
+    Error (No_solution { alpha; solver_name = solver_name solver })
+  | Some _, Some (Error violations) ->
+    let source =
+      match solve_stats with
+      | None -> Certify.Heuristic
+      | Some st -> Certify.milp_source st.Solve.status
+    in
+    Error (Uncertified (source, violations))
+  | Some solution, Some (Ok certificate) ->
+    let metrics =
+      List.map
+        (fun a ->
+          (* when tracing, record the Proposed run's simulator
+             timeline and bridge it into the event sink *)
+          let record_trace = Obs.enabled () && a = Baselines.Proposed in
+          let m =
+            Baselines.run ~record_trace app groups a ~solution:(Some solution)
+          in
+          if record_trace then Obs_bridge.emit app m.Sim.trace;
+          (a, m))
+        Baselines.all_approaches
+    in
+    Ok
+      {
+        alpha;
+        solver;
+        gamma;
+        solution;
+        certificate;
+        solve_stats;
+        num_transfers = Solution.num_transfers solution;
+        metrics;
+      }
 
 (* The paper's Fig. 2 grid: alphas 0.2 and 0.4, the three objectives. *)
 let fig2 ?(alphas = [ 0.2; 0.4 ])
@@ -189,22 +192,9 @@ let table1_row ((alpha, objective), res) =
     { objective; t_alpha = alpha; time_s = None; transfers = None;
       status = error_to_string e }
 
-(* Build Table I rows from already-computed Fig. 2 results (same
-   configurations; avoids re-solving). *)
-let table1_of_results results = List.map table1_row results
-
-let table1 ?(alphas = [ 0.2; 0.4 ])
-    ?(objectives = [ Formulation.No_obj; Formulation.Min_transfers; Formulation.Min_delay_ratio ])
-    ?(time_limit_s = 60.0) app =
-  List.concat_map
-    (fun objective ->
-      List.map
-        (fun alpha ->
-          table1_row
-            ( (alpha, objective),
-              run_config ~solver:(milp ~time_limit_s objective) app ~alpha ))
-        alphas)
-    objectives
+(* Table I from Fig. 2's results: the same configurations, in fig2's
+   order. *)
+let table1 results = List.map table1_row results
 
 (* The alpha sweep of Section VII: feasibility for alpha in {0.1..0.5}. *)
 let alpha_sweep ?(alphas = [ 0.1; 0.2; 0.3; 0.4; 0.5 ]) ?(time_limit_s = 60.0)

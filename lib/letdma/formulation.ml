@@ -22,17 +22,18 @@ let objective_name = function
   | Min_transfers -> "OBJ-DMAT"
   | Min_delay_ratio -> "OBJ-DEL"
 
+(* The wire and CLI names of the objectives. *)
+let objective_flags =
+  [ ("no-obj", No_obj); ("dmat", Min_transfers); ("del", Min_delay_ratio) ]
+
 type options = {
-  g_max : int option; (* number of transfer slots; default |C(s0)| *)
   strict_property3 : bool;
       (* true (default): Constraint 10 bounds the last transfer of the
          instant; false: the paper's literal form (last LET read) *)
-  compress_slots : bool; (* forbid a used slot after an empty one *)
   full_c6 : bool; (* generate every Constraint 6 instance upfront *)
 }
 
-let default_options =
-  { g_max = None; strict_property3 = true; compress_slots = true; full_c6 = false }
+let default_options = { strict_property3 = true; full_c6 = false }
 
 (* Chain nodes for the adjacency encoding: two dummy labels delimit each
    memory's placement chain, as in the paper's Constraint 4. *)
@@ -49,7 +50,7 @@ type instance = {
   comm_index : int Comm.Map.t;
   classes : (int * Comm.direction) array;
   class_of : int array; (* comm index -> class index *)
-  g_max : int;
+  g_max : int; (* transfer slots: |C(s0)| *)
   mems : Platform.memory array; (* memories holding labels *)
   mem_index : (Platform.memory, int) Hashtbl.t;
   mem_labels : int list array; (* real label ids per memory *)
@@ -133,9 +134,8 @@ let build ?(options = default_options) objective app groups ~gamma =
   let class_of =
     Array.map (fun c -> find_class classes (Comm.cls app c)) comms
   in
-  let g_max = match options.g_max with Some g -> g | None -> n_comms in
-  if g_max < Array.length classes then
-    invalid_arg "Formulation.build: g_max below the number of (memory, direction) classes";
+  (* one transfer slot per communication suffices *)
+  let g_max = n_comms in
   let platform = App.platform app in
   let lambda_o_us = us_of_time (Platform.lambda_o platform) in
   let omega_us_per_byte = platform.Platform.dma_ns_per_byte /. 1000.0 in
@@ -307,21 +307,20 @@ let add_c1_and_classes inst =
            (L.of_list (Array.to_list (Array.map (fun v -> (1.0, v)) urow)))
            P.Le 1.0))
     inst.u_slot;
-  if inst.options.compress_slots then
-    (* a used slot may not follow an empty one: sum_z CG_{z,g+1} <= |C| sum_z CG_{z,g} *)
-    for g = 0 to inst.g_max - 2 do
-      let nc = float_of_int (Array.length inst.comms) in
-      let lhs =
-        L.of_list
-          (Array.to_list (Array.map (fun row -> (1.0, row.(g + 1))) inst.cg))
-      in
-      let rhs =
-        L.of_list (Array.to_list (Array.map (fun row -> (nc, row.(g))) inst.cg))
-      in
-      ignore
-        (P.add_constr ~name:(Fmt.str "COMPRESS_%d" g) inst.problem
-           (L.sub lhs rhs) P.Le 0.0)
-    done
+  (* a used slot may not follow an empty one: sum_z CG_{z,g+1} <= |C| sum_z CG_{z,g} *)
+  for g = 0 to inst.g_max - 2 do
+    let nc = float_of_int (Array.length inst.comms) in
+    let lhs =
+      L.of_list
+        (Array.to_list (Array.map (fun row -> (1.0, row.(g + 1))) inst.cg))
+    in
+    let rhs =
+      L.of_list (Array.to_list (Array.map (fun row -> (nc, row.(g))) inst.cg))
+    in
+    ignore
+      (P.add_constr ~name:(Fmt.str "COMPRESS_%d" g) inst.problem
+         (L.sub lhs rhs) P.Le 0.0)
+  done
 
 (* Constraints 2 and 3: RG is an indicator of the slot holding the last
    ready-relevant communication of each task. *)
@@ -701,8 +700,8 @@ let set_objective inst =
      gbar = RGI_i then charges lambda_i >= lambda_O |classes(S_i)|
      + omega bytes(S_i), and Eq. (5) divides by T_i.
    The argument uses C1-C3, C7-C9 and the class rows only, so the floor
-   holds under lazy Constraint-6 rows, any [g_max] and either form of
-   Constraint 10. NO-OBJ has none. *)
+   holds under lazy Constraint-6 rows and either form of Constraint 10.
+   NO-OBJ has none. *)
 let objective_floor inst =
   match inst.objective with
   | No_obj -> None

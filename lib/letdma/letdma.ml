@@ -14,9 +14,12 @@
       configuration (MILP residuals, layout rules, LET Properties 1-3);
     - {!Pipeline}: the hardened entry point — model validation, one
       global deadline, and the MILP -> heuristic -> baseline degradation
-      ladder;
-    - {!Experiment} and {!Report}: the Fig. 2 / Table I / alpha-sweep
-      pipelines and their plain-text rendering. *)
+      ladder, whose rungs and fallback plans the service's QoS tiers
+      reuse;
+    - {!Experiment} and {!Report}: [Experiment.prepare], the front door
+      every path from a request to a plan goes through (the LET groups
+      and Section VII's gamma, or a rejection), and the Fig. 2 / Table I
+      / alpha-sweep pipelines with their plain-text rendering. *)
 
 module Certify = Certify
 module Formulation = Formulation

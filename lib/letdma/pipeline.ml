@@ -62,16 +62,13 @@ type attempt = { rung : rung; accepted : bool; reason : string; time_s : float }
 
 type failure =
   | Invalid_model of string list
-  | No_communications
-  | Unschedulable of float
+  | Rejected of Experiment.error
   | Exhausted of attempt list
 
 let failure_to_string = function
   | Invalid_model problems ->
     Fmt.str "invalid application model: %s" (String.concat "; " problems)
-  | No_communications -> "no inter-core communications"
-  | Unschedulable alpha ->
-    Fmt.str "task set unschedulable with alpha=%.2f jitter bound" alpha
+  | Rejected e -> Experiment.error_to_string e
   | Exhausted attempts ->
     Fmt.str "every rung failed: %s"
       (String.concat "; "
@@ -115,6 +112,22 @@ let violations_summary app vs =
     (Certify.pp_violation app)
     (List.hd vs)
 
+(* The fallback rungs' plans: the per-task heuristic plan whatever the
+   objective (the grouped OBJ-DMAT warm start can break Property 1), and
+   the Giotto-DMA-A baseline, each with its certifier verdict. *)
+let fallback rung app groups ~gamma =
+  let certified source sol =
+    (sol, Certify.certify ~source app groups ~gamma sol)
+  in
+  match rung with
+  | Milp -> invalid_arg "Pipeline.fallback: the MILP rung has no fallback plan"
+  | Heuristic ->
+    Option.map
+      (certified Certify.Heuristic)
+      (Heuristic.solve_unchecked app groups ~gamma)
+  | Baseline ->
+    Some (certified Certify.Baseline (Baselines.giotto_solution app groups))
+
 (* --- the ladder ------------------------------------------------------ *)
 
 let run ?(milp_solve = default_milp_solve) ?(objective = Formulation.No_obj)
@@ -123,113 +136,91 @@ let run ?(milp_solve = default_milp_solve) ?(objective = Formulation.No_obj)
   let deadline = t0 +. budget_s in
   match validate_app app with
   | _ :: _ as problems -> Error (Invalid_model problems)
-  | [] ->
-    let groups = Groups.compute app in
-    if Comm.Set.is_empty (Groups.s0 groups) then Error No_communications
-    else begin
-      match Rt_analysis.Sensitivity.gammas app ~alpha with
-      | None -> Error (Unschedulable alpha)
-      | Some s when not s.Rt_analysis.Sensitivity.schedulable ->
-        Error (Unschedulable alpha)
-      | Some s ->
-        let gamma = s.Rt_analysis.Sensitivity.gamma in
-        let attempts = ref [] in
-        let record rung accepted reason time_s =
-          if not accepted then
-            Log.info (fun f ->
-                f "rung %s rejected: %s (%.2fs)" (rung_name rung) reason time_s);
-          Obs.point ~cat:"pipeline" "rung"
-            [
-              ("rung", Obs.Str (rung_name rung));
-              ("accepted", Obs.Bool accepted);
-              ("reason", Obs.Str reason);
-              ("time_s", Obs.Float time_s);
-            ];
-          attempts := { rung; accepted; reason; time_s } :: !attempts
-        in
-        let finish rung (sol, cert, stats, time_s) =
-          record rung true "accepted" time_s;
-          Log.info (fun f -> f "pipeline settled on rung %s" (rung_name rung));
-          Ok
-            {
-              rung;
-              solution = sol;
-              certificate = cert;
-              gamma;
-              attempts = List.rev !attempts;
-              solve_stats = stats;
-              total_time_s = Milp.Clock.now () -. t0;
-            }
-        in
-        (* the MILP rung: solve, then re-certify the result, never
-           trusting the hook *)
-        let try_milp () =
-          Obs.span ~cat:"pipeline" (rung_name Milp) @@ fun () ->
-          let ta = Milp.Clock.now () in
-          let r =
-            milp_solve ~deadline_s:deadline
-              ~warm:(Solve.warm_start objective app groups ~gamma)
-              objective app groups ~gamma
-          in
-          let dt = Milp.Clock.now () -. ta in
-          match r.Solve.solution with
-          | None ->
-            record Milp false
-              (Fmt.str "no solution (%s)"
-                 (Milp.Branch_bound.status_name r.Solve.stats.Solve.status))
-              dt;
-            None
-          | Some sol ->
-            let source =
-              match r.Solve.stats.Solve.status with
-              | Milp.Branch_bound.Optimal -> Certify.Milp_optimal
-              | _ -> Certify.Milp_incumbent
-            in
-            let milp = Option.map (fun x -> (r.Solve.instance, x)) r.Solve.x in
-            (match Certify.certify ?milp ~source app groups ~gamma sol with
-             | Ok cert -> Some (sol, cert, Some r.Solve.stats, dt)
-             | Error vs ->
-               record Milp false (violations_summary app vs) dt;
-               None)
-        in
-        (* heuristic/baseline rung: certify a directly-constructed plan *)
-        let try_direct rung source sol_opt =
-          Obs.span ~cat:"pipeline" (rung_name rung) @@ fun () ->
-          let ta = Milp.Clock.now () in
-          match sol_opt with
-          | None ->
-            record rung false "no plan produced" (Milp.Clock.now () -. ta);
-            None
-          | Some sol ->
-            let dt0 = Milp.Clock.now () in
-            (match Certify.certify ~source app groups ~gamma sol with
-             | Ok cert -> Some (sol, cert, None, Milp.Clock.now () -. ta)
-             | Error vs ->
-               record rung false (violations_summary app vs)
-                 (Milp.Clock.now () -. dt0);
-               None)
-        in
-        (* the rungs, tried in order until one certifies *)
-        let rec walk = function
-          | [] -> Error (Exhausted (List.rev !attempts))
-          | (rung, attempt) :: rest -> (
-            match attempt () with
-            | Some acc -> finish rung acc
-            | None -> walk rest)
-        in
-        (* the heuristic rung keeps the per-task plan whatever the
-           objective: the grouped OBJ-DMAT warm start can break
-           Property 1 *)
-        walk
+  | [] -> (
+    match Experiment.prepare app ~alpha with
+    | Error e -> Error (Rejected e)
+    | Ok (groups, gamma) ->
+      let attempts = ref [] in
+      let record rung accepted reason time_s =
+        if not accepted then
+          Log.info (fun f ->
+              f "rung %s rejected: %s (%.2fs)" (rung_name rung) reason time_s);
+        Obs.point ~cat:"pipeline" "rung"
           [
-            (Milp, try_milp);
-            ( Heuristic,
-              fun () ->
-                try_direct Heuristic Certify.Heuristic
-                  (Heuristic.solve_unchecked app groups ~gamma) );
-            ( Baseline,
-              fun () ->
-                try_direct Baseline Certify.Baseline
-                  (Some (Baselines.giotto_solution app groups)) );
-          ]
-    end
+            ("rung", Obs.Str (rung_name rung));
+            ("accepted", Obs.Bool accepted);
+            ("reason", Obs.Str reason);
+            ("time_s", Obs.Float time_s);
+          ];
+        attempts := { rung; accepted; reason; time_s } :: !attempts
+      in
+      let finish rung (sol, cert, stats, time_s) =
+        record rung true "accepted" time_s;
+        Log.info (fun f -> f "pipeline settled on rung %s" (rung_name rung));
+        Ok
+          {
+            rung;
+            solution = sol;
+            certificate = cert;
+            gamma;
+            attempts = List.rev !attempts;
+            solve_stats = stats;
+            total_time_s = Milp.Clock.now () -. t0;
+          }
+      in
+      (* the MILP rung: solve, then re-certify the result, never
+         trusting the hook *)
+      let try_milp () =
+        Obs.span ~cat:"pipeline" (rung_name Milp) @@ fun () ->
+        let ta = Milp.Clock.now () in
+        let r =
+          milp_solve ~deadline_s:deadline
+            ~warm:(Solve.warm_start objective app groups ~gamma)
+            objective app groups ~gamma
+        in
+        let dt = Milp.Clock.now () -. ta in
+        match r.Solve.solution with
+        | None ->
+          record Milp false
+            (Fmt.str "no solution (%s)"
+               (Milp.Branch_bound.status_name r.Solve.stats.Solve.status))
+            dt;
+          None
+        | Some sol ->
+          let source = Certify.milp_source r.Solve.stats.Solve.status in
+          let milp = Option.map (fun x -> (r.Solve.instance, x)) r.Solve.x in
+          (match Certify.certify ?milp ~source app groups ~gamma sol with
+           | Ok cert -> Some (sol, cert, Some r.Solve.stats, dt)
+           | Error vs ->
+             record Milp false (violations_summary app vs) dt;
+             None)
+      in
+      (* heuristic/baseline rung: its certified fallback plan *)
+      let try_fallback rung () =
+        Obs.span ~cat:"pipeline" (rung_name rung) @@ fun () ->
+        let ta = Milp.Clock.now () in
+        let plan = fallback rung app groups ~gamma in
+        let dt = Milp.Clock.now () -. ta in
+        match plan with
+        | None ->
+          record rung false "no plan produced" dt;
+          None
+        | Some (sol, Ok cert) -> Some (sol, cert, None, dt)
+        | Some (_, Error vs) ->
+          record rung false (violations_summary app vs) dt;
+          None
+      in
+      (* the rungs, tried in order until one certifies *)
+      let rec walk = function
+        | [] -> Error (Exhausted (List.rev !attempts))
+        | (rung, attempt) :: rest -> (
+          match attempt () with
+          | Some acc -> finish rung acc
+          | None -> walk rest)
+      in
+      walk
+        [
+          (Milp, try_milp);
+          (Heuristic, try_fallback Heuristic);
+          (Baseline, try_fallback Baseline);
+        ])

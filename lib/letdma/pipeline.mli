@@ -32,11 +32,24 @@ type attempt = { rung : rung; accepted : bool; reason : string; time_s : float }
 
 type failure =
   | Invalid_model of string list
-  | No_communications  (** nothing for the DMA to do *)
-  | Unschedulable of float  (** no gamma exists at this [alpha] *)
+  | Rejected of Experiment.error
+      (** turned away by {!Experiment.prepare}: no inter-core
+          communication, or no gamma at this [alpha] *)
   | Exhausted of attempt list  (** every rung failed certification *)
 
 val failure_to_string : failure -> string
+
+(** [fallback rung app groups ~gamma] is a fallback rung's plan with its
+    {!Certify} verdict: the per-task heuristic plan for [Heuristic]
+    ([None] when the heuristic finds none), {!Baselines.giotto_solution}
+    for [Baseline]. The ladder's fallback rungs and the service's shed
+    tiers answer with it. Raises [Invalid_argument] on [Milp]. *)
+val fallback :
+  rung ->
+  App.t ->
+  Groups.t ->
+  gamma:Time.t array ->
+  (Solution.t * (Certify.t, Certify.violation list) result) option
 
 type outcome = {
   rung : rung;  (** the rung whose solution was accepted *)
@@ -63,12 +76,13 @@ type milp_solver =
   gamma:Time.t array ->
   Solve.result
 
-(** [run app] validates, computes gamma at [alpha] (default [0.2]) and
-    walks the ladder under [budget_s] (default [60] s) of total wall
-    time. [objective] configures the MILP rung, which is warm-started
-    with {!Solve.warm_start} — the same MIP start [Experiment.run_config]
-    uses — and is one sequential search. The heuristic rung's candidate
-    is the per-task heuristic plan whatever the objective. *)
+(** [run app] validates, prepares the configuration at [alpha] (default
+    [0.2]) with {!Experiment.prepare} and walks the ladder under
+    [budget_s] (default [60] s) of total wall time. [objective]
+    configures the MILP rung, which is warm-started with
+    {!Solve.warm_start} — the same MIP start [Experiment.run_config]
+    uses — and is one sequential search. The fallback rungs offer
+    {!fallback}'s plans. *)
 val run :
   ?milp_solve:milp_solver ->
   ?objective:Formulation.objective ->

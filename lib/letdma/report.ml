@@ -8,14 +8,10 @@ let hr ppf width = Fmt.pf ppf "%s@," (String.make width '-')
 (* Fig. 2 (one subplot): per task, the measured lambda of the proposed
    approach and its ratio against each baseline. *)
 let fig2_subplot ppf app (r : Experiment.config_result) =
-  let label =
-    match r.Experiment.solver with
-    | Experiment.Milp { objective; _ } -> Formulation.objective_name objective
-    | Experiment.Heuristic -> "HEURISTIC"
-  in
   Fmt.pf ppf "@[<v>";
   Fmt.pf ppf "alpha=%.1f  %s  (%d DMA transfers at s0%a)@," r.Experiment.alpha
-    label r.Experiment.num_transfers
+    (Experiment.solver_name r.Experiment.solver)
+    r.Experiment.num_transfers
     Fmt.(
       option (fun ppf s ->
           pf ppf ", solver: %.2fs %s" s.Solve.time_s

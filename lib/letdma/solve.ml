@@ -180,13 +180,25 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
             None)
        | None -> None)
   in
+  (* A lazy round can end at the deadline on an incumbent that breaks
+     contiguity, leaving no time for the next round. The MIP start is
+     still a plan then, when it is contiguous and passes the grown
+     model's rows. *)
+  let contiguous_warm () =
+    match warm with
+    | Some sol when find_violations inst sol = [] ->
+      Option.map (fun x -> (sol, x)) (encode_warm ())
+    | _ -> None
+  in
   let c6_total = ref 0 in
   let nodes_total = ref 0 in
   let lp_total = ref Milp.Branch_bound.lp_zero in
   let rec loop round =
     let remaining = Milp.Clock.remaining ~deadline in
     if remaining <= 0.5 || round > max_rounds then
-      (None, Milp.Branch_bound.Unknown, None, round - 1)
+      match if round > 1 then contiguous_warm () else None with
+      | Some acc -> (Some acc, Milp.Branch_bound.Feasible, None, round - 1)
+      | None -> (None, Milp.Branch_bound.Unknown, None, round - 1)
     else begin
       let ck =
         if (not durable) || round > 1 then None
@@ -280,11 +292,7 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
     match accepted with
     | None -> None
     | Some (sol, x) ->
-      let source =
-        match status with
-        | Milp.Branch_bound.Optimal -> Certify.Milp_optimal
-        | _ -> Certify.Milp_incumbent
-      in
+      let source = Certify.milp_source status in
       let cert =
         Certify.certify ~milp:(inst, x) ~source app groups ~gamma sol
       in

@@ -477,6 +477,24 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000) ?incumbent
       | None -> ());
      Heap.push heap neg_infinity 0 { overrides = []; depth = 0; parent = -1 }
    | Some ck ->
+     (* a checkpoint file comes from outside the program, and its
+        variable ids index this model's arrays unchecked *)
+     (match ck.ck_best with
+      | Some (_, x) when Array.length x <> n ->
+        invalid_arg
+          (Fmt.str "checkpoint: incumbent has %d entries, the model %d \
+                    variables" (Array.length x) n)
+      | _ -> ());
+     List.iter
+       (fun cn ->
+         List.iter
+           (fun (j, _, _) ->
+             if j < 0 || j >= n then
+               invalid_arg
+                 (Fmt.str "checkpoint: frontier override of variable %d, \
+                           the model has %d" j n))
+           cn.ck_overrides)
+       ck.ck_frontier;
      (* rehydrate: counters, incumbent, frontier and basis pool continue
         exactly where the checkpointed search stopped — no root push, no
         re-fired incumbent hook *)

@@ -207,7 +207,10 @@ type checkpoint = {
     - [resume]: rehydrate all mutable state from a checkpoint instead of
       starting at the root. The caller must pass the same problem and
       parameters as the interrupted solve (see [Resilience.Checkpoint]
-      for the fingerprint that enforces the problem part). *)
+      for the fingerprint that enforces the problem part). Raises
+      [Invalid_argument "checkpoint: ..."] when the incumbent does not
+      have one entry per variable or a frontier override names a
+      variable the problem does not have. *)
 val solve :
   ?time_limit_s:float ->
   ?deadline:float ->

@@ -7,8 +7,8 @@
    Concurrency contract: buffers are flushed by their owning domain when
    full and by [stop] for every buffer ever registered. [stop] must not
    race live emitters — in this codebase worker domains only exist inside
-   Pool.with_pool, which joins them before returning, so stopping from
-   the main domain after a solve is safe. *)
+   a Pool, whose shutdown joins them, so stopping from the main domain
+   after the pool is shut down is safe. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 

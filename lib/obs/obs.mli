@@ -18,8 +18,8 @@
 
     When disabled (the default), every emit is a single atomic load and a
     branch. [stop] must only be called when no other domain is emitting;
-    in this codebase worker domains live inside [Pool.with_pool], which
-    joins them before returning. *)
+    in this codebase worker domains live inside a [Pool], whose
+    [shutdown] joins them. *)
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 

@@ -209,12 +209,6 @@ let await fut =
   Mutex.unlock fut.fm;
   r
 
-let await_exn fut = match await fut with Ok v -> v | Error e -> raise e
-
-let map t f xs =
-  let futures = List.map (fun x -> async t (fun () -> f x)) xs in
-  List.map await futures
-
 let shutdown t =
   Mutex.lock t.m;
   let first = not t.closing in
@@ -246,7 +240,3 @@ let shutdown t =
     in
     drain ()
   end
-
-let with_pool ?jobs f =
-  let t = create ?jobs () in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

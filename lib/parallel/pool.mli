@@ -67,17 +67,6 @@ val async : ?retry_on_crash:int -> t -> (unit -> 'a) -> 'a future
     uncaught exception. Safe to call repeatedly. *)
 val await : 'a future -> ('a, exn) result
 
-(** {!await}, re-raising the task's exception. *)
-val await_exn : 'a future -> 'a
-
-(** [map t f xs] runs [f x] for every element on the pool and waits for
-    them all; results are in input order. *)
-val map : t -> ('a -> 'b) -> 'a list -> ('b, exn) result list
-
 (** Drain the queue, join every worker domain. Idempotent. Tasks already
     queued are still executed before the workers exit. *)
 val shutdown : t -> unit
-
-(** [with_pool ?jobs f] runs [f] on a fresh pool and guarantees
-    {!shutdown}, also on exception. *)
-val with_pool : ?jobs:int -> (t -> 'a) -> 'a

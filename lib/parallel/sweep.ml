@@ -21,15 +21,8 @@ let carve ~global ~unstarted ~jobs =
     let remaining = Float.max 0.0 (g -. now) in
     Float.min g (now +. (remaining /. float_of_int waves))
 
-let crashed o =
-  match o.result with Error (Pool.Worker_crashed _) -> true | _ -> false
-
-let map ?pool ?jobs ?deadline ?(retry_on_crash = 1) f items =
-  let with_p g =
-    match pool with Some pl -> g pl | None -> Pool.with_pool ?jobs g
-  in
-  with_p @@ fun pl ->
-  let jobs = Pool.jobs pl in
+let map ~pool ?deadline ?(retry_on_crash = 1) f items =
+  let jobs = Pool.jobs pool in
   let unstarted = Atomic.make (List.length items) in
   (* Items that never ran (pool machinery failure: submission on a dead
      pool, a lost future) still get a well-defined deadline — the global
@@ -41,7 +34,7 @@ let map ?pool ?jobs ?deadline ?(retry_on_crash = 1) f items =
       (fun item ->
         try
           Ok
-            (Pool.async ~retry_on_crash pl (fun () ->
+            (Pool.async ~retry_on_crash pool (fun () ->
                  let d = carve ~global:deadline ~unstarted ~jobs in
                  Obs.point ~cat:"sweep" "carve"
                    [

@@ -13,11 +13,9 @@ type ('a, 'b) outcome = {
   time_s : float;  (** wall time the item actually took *)
 }
 
-(** [map f items] runs [f ~deadline item] for every item on a pool,
-    returning outcomes in input order.
+(** [map ~pool f items] runs [f ~deadline item] for every item on
+    [pool], returning outcomes in input order.
 
-    - [jobs] (default [Domain.recommended_domain_count ()]) sizes the
-      pool when [pool] is not supplied;
     - [deadline] is the shared absolute ({!Milp.Clock}) budget. Each
       item receives [min deadline (now +. remaining /. waves)], where
       [waves] is the number of pool-width batches the {e unstarted}
@@ -36,18 +34,12 @@ type ('a, 'b) outcome = {
 
     [retry_on_crash] (default 1) is handed to {!Pool.async}: an item
     whose worker {e domain} dies is transparently re-enqueued that many
-    times before its outcome becomes [Error Worker_crashed] (detect with
-    {!crashed}). Note a retried item re-carves its deadline when it
-    re-runs. *)
+    times before its outcome becomes [Error Pool.Worker_crashed]. Note a
+    retried item re-carves its deadline when it re-runs. *)
 val map :
-  ?pool:Pool.t ->
-  ?jobs:int ->
+  pool:Pool.t ->
   ?deadline:float ->
   ?retry_on_crash:int ->
   (deadline:float -> 'a -> 'b) ->
   'a list ->
   ('a, 'b) outcome list
-
-val crashed : ('a, 'b) outcome -> bool
-(** The item's worker domain died and its crash-retry budget ran out
-    ([result] is [Error Pool.Worker_crashed]). *)

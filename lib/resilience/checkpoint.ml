@@ -206,37 +206,43 @@ let counters_of_json what j =
   c.Milp.Simplex_core.basis_evictions <- f "basis_evictions";
   c
 
+(* A basis is restored into a tableau of its own [bm] rows and [bn]
+   variables without bounds checks, so every entry must index within
+   them. *)
 let basis_of_json what j =
   let open Milp.Simplex_core.Basis in
   let ms = as_obj what j in
+  let bm = as_int (what ^ ".bm") (field what ms "bm") in
+  let bn = as_int (what ^ ".bn") (field what ms "bn") in
+  let id kind bound s =
+    match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
+    | Some i when i >= 0 && i < bound -> kind i
+    | _ -> invalid "%s.rows[]: bad entry %S (bm %d, bn %d)" what s bm bn
+  in
   let rows =
     as_list (what ^ ".rows") (field what ms "rows")
     |> List.map (fun e ->
            match as_string (what ^ ".rows[]") e with
            | "-" -> Bnone
-           | s when String.length s > 1 && s.[0] = 'v' -> (
-             match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
-             | Some v when v >= 0 -> Bvar v
-             | _ -> invalid "%s.rows[]: bad entry %S" what s)
-           | s when String.length s > 1 && s.[0] = 's' -> (
-             match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
-             | Some r when r >= 0 -> Bslack r
-             | _ -> invalid "%s.rows[]: bad entry %S" what s)
+           | s when String.length s > 1 && s.[0] = 'v' ->
+             id (fun v -> Bvar v) bn s
+           | s when String.length s > 1 && s.[0] = 's' ->
+             id (fun r -> Bslack r) bm s
            | s -> invalid "%s.rows[]: bad entry %S" what s)
     |> Array.of_list
   in
+  if Array.length rows <> bm then
+    invalid "%s.rows: %d entries, expected bm = %d" what (Array.length rows) bm;
   let at_upper =
     as_list (what ^ ".at_upper") (field what ms "at_upper")
-    |> List.map (as_int (what ^ ".at_upper[]"))
+    |> List.map (fun e ->
+           match as_int (what ^ ".at_upper[]") e with
+           | v when v >= 0 && v < bn -> v
+           | v -> invalid "%s.at_upper[]: variable %d outside [0, %d)" what v bn)
     |> Array.of_list
   in
-  {
-    rows;
-    at_upper;
-    bm = as_int (what ^ ".bm") (field what ms "bm");
-    bn = as_int (what ^ ".bn") (field what ms "bn");
-    bsig = as_int_string (what ^ ".bsig") (field what ms "bsig");
-  }
+  { rows; at_upper; bm; bn;
+    bsig = as_int_string (what ^ ".bsig") (field what ms "bsig") }
 
 let ck_node_of_json what j =
   let ms = as_obj what j in

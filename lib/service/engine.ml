@@ -1,8 +1,6 @@
 (* Batch execution: QoS planning, fair-deadline dispatch over the
    supervised pool, and the fingerprint-keyed warm cache. *)
 
-open Let_sem
-
 let src = Logs.Src.create "service.engine" ~doc:"solver service engine"
 
 module Log = (val Logs.src_log src : Logs.LOG)
@@ -59,19 +57,12 @@ let count t f = Mutex.protect t.m (fun () -> f t)
    one model family, and that is exactly the pair the warm-seed path
    wants to connect. *)
 let family_key (s : Protocol.solve) =
-  Printf.sprintf "%s|%d|%d|%s"
-    (Protocol.workload_name s.Protocol.workload)
-    s.Protocol.seed s.Protocol.labels_per_edge
+  let workload, _ =
+    List.find (fun (_, k) -> k = s.Protocol.workload) Workload.kinds
+  in
+  Printf.sprintf "%s|%d|%d|%s" workload s.Protocol.seed
+    s.Protocol.labels_per_edge
     (Letdma.Formulation.objective_name s.Protocol.objective)
-
-let make_workload (s : Protocol.solve) =
-  match s.Protocol.workload with
-  | Protocol.Waters ->
-    Workload.Waters2019.make ~labels_per_edge:s.Protocol.labels_per_edge ()
-  | Protocol.Random -> Workload.Generator.random ~seed:s.Protocol.seed ()
-  | Protocol.Small ->
-    Workload.Generator.random ~seed:s.Protocol.seed
-      ~config:Workload.Generator.small_config ()
 
 let error_response t ~id fmt =
   Fmt.kstr
@@ -98,10 +89,7 @@ let ok_response ~id ~klass ~cache ~pivots ~nodes ~t0 core =
 (* --- the MILP tier (cache-aware) ------------------------------------- *)
 
 let solve_milp t ~id ~deadline ~t0 (s : Protocol.solve) app groups gamma =
-  let inst =
-    Letdma.Formulation.make ~options:Letdma.Formulation.default_options
-      s.Protocol.objective app groups ~gamma
-  in
+  let inst = Letdma.Formulation.make s.Protocol.objective app groups ~gamma in
   let fp = Resilience.Checkpoint.fingerprint inst.Letdma.Formulation.problem in
   let family = family_key s in
   match Cache.find t.cache fp with
@@ -154,21 +142,18 @@ let solve_milp t ~id ~deadline ~t0 (s : Protocol.solve) app groups gamma =
 
 (* --- shed tiers ------------------------------------------------------ *)
 
-let solve_direct t ~id ~klass ~tier ~source ~t0 sol_opt app groups gamma =
-  match sol_opt with
-  | None -> error_response t ~id "%s produced no plan" tier
-  | Some sol ->
-    let certified =
-      match Letdma.Certify.certify ~source app groups ~gamma sol with
-      | Ok _ -> true
-      | Error _ -> false
-    in
+(* A shed request gets the ladder's fallback plan for its tier. *)
+let solve_fallback t ~id ~klass ~tier ~t0 app groups gamma =
+  let name = Letdma.Pipeline.rung_name tier in
+  match Letdma.Pipeline.fallback tier app groups ~gamma with
+  | None -> error_response t ~id "%s produced no plan" name
+  | Some (sol, verdict) ->
     let core =
       [
-        ("tier", Protocol.S tier);
+        ("tier", Protocol.S name);
         ("solver", Protocol.S "-");
         ("transfers", Protocol.I (Letdma.Solution.num_transfers sol));
-        ("certified", Protocol.B certified);
+        ("certified", Protocol.B (Result.is_ok verdict));
       ]
     in
     count t (fun t -> t.solved <- t.solved + 1);
@@ -189,39 +174,29 @@ let handle_solve t ~arrival ~load ~deadline ~id (s : Protocol.solve) =
       (Qos.klass_name s.Protocol.klass)
   else begin
     let tier = Qos.plan s.Protocol.klass ~load ~budget_s:budget in
-    if tier <> Qos.Milp then begin
+    if tier <> Letdma.Pipeline.Milp then begin
       count t (fun t -> t.shed <- t.shed + 1);
       Obs.point ~cat:"service" "shed"
         [
           ("class", Obs.Str (Qos.klass_name s.Protocol.klass));
-          ("tier", Obs.Str (Qos.tier_name tier));
+          ("tier", Obs.Str (Letdma.Pipeline.rung_name tier));
           ("load", Obs.Float load);
         ]
     end;
-    let app = make_workload s in
-    let groups = Groups.compute app in
-    if Comm.Set.is_empty (Groups.s0 groups) then
-      error_response t ~id "no inter-core communications"
-    else
-      match Rt_analysis.Sensitivity.gammas app ~alpha:s.Protocol.alpha with
-      | None -> error_response t ~id "task set unschedulable at zero jitter"
-      | Some g when not g.Rt_analysis.Sensitivity.schedulable ->
-        error_response t ~id "task set unschedulable with alpha=%.2f"
-          s.Protocol.alpha
-      | Some g -> (
-        let gamma = g.Rt_analysis.Sensitivity.gamma in
-        match tier with
-        | Qos.Milp -> solve_milp t ~id ~deadline:d ~t0 s app groups gamma
-        | Qos.Heuristic ->
-          solve_direct t ~id ~klass:s.Protocol.klass ~tier:"heuristic"
-            ~source:Letdma.Certify.Heuristic ~t0
-            (Letdma.Heuristic.solve_unchecked app groups ~gamma)
-            app groups gamma
-        | Qos.Baseline ->
-          solve_direct t ~id ~klass:s.Protocol.klass ~tier:"baseline"
-            ~source:Letdma.Certify.Baseline ~t0
-            (Some (Letdma.Baselines.giotto_solution app groups))
-            app groups gamma)
+    let app =
+      Workload.make ~labels_per_edge:s.Protocol.labels_per_edge
+        ~seed:s.Protocol.seed s.Protocol.workload
+    in
+    match Letdma.Experiment.prepare app ~alpha:s.Protocol.alpha with
+    | Error e ->
+      error_response t ~id "%s" (Letdma.Experiment.error_to_string e)
+    | Ok (groups, gamma) -> (
+      match tier with
+      | Letdma.Pipeline.Milp ->
+        solve_milp t ~id ~deadline:d ~t0 s app groups gamma
+      | Letdma.Pipeline.Heuristic | Letdma.Pipeline.Baseline ->
+        solve_fallback t ~id ~klass:s.Protocol.klass ~tier ~t0 app groups
+          gamma)
   end
 
 (* --- chaos op -------------------------------------------------------- *)

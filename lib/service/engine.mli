@@ -20,9 +20,14 @@
       under NO-OBJ it is then proven optimal with no node and no pivot;
       when it fails them, the request solves cold. Everything else
       solves cold (["cache":"miss"]);
+    - {b preparation}: every solve request builds its workload with
+      {!Workload.make} and goes through {!Letdma.Experiment.prepare}, so
+      a configuration the CLI turns away gets the same message here, as
+      an error response;
     - {b QoS}: the request's class and the batch's load factor pick the
-      solving tier through {!Qos.plan}; shed requests are answered by
-      the heuristic or baseline rung instead of queueing;
+      solving tier — a rung of the degradation ladder — through
+      {!Qos.plan}; shed requests are answered with the ladder's fallback
+      plan ({!Letdma.Pipeline.fallback}) instead of queueing;
     - {b supervision}: a request that kills its worker domain (the
       [crash] chaos op, or a real bug) is retried [retry_on_crash]
       times by the pool's supervisor; past the budget its response is a

@@ -3,15 +3,8 @@
 
 module Json = Resilience.Json
 
-type workload = Waters | Random | Small
-
-let workload_name = function
-  | Waters -> "waters"
-  | Random -> "random"
-  | Small -> "small"
-
 type solve = {
-  workload : workload;
+  workload : Workload.kind;
   seed : int;
   labels_per_edge : int;
   objective : Letdma.Formulation.objective;
@@ -49,17 +42,14 @@ let check_keys ms allowed =
         Json.invalid "request: unknown member %S" k)
     ms
 
-let parse_workload = function
-  | "waters" -> Waters
-  | "random" -> Random
-  | "small" -> Small
-  | s -> Json.invalid "workload: expected waters/random/small, got %S" s
-
-let parse_objective = function
-  | "no-obj" -> Letdma.Formulation.No_obj
-  | "dmat" -> Letdma.Formulation.Min_transfers
-  | "del" -> Letdma.Formulation.Min_delay_ratio
-  | s -> Json.invalid "objective: expected no-obj/dmat/del, got %S" s
+(* A name from a (name, value) table; the error lists the names. *)
+let parse_name what table s =
+  match List.assoc_opt s table with
+  | Some v -> v
+  | None ->
+    Json.invalid "%s: expected %s, got %S" what
+      (String.concat "/" (List.map fst table))
+      s
 
 let parse_klass s =
   match Qos.klass_of_string s with
@@ -72,8 +62,8 @@ let opt_field ms k ~default f =
 let parse_solve ms =
   check_keys ms solve_keys;
   let workload =
-    opt_field ms "workload" ~default:Waters (fun v ->
-        parse_workload (Json.as_string "workload" v))
+    opt_field ms "workload" ~default:Workload.Waters (fun v ->
+        parse_name "workload" Workload.kinds (Json.as_string "workload" v))
   in
   let seed = opt_field ms "seed" ~default:42 (Json.as_int "seed") in
   let labels_per_edge =
@@ -84,7 +74,8 @@ let parse_solve ms =
   in
   let objective =
     opt_field ms "objective" ~default:Letdma.Formulation.No_obj (fun v ->
-        parse_objective (Json.as_string "objective" v))
+        parse_name "objective" Letdma.Formulation.objective_flags
+          (Json.as_string "objective" v))
   in
   let alpha =
     opt_field ms "alpha" ~default:0.2 (fun v ->

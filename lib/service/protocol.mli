@@ -26,12 +26,8 @@
     completing — the chaos hook behind the supervision tests and the CI
     gate. *)
 
-type workload = Waters | Random | Small
-
-val workload_name : workload -> string
-
 type solve = {
-  workload : workload;
+  workload : Workload.kind;  (** named by {!Workload.kinds} *)
   seed : int;
   labels_per_edge : int;
   objective : Letdma.Formulation.objective;

@@ -4,8 +4,6 @@
 
 type klass = Gold | Silver | Bronze
 
-type tier = Milp | Heuristic | Baseline
-
 let klass_of_string = function
   | "gold" -> Some Gold
   | "silver" -> Some Silver
@@ -17,18 +15,14 @@ let klass_name = function
   | Silver -> "silver"
   | Bronze -> "bronze"
 
-let tier_name = function
-  | Milp -> "milp"
-  | Heuristic -> "heuristic"
-  | Baseline -> "baseline"
-
 (* Shedding table. [load] = queued solve requests / pool workers at
    batch admission; [budget_s] = the request's remaining budget. A MILP
    tier needs both headroom in the queue and at least a second of
    budget; the heuristic runs in milliseconds but still needs a sliver
    of wall clock. Gold is exempt by contract: it would rather time out
-   inside the MILP (and report feasible/unknown) than degrade. *)
-let plan klass ~load ~budget_s =
+   inside the MILP (and report feasible/unknown) than degrade. The tiers
+   are the ladder's rungs. *)
+let plan klass ~load ~budget_s : Letdma.Pipeline.rung =
   match klass with
   | Gold -> Milp
   | Silver ->

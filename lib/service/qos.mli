@@ -4,9 +4,9 @@
     Under load a service must not queue unboundedly: a request admitted
     when the backlog is deep would blow its deadline waiting for pool
     capacity that the earlier requests already own. Instead each request
-    carries a {e class}, and the planner sheds it down the PR-1
-    degradation ladder — full MILP, then the greedy heuristic, then the
-    identity-allocation Giotto baseline — as the instantaneous load
+    carries a {e class}, and the planner sheds it down
+    {!Letdma.Pipeline}'s degradation ladder — full MILP, then the greedy
+    heuristic, then the Giotto baseline — as the instantaneous load
     factor (queued solve requests per pool worker) grows or its
     remaining budget shrinks. Shedding trades optimality for a
     guaranteed answer; the daemon never refuses a well-formed request
@@ -21,19 +21,17 @@ type klass =
   | Silver  (** default: MILP until load 2.0, heuristic until 8.0 *)
   | Bronze  (** shed early: MILP until load 1.0, heuristic until 4.0 *)
 
-type tier =
-  | Milp  (** {!Letdma.Solve.solve} (lazy-C6 branch-and-bound) *)
-  | Heuristic  (** {!Letdma.Heuristic.solve} *)
-  | Baseline  (** identity allocation + singleton Giotto transfers *)
-
 val klass_of_string : string -> klass option
 (** ["gold"], ["silver"], ["bronze"]. *)
 
 val klass_name : klass -> string
-val tier_name : tier -> string
 
-val plan : klass -> load:float -> budget_s:float -> tier
-(** [plan k ~load ~budget_s] picks the solving tier for one request.
+val plan : klass -> load:float -> budget_s:float -> Letdma.Pipeline.rung
+(** [plan k ~load ~budget_s] picks the solving tier for one request: a
+    rung of the degradation ladder ({!Letdma.Pipeline.rung}), named on
+    the wire by {!Letdma.Pipeline.rung_name}. [Milp] is
+    {!Letdma.Solve.solve}; the shed tiers answer with
+    {!Letdma.Pipeline.fallback}'s plans.
     [load] is queued solve requests in the batch divided by pool
     workers; [budget_s] the request's remaining wall-clock budget when
     planned. Silver and Bronze additionally shed MILP when [budget_s]

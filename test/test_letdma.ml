@@ -135,19 +135,6 @@ let test_formulation_deterministic_order () =
   in
   check_int "same node count across solves" (solve ()) (solve ())
 
-let test_formulation_gmax_too_small () =
-  let app = fixture () in
-  let groups = Groups.compute app in
-  let gamma = gamma_for app 0.3 in
-  check_bool "g_max below class count rejected" true
-    (try
-       ignore
-         (Formulation.make
-            ~options:{ Formulation.default_options with Formulation.g_max = Some 2 }
-            Formulation.No_obj app groups ~gamma);
-       false
-     with Invalid_argument _ -> true)
-
 let test_formulation_rejects_same_core_readers () =
   let platform = Platform.make ~n_cores:2 () in
   let tasks =
@@ -639,7 +626,7 @@ let test_report_rendering () =
     check_int "csv rows" (1 + App.num_tasks app) (List.length lines);
     check_bool "csv header" true
       (contains (List.hd lines) "lambda_proposed_us");
-    let table = Fmt.str "%a" Report.table1 (Experiment.table1_of_results results) in
+    let table = Fmt.str "%a" Report.table1 (Experiment.table1 results) in
     check_bool "table has status" true (contains table "heuristic")
 
 (* Regression (PR 4): [fig2_csv] silently dropped Error configurations,
@@ -669,7 +656,7 @@ let test_experiment_table1_rows () =
           app ~alpha:0.2 );
     ]
   in
-  let rows = Experiment.table1_of_results results in
+  let rows = Experiment.table1 results in
   check_int "one row" 1 (List.length rows);
   let row = List.hd rows in
   check_bool "has time" true (row.Experiment.time_s <> None);
@@ -914,7 +901,7 @@ let test_pipeline_no_comms () =
   in
   let app = App.make ~platform ~tasks ~labels:[] in
   match Pipeline.run app with
-  | Error Pipeline.No_communications -> ()
+  | Error (Pipeline.Rejected Experiment.No_communications) -> ()
   | _ -> Alcotest.fail "expected No_communications"
 
 (* regression for the shared-deadline refactor: an already-expired
@@ -1106,7 +1093,6 @@ let () =
           Alcotest.test_case "build" `Quick test_formulation_build;
           Alcotest.test_case "deterministic constraint order" `Slow
             test_formulation_deterministic_order;
-          Alcotest.test_case "g_max too small" `Quick test_formulation_gmax_too_small;
           Alcotest.test_case "same-core readers rejected" `Quick
             test_formulation_rejects_same_core_readers;
           Alcotest.test_case "heuristic point feasible" `Quick

@@ -9,21 +9,37 @@ exception Boom
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* A fresh pool for [f], shut down also when [f] raises. *)
+let with_pool ~jobs f =
+  let pl = Pool.create ~jobs () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pl) (fun () -> f pl)
+
+(* The task's value, re-raising its exception. *)
+let await_ok fut = match Pool.await fut with Ok v -> v | Error e -> raise e
+
+(* The item's worker domain died and its crash-retry budget ran out. *)
+let crashed (o : _ Sweep.outcome) =
+  match o.Sweep.result with Error (Pool.Worker_crashed _) -> true | _ -> false
+
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let test_pool_map_order () =
-  Pool.with_pool ~jobs:4 (fun pl ->
+  with_pool ~jobs:4 (fun pl ->
       check_int "pool size" 4 (Pool.jobs pl);
-      let rs = Pool.map pl (fun x -> x * x) [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
+      let futures =
+        List.map
+          (fun x -> Pool.async pl (fun () -> x * x))
+          [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+      in
       Alcotest.(check (list int))
         "squares in input order"
         [ 1; 4; 9; 16; 25; 36; 49; 64 ]
-        (List.map (function Ok v -> v | Error e -> raise e) rs))
+        (List.map await_ok futures))
 
 let test_pool_exception_funnel () =
-  Pool.with_pool ~jobs:2 (fun pl ->
+  with_pool ~jobs:2 (fun pl ->
       let bad = Pool.async pl (fun () -> raise Boom) in
       let good = Pool.async pl (fun () -> 41 + 1) in
       (match Pool.await bad with
@@ -31,14 +47,14 @@ let test_pool_exception_funnel () =
        | Error e -> Alcotest.fail ("unexpected exception " ^ Printexc.to_string e)
        | Ok _ -> Alcotest.fail "crashing task reported Ok");
       (* the worker that ran the crashing task must still be alive *)
-      check_int "pool survives a crash" 42 (Pool.await_exn good))
+      check_int "pool survives a crash" 42 (await_ok good))
 
 let test_pool_shutdown () =
   let pl = Pool.create ~jobs:1 () in
   let f = Pool.async pl (fun () -> 7) in
   Pool.shutdown pl;
   Pool.shutdown pl (* idempotent *);
-  check_int "queued task still ran" 7 (Pool.await_exn f);
+  check_int "queued task still ran" 7 (await_ok f);
   (match Pool.async pl (fun () -> 0) with
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "async after shutdown must raise");
@@ -56,7 +72,7 @@ let test_pool_shutdown () =
    domain. Await must surface Worker_crashed — never hang — and the
    supervisor must respawn the domain so capacity is preserved. *)
 let test_pool_worker_death_no_hang () =
-  Pool.with_pool ~jobs:1 (fun pl ->
+  with_pool ~jobs:1 (fun pl ->
       let doomed = Pool.async pl (fun () -> raise (Pool.Poison "chaos")) in
       (match Pool.await doomed with
        | Error (Pool.Worker_crashed { worker; cause }) ->
@@ -69,10 +85,10 @@ let test_pool_worker_death_no_hang () =
       check_int "supervisor counted the death" 1 (Pool.crashes pl);
       (* jobs=1: if the dead domain were not replaced, this would hang *)
       let after = Pool.async pl (fun () -> 41 + 1) in
-      check_int "respawned worker serves new tasks" 42 (Pool.await_exn after))
+      check_int "respawned worker serves new tasks" 42 (await_ok after))
 
 let test_pool_retry_on_crash () =
-  Pool.with_pool ~jobs:1 (fun pl ->
+  with_pool ~jobs:1 (fun pl ->
       (* poison exactly once: the re-enqueued run must succeed *)
       let armed = Atomic.make true in
       let f =
@@ -80,7 +96,7 @@ let test_pool_retry_on_crash () =
             if Atomic.exchange armed false then raise (Pool.Poison "once");
             7)
       in
-      check_int "task survived one worker death" 7 (Pool.await_exn f);
+      check_int "task survived one worker death" 7 (await_ok f);
       check_int "the death was still counted" 1 (Pool.crashes pl);
       (* budget exhausted: a persistent crasher ends as Worker_crashed *)
       let f = Pool.async ~retry_on_crash:2 pl (fun () -> raise (Pool.Poison "always")) in
@@ -107,7 +123,8 @@ let test_pool_shutdown_after_crash () =
 
 let test_sweep_map_and_funnel () =
   let outs =
-    Sweep.map ~jobs:3
+    with_pool ~jobs:3 @@ fun pool ->
+    Sweep.map ~pool
       (fun ~deadline:_ x -> if x = 3 then raise Boom else x * 2)
       [ 1; 2; 3; 4 ]
   in
@@ -124,9 +141,10 @@ let test_sweep_map_and_funnel () =
     outs
 
 let test_sweep_deadline_carving () =
+  with_pool ~jobs:2 @@ fun pool ->
   let global = Milp.Clock.now () +. 60.0 in
   let outs =
-    Sweep.map ~jobs:2 ~deadline:global
+    Sweep.map ~pool ~deadline:global
       (fun ~deadline x -> (deadline, x))
       [ 1; 2; 3; 4; 5 ]
   in
@@ -140,7 +158,7 @@ let test_sweep_deadline_carving () =
       | Error e -> raise e)
     outs;
   (* without a global deadline, items run unbounded *)
-  let outs = Sweep.map ~jobs:2 (fun ~deadline x -> (deadline, x)) [ 1; 2 ] in
+  let outs = Sweep.map ~pool (fun ~deadline x -> (deadline, x)) [ 1; 2 ] in
   List.iter
     (fun (o : _ Sweep.outcome) ->
       match o.Sweep.result with
@@ -152,9 +170,10 @@ let test_sweep_deadline_carving () =
    (default retry budget 1); a persistent crasher ends as a crashed
    outcome without aborting the sweep. *)
 let test_sweep_worker_crash () =
+  with_pool ~jobs:2 @@ fun pool ->
   let armed = Atomic.make true in
   let outs =
-    Sweep.map ~jobs:2
+    Sweep.map ~pool
       (fun ~deadline:_ x ->
         if x = 2 && Atomic.exchange armed false then
           raise (Pool.Poison "sweep chaos");
@@ -163,14 +182,14 @@ let test_sweep_worker_crash () =
   in
   List.iter
     (fun (o : _ Sweep.outcome) ->
-      check_bool "retried item recovered" false (Sweep.crashed o);
+      check_bool "retried item recovered" false (crashed o);
       match o.Sweep.result with
       | Ok v -> check_int "result intact" (10 * o.Sweep.item) v
       | Error e -> raise e)
     outs;
   (* with the retry budget at 0, the crash surfaces as an outcome *)
   let outs =
-    Sweep.map ~jobs:2 ~retry_on_crash:0
+    Sweep.map ~pool ~retry_on_crash:0
       (fun ~deadline:_ x ->
         if x = 2 then raise (Pool.Poison "sweep chaos");
         x * 10)
@@ -180,9 +199,9 @@ let test_sweep_worker_crash () =
   List.iter
     (fun (o : _ Sweep.outcome) ->
       if o.Sweep.item = 2 then
-        check_bool "poisoned item marked crashed" true (Sweep.crashed o)
+        check_bool "poisoned item marked crashed" true (crashed o)
       else begin
-        check_bool "other items unaffected" false (Sweep.crashed o);
+        check_bool "other items unaffected" false (crashed o);
         match o.Sweep.result with
         | Ok v -> check_int "result intact" (10 * o.Sweep.item) v
         | Error e -> raise e

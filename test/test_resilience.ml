@@ -297,6 +297,179 @@ let test_validator_rejections () =
   | Error m -> Alcotest.fail ("control load failed: " ^ m)
 
 (* ------------------------------------------------------------------ *)
+(* Corrupted checkpoints of a real solve                               *)
+(* ------------------------------------------------------------------ *)
+
+module Basis = Milp.Simplex_core.Basis
+
+(* The chaos instance (small generator seed 5, OBJ-DMAT at alpha 0.2),
+   interrupted after 300 nodes as `letdma solve --checkpoint
+   --interrupt-after 300` leaves it: a frontier of open nodes and a pool
+   of bases, no incumbent yet. *)
+let chaos =
+  lazy
+    (let app = Workload.make ~labels_per_edge:1 ~seed:5 Workload.Small in
+     match Letdma.Experiment.prepare app ~alpha:0.2 with
+     | Error e -> Alcotest.fail (Letdma.Experiment.error_to_string e)
+     | Ok (groups, gamma) ->
+       let file = Filename.temp_file "resilience_chaos" ".json" in
+       Fun.protect
+         ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
+         (fun () ->
+           ignore
+             (Letdma.Solve.solve ~time_limit_s:120.0 ~checkpoint_file:file
+                ~interrupt_after_nodes:300 Letdma.Formulation.Min_transfers
+                app groups ~gamma);
+           match Ck.load file with
+           | Ok ck -> (app, groups, gamma, ck)
+           | Error m -> Alcotest.fail ("chaos checkpoint unreadable: " ^ m)))
+
+let resume_chaos ck =
+  let app, groups, gamma, _ = Lazy.force chaos in
+  Letdma.Solve.solve ~time_limit_s:1.0 ~node_limit:320 ~resume:ck
+    Letdma.Formulation.Min_transfers app groups ~gamma
+
+let with_state f (ck : Ck.t) = { ck with Ck.ck_state = f ck.Ck.ck_state }
+
+(* Edit the first pooled basis / the first open node. *)
+let with_basis f =
+  with_state (fun st ->
+      match st.B.ck_pool with
+      | (id, b, refs, last) :: rest ->
+        { st with B.ck_pool = (id, f b, refs, last) :: rest }
+      | [] -> Alcotest.fail "chaos checkpoint has no pooled basis")
+
+let with_node f =
+  with_state (fun st ->
+      match st.B.ck_frontier with
+      | n :: rest -> { st with B.ck_frontier = f n :: rest }
+      | [] -> Alcotest.fail "chaos checkpoint has no open node")
+
+let set_row0 e =
+  with_basis (fun b ->
+      let rows = Array.copy b.Basis.rows in
+      rows.(0) <- e;
+      { b with Basis.rows })
+
+(* Each edit once made `letdma resume` die with SIGSEGV (the milp
+   library is built without bounds checks), or exit with a bare "index
+   out of bounds". The loader refuses the first three; the resume
+   refuses the other two before branch-and-bound indexes its arrays. *)
+let test_corrupt_refused_on_load name edit () =
+  let _, _, _, ck = Lazy.force chaos in
+  match Ck.of_string (Ck.to_string (edit ck)) with
+  | Error m ->
+    check_bool (name ^ ": structured loader error") true
+      (String.starts_with ~prefix:"checkpoint: " m)
+  | Ok _ -> Alcotest.fail (name ^ ": corrupted checkpoint was accepted")
+
+let test_corrupt_refused_on_resume name edit () =
+  let _, _, _, ck = Lazy.force chaos in
+  match Ck.of_string (Ck.to_string (edit ck)) with
+  | Error m -> Alcotest.fail (name ^ ": loader refused a well-formed file: " ^ m)
+  | Ok ck' -> (
+    match resume_chaos ck' with
+    | exception Invalid_argument m ->
+      check_bool (name ^ ": structured resume error") true
+        (String.starts_with ~prefix:"checkpoint: " m)
+    | _ -> Alcotest.fail (name ^ ": corrupted checkpoint was resumed"))
+
+let corrupt_on_load =
+  [
+    ("pool row entry v99999999", set_row0 (Basis.Bvar 99999999));
+    ( "rows cut to 3 entries",
+      with_basis (fun b -> { b with Basis.rows = Array.sub b.Basis.rows 0 3 })
+    );
+    ( "-5000000 prepended to at_upper",
+      with_basis (fun b ->
+          { b with Basis.at_upper = Array.append [| -5000000 |] b.Basis.at_upper })
+    );
+  ]
+
+let corrupt_on_resume =
+  [
+    ( "frontier override [99999999,0,1]",
+      with_node (fun n ->
+          { n with B.ck_overrides = (99999999, 0.0, 1.0) :: n.B.ck_overrides }) );
+    ( "one-entry incumbent",
+      with_state (fun st -> { st with B.ck_best = Some (1.0, [| 0.0 |]) }) );
+  ]
+
+(* One random edit of the chaos checkpoint, typed or byte-level: the
+   file either fails to load with a structured error, or resumes — to a
+   result, or to [Invalid_argument] or [Failure], which the CLI reports
+   as a one-line error with exit 1 (a right-length but meaningless
+   incumbent is refused by the plan decoder, not by the loader). Any
+   other exception, or a crash, fails. *)
+let corruptions =
+  [
+    ("basis row entry v", fun v -> set_row0 (Basis.Bvar v));
+    ("basis row entry s", fun v -> set_row0 (Basis.Bslack v));
+    ( "basis rows length",
+      fun v ->
+        with_basis (fun b ->
+            let n = abs v mod 400 in
+            { b with Basis.rows = Array.init n (fun i ->
+                  if i < Array.length b.Basis.rows then b.Basis.rows.(i)
+                  else Basis.Bnone) }) );
+    ( "basis at_upper entry",
+      fun v ->
+        with_basis (fun b ->
+            { b with Basis.at_upper = Array.append [| v |] b.Basis.at_upper }) );
+    ("basis bm", fun v -> with_basis (fun b -> { b with Basis.bm = v }));
+    ("basis bn", fun v -> with_basis (fun b -> { b with Basis.bn = v }));
+    ( "frontier override variable",
+      fun v ->
+        with_node (fun n ->
+            { n with B.ck_overrides = (v, 0.0, 1.0) :: n.B.ck_overrides }) );
+    ("frontier parent", fun v -> with_node (fun n -> { n with B.ck_parent = v }));
+    ("frontier depth", fun v -> with_node (fun n -> { n with B.ck_depth = v }));
+    ( "pool refcount",
+      fun v ->
+        with_state (fun st ->
+            match st.B.ck_pool with
+            | (id, b, _, last) :: rest -> { st with B.ck_pool = (id, b, v, last) :: rest }
+            | [] -> st) );
+    ( "incumbent length",
+      fun v ->
+        with_state (fun st ->
+            { st with B.ck_best = Some (0.0, Array.make (abs v mod 400) 0.0) }) );
+    ("node count", fun v -> with_state (fun st -> { st with B.ck_nodes = v }));
+  ]
+
+let prop_corrupt_checkpoint =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (int_bound (List.length corruptions))
+        (oneof [ int_range (-3) 400; int_range (-100_000_000) 100_000_000 ])
+        (int_bound 1_000_000))
+  in
+  let print (k, v, at) =
+    if k = List.length corruptions then Printf.sprintf "byte %d -> %d" at v
+    else Printf.sprintf "%s := %d" (fst (List.nth corruptions k)) v
+  in
+  QCheck.Test.make
+    ~name:"a corrupted checkpoint loads with an error or resumes" ~count:30
+    (QCheck.make ~print gen)
+    (fun (k, v, at) ->
+      let _, _, _, ck = Lazy.force chaos in
+      let doc =
+        if k = List.length corruptions then begin
+          (* one byte of the file overwritten *)
+          let b = Bytes.of_string (Ck.to_string ck) in
+          Bytes.set b (at mod Bytes.length b) (Char.chr (abs v mod 256));
+          Bytes.to_string b
+        end
+        else Ck.to_string ((snd (List.nth corruptions k)) v ck)
+      in
+      match Ck.of_string doc with
+      | Error m -> String.starts_with ~prefix:"checkpoint: " m
+      | Ok ck' -> (
+        match resume_chaos ck' with
+        | _ | (exception (Invalid_argument _ | Failure _)) -> true))
+
+(* ------------------------------------------------------------------ *)
 (* Kill and resume: best-first trajectory identity                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -490,6 +663,18 @@ let () =
           Alcotest.test_case "model fingerprint tracks every model field"
             `Quick test_fingerprint_tracks_the_model;
         ] );
+      ( "bad-checkpoint",
+        List.map
+          (fun (name, edit) ->
+            Alcotest.test_case ("load refuses " ^ name) `Quick
+              (test_corrupt_refused_on_load name edit))
+          corrupt_on_load
+        @ List.map
+            (fun (name, edit) ->
+              Alcotest.test_case ("resume refuses " ^ name) `Quick
+                (test_corrupt_refused_on_resume name edit))
+            corrupt_on_resume
+        @ [ QCheck_alcotest.to_alcotest prop_corrupt_checkpoint ] );
       ( "kill-and-resume",
         [
           Alcotest.test_case "trajectory identity at fixed points" `Quick

@@ -10,6 +10,7 @@ module C = Service.Cache
 module Q = Service.Qos
 module E = Service.Engine
 module D = Service.Daemon
+module Pipeline = Letdma.Pipeline
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -64,7 +65,7 @@ let test_parse_defaults () =
   check_string "id" "r1" r.P.id;
   match r.P.op with
   | P.Solve s ->
-    check_string "workload" "waters" (P.workload_name s.P.workload);
+    check_bool "workload" true (s.P.workload = Workload.Waters);
     check_int "seed" 42 s.P.seed;
     check_int "labels" 1 s.P.labels_per_edge;
     check_string "objective" "NO-OBJ"
@@ -81,7 +82,7 @@ let test_parse_full () =
   in
   match r.P.op with
   | P.Solve s ->
-    check_string "workload" "small" (P.workload_name s.P.workload);
+    check_bool "workload" true (s.P.workload = Workload.Small);
     check_int "seed" 7 s.P.seed;
     check_int "labels" 2 s.P.labels_per_edge;
     check_string "objective" "OBJ-DMAT"
@@ -141,25 +142,26 @@ let test_render_deterministic () =
 
 (* ---------- qos ---------- *)
 
-let tier = Alcotest.testable (Fmt.of_to_string Q.tier_name) ( = )
+let tier = Alcotest.testable (Fmt.of_to_string Pipeline.rung_name) ( = )
 
 let test_qos_table () =
   let check what k ~load ~budget_s expect =
     Alcotest.check tier what expect (Q.plan k ~load ~budget_s)
   in
   (* gold never sheds *)
-  check "gold idle" Q.Gold ~load:0.0 ~budget_s:100.0 Q.Milp;
-  check "gold overload" Q.Gold ~load:1000.0 ~budget_s:0.001 Q.Milp;
+  check "gold idle" Q.Gold ~load:0.0 ~budget_s:100.0 Pipeline.Milp;
+  check "gold overload" Q.Gold ~load:1000.0 ~budget_s:0.001 Pipeline.Milp;
   (* silver: milp until load 2, heuristic until 8, then baseline *)
-  check "silver idle" Q.Silver ~load:1.0 ~budget_s:10.0 Q.Milp;
-  check "silver loaded" Q.Silver ~load:4.0 ~budget_s:10.0 Q.Heuristic;
-  check "silver swamped" Q.Silver ~load:16.0 ~budget_s:10.0 Q.Baseline;
-  check "silver tiny budget" Q.Silver ~load:1.0 ~budget_s:0.5 Q.Heuristic;
-  check "silver no budget" Q.Silver ~load:1.0 ~budget_s:0.01 Q.Baseline;
+  check "silver idle" Q.Silver ~load:1.0 ~budget_s:10.0 Pipeline.Milp;
+  check "silver loaded" Q.Silver ~load:4.0 ~budget_s:10.0 Pipeline.Heuristic;
+  check "silver swamped" Q.Silver ~load:16.0 ~budget_s:10.0 Pipeline.Baseline;
+  check "silver tiny budget" Q.Silver ~load:1.0 ~budget_s:0.5
+    Pipeline.Heuristic;
+  check "silver no budget" Q.Silver ~load:1.0 ~budget_s:0.01 Pipeline.Baseline;
   (* bronze sheds earlier *)
-  check "bronze idle" Q.Bronze ~load:0.5 ~budget_s:10.0 Q.Milp;
-  check "bronze loaded" Q.Bronze ~load:2.0 ~budget_s:10.0 Q.Heuristic;
-  check "bronze swamped" Q.Bronze ~load:8.0 ~budget_s:10.0 Q.Baseline
+  check "bronze idle" Q.Bronze ~load:0.5 ~budget_s:10.0 Pipeline.Milp;
+  check "bronze loaded" Q.Bronze ~load:2.0 ~budget_s:10.0 Pipeline.Heuristic;
+  check "bronze swamped" Q.Bronze ~load:8.0 ~budget_s:10.0 Pipeline.Baseline
 
 let test_qos_names () =
   List.iter
@@ -434,6 +436,70 @@ let test_engine_two_domains () =
     one;
   List.iter2 (check_string "jobs 2 answers as jobs 1") one two
 
+(* The service and a cold solve share one front door: a fresh engine's
+   miss answers what [Solve.solve] answers on the configuration
+   [Experiment.prepare] accepts (the same %.17g objective, nodes, pivots
+   and certificate), and a shed request answers with the ladder's
+   fallback plan. *)
+let test_engine_matches_front_door () =
+  let prepare app ~alpha =
+    match Letdma.Experiment.prepare app ~alpha with
+    | Ok p -> p
+    | Error e -> Alcotest.fail (Letdma.Experiment.error_to_string e)
+  in
+  let answer line =
+    match with_engine (fun e -> run_batch e [ line ]) with
+    | [ l ] -> parse_obj l
+    | ls -> Alcotest.failf "expected 1 response, got %d" (List.length ls)
+  in
+  List.iter
+    (fun seed ->
+      let what = Printf.sprintf "seed %d: " seed in
+      let ms = answer (small ~id:"d" ~deadline:120.0 seed) in
+      check_string (what ^ "cold answer") "miss" (sfield ms "cache");
+      let app = Workload.make ~labels_per_edge:1 ~seed Workload.Small in
+      let groups, gamma = prepare app ~alpha:0.2 in
+      let r =
+        Letdma.Solve.solve ~time_limit_s:120.0 Letdma.Formulation.No_obj app
+          groups ~gamma
+      in
+      let st = r.Letdma.Solve.stats in
+      let objective =
+        match r.Letdma.Solve.x with
+        | Some x ->
+          let _, e =
+            Milp.Problem.objective
+              r.Letdma.Solve.instance.Letdma.Formulation.problem
+          in
+          Milp.Linexpr.eval e x
+        | None -> Alcotest.fail (what ^ "cold solve found no plan")
+      in
+      check_string (what ^ "objective")
+        (Printf.sprintf "%.17g" objective)
+        (Printf.sprintf "%.17g" (J.as_float "objective" (J.field "r" ms "objective")));
+      check_int (what ^ "nodes") st.Letdma.Solve.nodes (ifield ms "nodes");
+      check_int (what ^ "pivots")
+        st.Letdma.Solve.lp.Milp.Branch_bound.lp_pivots (ifield ms "pivots");
+      check_bool (what ^ "certified")
+        (match r.Letdma.Solve.certificate with Some (Ok _) -> true | _ -> false)
+        (J.as_bool "certified" (J.field "r" ms "certified")))
+    [ 2; 4; 7; 9 ];
+  let ms =
+    answer {|{"id":"w","op":"solve","workload":"waters","deadline_s":0.5,"class":"bronze"}|}
+  in
+  check_string "bronze at 0.5 s is shed to the heuristic" "heuristic"
+    (sfield ms "tier");
+  let app = Workload.make ~labels_per_edge:1 ~seed:42 Workload.Waters in
+  let groups, gamma = prepare app ~alpha:0.2 in
+  match Pipeline.fallback Pipeline.Heuristic app groups ~gamma with
+  | None -> Alcotest.fail "the heuristic found no WATERS plan"
+  | Some (sol, verdict) ->
+    check_int "fallback transfers"
+      (Letdma.Solution.num_transfers sol)
+      (ifield ms "transfers");
+    check_bool "fallback verdict" (Result.is_ok verdict)
+      (J.as_bool "certified" (J.field "r" ms "certified"))
+
 (* ---------- daemon end-to-end ---------- *)
 
 let write_all fd s =
@@ -631,6 +697,8 @@ let () =
             test_engine_stats_sees_batch;
           Alcotest.test_case "escaped ids decode to UTF-8" `Quick
             test_engine_escaped_ids;
+          Alcotest.test_case "answers as the front door" `Quick
+            test_engine_matches_front_door;
           Alcotest.test_case "two domains answer as one" `Quick
             test_engine_two_domains;
         ] );
