@@ -7,7 +7,7 @@
                      OBJ-DMAT, OBJ-DEL} (Fig. 2 (a)-(f))
      TABLE1        — solver time and #DMA transfers (Table I)
      ALPHA         — the alpha in {0.1..0.5} sensitivity sweep (Sec. VII)
-     ABLATION-C6   — lazy vs full Constraint-6 generation
+     ABLATION-C6   — lazy vs full Constraint-6 generation (OBJ-DEL)
      ABLATION-HEUR — greedy heuristic vs MILP on random workloads
      ABLATION-P3   — paper's Constraint 10 vs the strict Property-3 bound
      EXT-MULTIDMA  — the protocol on 1/2/4 parallel DMA channels
@@ -65,9 +65,10 @@ let alpha app =
 (* ------------------------------------------------------------------ *)
 
 let ablation_c6 () =
-  section "ABLATION-C6: lazy vs upfront Constraint-6 generation";
-  (* small instances, solved cold: the search must converge for the model
-     sizes and lazy rounds to show in honest end-to-end times *)
+  section "ABLATION-C6: lazy vs upfront Constraint-6 generation (OBJ-DEL)";
+  (* small instances under OBJ-DEL, whose MIP start rarely meets its
+     floor: the search must converge for the model sizes and lazy rounds
+     to show in honest end-to-end times *)
   let config =
     {
       Workload.Generator.default_config with
@@ -84,12 +85,13 @@ let ablation_c6 () =
       | None -> Fmt.pr "seed %d: unschedulable@." seed
       | Some s ->
         let gamma = s.Rt_analysis.Sensitivity.gamma in
-        (* no warm start: the solver must search, so the model-size and
-           lazy-round differences actually show in the running times *)
+        (* NO-OBJ would prove its MIP start at 0 nodes: OBJ-DEL
+           searches, so the model-size and lazy-round differences
+           actually show in the running times *)
         let run name options =
           let r =
             Letdma.Solve.solve ~options ~time_limit_s:time_limit
-              Letdma.Formulation.No_obj app groups ~gamma
+              Letdma.Formulation.Min_delay_ratio app groups ~gamma
           in
           Fmt.pr "  seed %3d %-6s: %a (solution: %s)@." seed name
             Letdma.Solve.pp_stats r.Letdma.Solve.stats
@@ -157,7 +159,6 @@ let ablation_p3 app =
   | None -> Fmt.pr "unschedulable@."
   | Some s ->
     let gamma = s.Rt_analysis.Sensitivity.gamma in
-    let warm = Letdma.Heuristic.solve_unchecked app groups ~gamma in
     List.iter
       (fun (name, strict) ->
         let options =
@@ -167,7 +168,7 @@ let ablation_p3 app =
           }
         in
         let r =
-          Letdma.Solve.solve ~options ~time_limit_s:time_limit ?warm
+          Letdma.Solve.solve ~options ~time_limit_s:time_limit
             Letdma.Formulation.No_obj app groups ~gamma
         in
         match r.Letdma.Solve.solution with
@@ -304,10 +305,9 @@ let robustness app =
     (* certifier overhead per solve: full independent re-verification
        (MILP residuals + layouts + Properties 1-3 + deadlines) relative
        to the MILP solve it vouches for; the budget is <5% *)
-    let warm = Letdma.Heuristic.solve_unchecked app groups ~gamma in
     let r =
-      Letdma.Solve.solve ~time_limit_s:time_limit ?warm
-        Letdma.Formulation.No_obj app groups ~gamma
+      Letdma.Solve.solve ~time_limit_s:time_limit Letdma.Formulation.No_obj
+        app groups ~gamma
     in
     (match (r.Letdma.Solve.solution, r.Letdma.Solve.x) with
      | Some sol, Some x ->
@@ -328,7 +328,7 @@ let robustness app =
          (100.0 *. cert_s /. solve_s)
      | _ -> Fmt.pr "  no MILP solution to certify@.");
     (* fault sweep on the certified heuristic schedule *)
-    (match warm with
+    (match Letdma.Heuristic.solve_unchecked app groups ~gamma with
      | None -> ()
      | Some sol ->
        let schedule = Letdma.Solution.schedule app groups sol in

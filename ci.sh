@@ -71,11 +71,12 @@ echo "== chaos gate (checkpoint / interrupt / resume) =="
 # run killed mid-tree (exit 7, checkpoint left on disk), a corrupted copy
 # of that checkpoint that resume must refuse (exit 1), and a resume that
 # must land on the exact same objective and cumulative node count.
-# The instance is the small generator workload, seed 5, OBJ-DMAT; both
-# conclusive runs must certify their plan (exit 0).
+# The instance is the small generator workload, seed 8, OBJ-DMAT: 1895
+# nodes from its MIP start to optimality. Both conclusive runs must
+# certify their plan (exit 0).
 CLI=./_build/default/bin/letdma_cli.exe
 CK=$TMP/ci_chaos_ck.json
-CHAOS="--workload small --seed 5 --objective dmat --time-limit 120"
+CHAOS="--workload small --seed 8 --objective dmat --time-limit 120"
 $CLI solve $CHAOS --checkpoint "$CK" > "$TMP/ci_chaos_base.out" || {
   echo "FAIL: baseline durable solve exited $? (want 0)"; exit 1; }
 grep -q '^status: optimal$' "$TMP/ci_chaos_base.out" || {
@@ -172,10 +173,11 @@ echo "== service smoke (daemon, cache hit, malformed request, plan seed) =="
 # One daemon session over stdin/stdout: the same solve twice, one
 # malformed request, an alpha sibling of the first solve, then EOF. The
 # daemon must answer all four lines (malformed -> structured error, not
-# a crash), the second solve must be answered from the cache with a
-# byte-identical %.17g objective, the sibling must start from the first
-# solve's plan and prove it optimal with no node, certified, and the
-# drained EOF shutdown must exit 0.
+# a crash), the first solve, a cache miss, must prove the heuristic MIP
+# start with no node, certified, the second solve must be answered from
+# the cache with a byte-identical %.17g objective, the sibling must
+# start from the first solve's plan and prove it optimal with no node,
+# certified, and the drained EOF shutdown must exit 0.
 printf '%s\n' \
   '{"id":"s1","op":"solve","workload":"small","seed":7,"deadline_s":120,"class":"gold"}' \
   '{"id":"s2","op":"solve","workload":"small","seed":7,"deadline_s":120,"class":"gold"}' \
@@ -185,6 +187,11 @@ printf '%s\n' \
     echo "FAIL: serve exited $? (want 0 after EOF drain)"; exit 1; }
 [ "$(wc -l < "$TMP/ci_service.out")" -eq 4 ] || {
   echo "FAIL: expected 4 responses, got:"; cat "$TMP/ci_service.out"; exit 1; }
+s1=$(grep '"id":"s1"' "$TMP/ci_service.out")
+echo "service smoke: first solve ${s1}"
+case "$s1" in *'"cache":"miss"'*'"nodes":0,'*'"certified":true'*) ;; *)
+  echo "FAIL: first solve not a miss proved from its start with 0 nodes, certified:"
+  cat "$TMP/ci_service.out"; exit 1 ;; esac
 grep -q '"id":"s2".*"cache":"hit"' "$TMP/ci_service.out" || {
   echo "FAIL: repeated solve was not a cache hit"; cat "$TMP/ci_service.out"; exit 1; }
 s1_core=$(sed -n 's/.*"id":"s1".*\("tier".*\)/\1/p' "$TMP/ci_service.out")

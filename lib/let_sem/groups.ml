@@ -20,9 +20,13 @@ type pattern = {
   min_gap : Time.t; (* tightest distance to the next communication instant *)
 }
 
+module Tmap = Map.Make (Int)
+
 type t = {
   app : App.t;
   edges : edge list;
+  hyperperiod : Time.t;
+  by_instant : Comm.Set.t Tmap.t; (* C(t) at each of [instants] *)
   instants : Time.t list; (* instants with communications within [0, H) *)
   patterns : pattern list;
 }
@@ -68,7 +72,14 @@ let comms_at_edges edges t =
       else acc)
     Comm.Set.empty edges
 
-let comms_at t time = comms_at_edges t.edges time
+(* C(t) repeats with H (every pair period divides it), and an instant of
+   [0, H) outside [instants] has no communication. *)
+let comms_at t time =
+  if Tmap.is_empty t.by_instant then Comm.Set.empty
+  else
+    let h = t.hyperperiod in
+    Option.value ~default:Comm.Set.empty
+      (Tmap.find_opt (((time mod h) + h) mod h) t.by_instant)
 
 (* G^W(t, tau_i): the LET writes task [i] must issue at [t]. *)
 let g_write t ~time ~task =
@@ -106,10 +117,16 @@ let compute app =
         add_set (add_set acc e.w_set) e.r_set)
       Tset.empty edges
   in
-  let instants =
-    Tset.elements candidates
-    |> List.filter (fun time -> not (Comm.Set.is_empty (comms_at_edges edges time)))
+  (* C(t) once per candidate instant; an empty one is no instant *)
+  let by_instant =
+    Tset.fold
+      (fun time acc ->
+        let comms = comms_at_edges edges time in
+        if Comm.Set.is_empty comms then acc else Tmap.add time comms acc)
+      candidates Tmap.empty
   in
+  let timed = Tmap.bindings by_instant in
+  let instants = List.map fst timed in
   (* group instants into patterns and compute the tightest gap to the next
      communication instant (cyclically: the schedule repeats with H) *)
   let next_gap =
@@ -121,35 +138,35 @@ let compute app =
       fun i ->
         if i = n - 1 then Time.(h - arr.(i) + first) else Time.(arr.(i + 1) - arr.(i))
   in
-  let tbl = Hashtbl.create 16 in
-  List.iteri
-    (fun i time ->
-      let comms = comms_at_edges edges time in
-      let key =
-        Fmt.str "%a" Fmt.(list ~sep:(any ";") Comm.pp_plain) (Comm.Set.elements comms)
-      in
-      let occurrences, gap =
-        match Hashtbl.find_opt tbl key with
-        | None -> ([], Time.of_s 1_000_000)
-        | Some p -> (p.occurrences, p.min_gap)
-      in
-      Hashtbl.replace tbl key
-        {
-          comms;
-          occurrences = time :: occurrences;
-          min_gap = Time.min gap (next_gap i);
-        })
-    instants;
+  let module Smap = Map.Make (Comm.Set) in
+  let by_set =
+    List.fold_left
+      (fun acc (time, comms, gap) ->
+        let p =
+          match Smap.find_opt comms acc with
+          | None -> { comms; occurrences = []; min_gap = Time.of_s 1_000_000 }
+          | Some p -> p
+        in
+        Smap.add comms
+          {
+            p with
+            occurrences = time :: p.occurrences;
+            min_gap = Time.min p.min_gap gap;
+          }
+          acc)
+      Smap.empty
+      (List.mapi (fun i (time, comms) -> (time, comms, next_gap i)) timed)
+  in
   let patterns =
-    Hashtbl.fold
+    Smap.fold
       (fun _ p acc -> { p with occurrences = List.rev p.occurrences } :: acc)
-      tbl []
+      by_set []
     |> List.sort (fun a b ->
            match (a.occurrences, b.occurrences) with
            | t1 :: _, t2 :: _ -> Time.compare t1 t2
            | [], _ | _, [] -> 0)
   in
-  { app; edges; instants; patterns }
+  { app; edges; hyperperiod = h; by_instant; instants; patterns }
 
 (* The paper's invariant below Algorithm 1: C(t) is a subset of C(s0) for
    every t (synchronous release). Exposed for tests and sanity checks. *)

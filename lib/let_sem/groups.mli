@@ -39,8 +39,9 @@ val instants : t -> Time.t list
     first pattern is C(s0). *)
 val patterns : t -> pattern list
 
-(** C(t) for an arbitrary absolute instant (folds each pair modulo its
-    repetition period). *)
+(** C(t) for an arbitrary absolute instant. [compute] derives C(t) once
+    per instant of [0, H); any other time reads the set of its phase in
+    [0, H). *)
 val comms_at : t -> Time.t -> Comm.Set.t
 
 (** G^W(t, tau): the LET writes [task] must issue at [time]. *)

@@ -103,10 +103,9 @@ let run_config ?(solver = Heuristic) app ~alpha =
       in
       (sol, None, cert)
     | Milp { objective; time_limit_s; node_limit; presolve } ->
-      let warm = Solve.warm_start objective app groups ~gamma in
       let r =
-        Solve.solve ~time_limit_s ~node_limit ~presolve ?warm objective app
-          groups ~gamma
+        Solve.solve ~time_limit_s ~node_limit ~presolve objective app groups
+          ~gamma
       in
       (r.Solve.solution, Some r.Solve.stats, r.Solve.certificate)
   in

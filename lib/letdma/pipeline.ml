@@ -97,15 +97,14 @@ let pp_outcome app ppf o =
 
 type milp_solver =
   deadline_s:float ->
-  warm:Solution.t option ->
   Formulation.objective ->
   App.t ->
   Groups.t ->
   gamma:Time.t array ->
   Solve.result
 
-let default_milp_solve ~deadline_s ~warm objective app groups ~gamma =
-  Solve.solve ~deadline_s ?warm objective app groups ~gamma
+let default_milp_solve ~deadline_s objective app groups ~gamma =
+  Solve.solve ~deadline_s objective app groups ~gamma
 
 let violations_summary app vs =
   Fmt.str "certification failed: %d violations, e.g. %a" (List.length vs)
@@ -173,11 +172,7 @@ let run ?(milp_solve = default_milp_solve) ?(objective = Formulation.No_obj)
       let try_milp () =
         Obs.span ~cat:"pipeline" (rung_name Milp) @@ fun () ->
         let ta = Milp.Clock.now () in
-        let r =
-          milp_solve ~deadline_s:deadline
-            ~warm:(Solve.warm_start objective app groups ~gamma)
-            objective app groups ~gamma
-        in
+        let r = milp_solve ~deadline_s:deadline objective app groups ~gamma in
         let dt = Milp.Clock.now () -. ta in
         match r.Solve.solution with
         | None ->

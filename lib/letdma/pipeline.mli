@@ -64,12 +64,10 @@ type outcome = {
 val pp_outcome : App.t -> Format.formatter -> outcome -> unit
 
 (** The MILP rung, as a replaceable hook — the default is {!Solve.solve}
-    with the absolute [deadline_s] and the [warm] MIP start. Tests
-    substitute a misbehaving solver to exercise the certification-failure
-    path of the ladder. *)
+    with the absolute [deadline_s]. Tests substitute a misbehaving solver
+    to exercise the certification-failure path of the ladder. *)
 type milp_solver =
   deadline_s:float ->
-  warm:Solution.t option ->
   Formulation.objective ->
   App.t ->
   Groups.t ->
@@ -79,10 +77,8 @@ type milp_solver =
 (** [run app] validates, prepares the configuration at [alpha] (default
     [0.2]) with {!Experiment.prepare} and walks the ladder under
     [budget_s] (default [60] s) of total wall time. [objective]
-    configures the MILP rung, which is warm-started with
-    {!Solve.warm_start} — the same MIP start [Experiment.run_config]
-    uses — and is one sequential search. The fallback rungs offer
-    {!fallback}'s plans. *)
+    configures the MILP rung, one sequential search from {!Solve.solve}'s
+    own MIP start. The fallback rungs offer {!fallback}'s plans. *)
 val run :
   ?milp_solve:milp_solver ->
   ?objective:Formulation.objective ->

@@ -43,24 +43,11 @@ type result = {
   instance : Formulation.instance;
 }
 
-(* One branch-and-bound round. [stop_after_nodes] interrupts the search
-   after that many explored nodes — the controlled-interrupt half of the
-   chaos gate (checkpoint, kill, resume). [ck] bundles the checkpoint
-   arguments as (writer, every, resume). [bound] is the model's proven
-   objective floor. *)
-let bb_solve ~presolve ?basis_pool ?stop_after_nodes ?ck ~deadline
-    ~node_limit ?incumbent ?bound p =
-  let hooks =
-    match stop_after_nodes with
-    | None -> Milp.Branch_bound.no_hooks
-    | Some limit ->
-      let seen = ref 0 in
-      {
-        Milp.Branch_bound.no_hooks with
-        should_stop = (fun () -> !seen >= limit);
-        on_node = (fun ~node:_ ~depth:_ ~bound:_ ~pivots:_ -> incr seen);
-      }
-  in
+(* One branch-and-bound round. [hooks] carries the interrupt test hook.
+   [ck] bundles the checkpoint arguments as (writer, every, resume).
+   [bound] is the model's proven objective floor. *)
+let bb_solve ~presolve ?basis_pool ~hooks ?ck ~deadline ~node_limit
+    ?incumbent ?bound p =
   let hooks = Obs.Solver_hooks.wrap hooks in
   let on_checkpoint, checkpoint_every, resume =
     match ck with
@@ -97,9 +84,9 @@ let find_violations inst (sol : Solution.t) =
    instance settles in round 1 (see EXPERIMENTS). *)
 let max_rounds = 50
 
-(* The MIP start every MILP caller hands to [solve ~warm]: the heuristic
-   variant matching the objective — maximal grouping for OBJ-DMAT,
-   per-task latency-oriented transfers otherwise. *)
+(* The heuristic MIP start of a solve: the variant matching the
+   objective — maximal grouping for OBJ-DMAT, per-task latency-oriented
+   transfers otherwise. *)
 let warm_start objective app groups ~gamma =
   let granularity =
     match objective with
@@ -161,42 +148,71 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
        | Ok () -> ()
        | Error m -> Log.err (fun f -> f "checkpoint write failed: %s" m))
   in
-  (* The warm start is re-encoded at every round: lazy Constraint-6
-     generation appends variables (the LG conjunctions), so a vector from
-     an earlier round would no longer match the problem. *)
-  let encode_warm () =
-    match warm with
+  (* A plan passes when its encoding meets the model's rows. The start
+     is re-encoded at every round: lazy Constraint-6 generation appends
+     variables (the LG conjunctions), so a vector from an earlier round
+     would no longer match the problem. *)
+  let encode sol =
+    match Formulation.encode inst sol with
+    | Some x ->
+      (match Milp.Problem.check_solution inst.Formulation.problem x with
+       | [] -> Some (sol, x)
+       | violated ->
+         Log.debug (fun f ->
+             f "MIP start rejected (%d violations, e.g. %s)"
+               (List.length violated)
+               (match violated with v :: _ -> v | [] -> "-"));
+         None)
     | None -> None
-    | Some sol ->
-      (match Formulation.encode inst sol with
-       | Some x ->
-         (match Milp.Problem.check_solution inst.Formulation.problem x with
-          | [] -> Some x
-          | violated ->
-            Log.debug (fun f ->
-                f "warm start rejected (%d violations, e.g. %s)"
-                  (List.length violated)
-                  (match violated with v :: _ -> v | [] -> "-"));
-            None)
-       | None -> None)
   in
-  (* A lazy round can end at the deadline on an incumbent that breaks
-     contiguity, leaving no time for the next round. The MIP start is
-     still a plan then, when it is contiguous and passes the grown
+  (* Every search starts from a plan: the caller's when it passes the
+     rows, else the heuristic's. Under NO-OBJ a start that passes the
+     rows is optimal at 0 nodes. *)
+  let heuristic = lazy (warm_start objective app groups ~gamma) in
+  let start () =
+    match Option.bind warm encode with
+    | Some _ as s -> s
+    | None -> Option.bind (Lazy.force heuristic) encode
+  in
+  (* A lazy round can end at the deadline or at the interrupt hook on an
+     incumbent that breaks contiguity, leaving no next round. The start
+     is still a plan then, when it is contiguous and passes the grown
      model's rows. *)
-  let contiguous_warm () =
-    match warm with
-    | Some sol when find_violations inst sol = [] ->
-      Option.map (fun x -> (sol, x)) (encode_warm ())
+  let contiguous_start () =
+    match start () with
+    | Some (sol, _) as s when find_violations inst sol = [] -> s
     | _ -> None
+  in
+  (* [interrupt_after_nodes] stops the solve after that many explored
+     nodes, counted over all rounds — the controlled-interrupt half of
+     the chaos gate (checkpoint, kill, resume). *)
+  let nodes_seen = ref 0 in
+  let interrupted () =
+    match interrupt_after_nodes with
+    | Some limit -> !nodes_seen >= limit
+    | None -> false
+  in
+  let hooks =
+    match interrupt_after_nodes with
+    | None -> Milp.Branch_bound.no_hooks
+    | Some _ ->
+      {
+        Milp.Branch_bound.no_hooks with
+        should_stop = interrupted;
+        on_node = (fun ~node:_ ~depth:_ ~bound:_ ~pivots:_ -> incr nodes_seen);
+      }
   in
   let c6_total = ref 0 in
   let nodes_total = ref 0 in
   let lp_total = ref Milp.Branch_bound.lp_zero in
+  (* Round 1 runs whatever time is left: branch-and-bound returns the
+     start promptly past its deadline. A later round needs 0.5 s, and
+     none starts once the interrupt hook has fired. *)
   let rec loop round =
     let remaining = Milp.Clock.remaining ~deadline in
-    if remaining <= 0.5 || round > max_rounds then
-      match if round > 1 then contiguous_warm () else None with
+    if (round > 1 && (remaining <= 0.5 || interrupted ())) || round > max_rounds
+    then
+      match contiguous_start () with
       | Some acc -> (Some acc, Milp.Branch_bound.Feasible, None, round - 1)
       | None -> (None, Milp.Branch_bound.Unknown, None, round - 1)
     else begin
@@ -207,9 +223,9 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
       let bb =
         Obs.span ~cat:"solver" "round" ~fields:[ ("round", Obs.Int round) ]
         @@ fun () ->
-        bb_solve ~presolve ?basis_pool
-          ?stop_after_nodes:interrupt_after_nodes ?ck ~deadline ~node_limit
-          ?incumbent:(encode_warm ()) ?bound inst.Formulation.problem
+        bb_solve ~presolve ?basis_pool ~hooks ?ck ~deadline ~node_limit
+          ?incumbent:(Option.map snd (start ())) ?bound
+          inst.Formulation.problem
       in
       nodes_total := !nodes_total + bb.Milp.Branch_bound.stats.Milp.Branch_bound.nodes;
       lp_total :=

@@ -484,7 +484,16 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000) ?incumbent
         invalid_arg
           (Fmt.str "checkpoint: incumbent has %d entries, the model %d \
                     variables" (Array.length x) n)
-      | _ -> ());
+      | Some (_, x) -> (
+        (* 1e-5 sits above the kernel's perturbation (<= 1.78e-6), so an
+           LP-vertex incumbent of this model passes *)
+        match Problem.check_solution ~eps:1.0e-5 p0 x with
+        | [] -> ()
+        | violated ->
+          invalid_arg
+            (Fmt.str "checkpoint: incumbent fails %d checks of the model, \
+                      e.g. %s" (List.length violated) (List.hd violated)))
+      | None -> ());
      List.iter
        (fun cn ->
          List.iter

@@ -209,8 +209,9 @@ type checkpoint = {
       parameters as the interrupted solve (see [Resilience.Checkpoint]
       for the fingerprint that enforces the problem part). Raises
       [Invalid_argument "checkpoint: ..."] when the incumbent does not
-      have one entry per variable or a frontier override names a
-      variable the problem does not have. *)
+      have one entry per variable or misses a row, bound or integrality
+      requirement of the problem by more than 1e-5, or a frontier
+      override names a variable the problem does not have. *)
 val solve :
   ?time_limit_s:float ->
   ?deadline:float ->

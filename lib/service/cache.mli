@@ -9,8 +9,8 @@
     Each entry also carries a {e family} tag (workload/seed/objective,
     {e without} the perturbable parameters): a miss whose family has a
     cached sibling is a {e perturbed repeat}, and the sibling's payload
-    (in practice its solved plan) seeds the warm-start path instead of a
-    cold solve.
+    (in practice its solved plan) is the MIP start instead of the
+    heuristic's plan.
 
     Eviction is least-recently-used with a strictly increasing use
     tick, so it is deterministic for a fixed request order — the

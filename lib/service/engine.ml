@@ -99,8 +99,10 @@ let solve_milp t ~id ~deadline ~t0 (s : Protocol.solve) app groups gamma =
     ok_response ~id ~klass:s.Protocol.klass ~cache:"hit" ~pivots:0 ~nodes:0
       ~t0 payload.core
   | None ->
-    (* a perturbed repeat starts from its sibling's plan; [Solve] checks
-       it against this model's rows and solves cold if it fails them *)
+    (* a perturbed repeat starts from its sibling's plan, anything else
+       from [Solve]'s heuristic start; [Solve] checks a sibling's plan
+       against this model's rows and starts from the heuristic plan if
+       it fails them *)
     let warm =
       Option.map (fun (_, sibling) -> sibling.plan)
         (Cache.find_family t.cache ~family)

@@ -18,8 +18,10 @@
       plan as its MIP start (["cache":"warm"]): when the plan passes the
       new model's rows, the search starts from it as the incumbent, and
       under NO-OBJ it is then proven optimal with no node and no pivot;
-      when it fails them, the request solves cold. Everything else
-      solves cold (["cache":"miss"]);
+      when it fails them, the request starts from the heuristic plan,
+      as a miss does.
+      Everything else (["cache":"miss"]) starts from {!Letdma.Solve}'s
+      heuristic MIP start, which NO-OBJ proves the same way;
     - {b preparation}: every solve request builds its workload with
       {!Workload.make} and goes through {!Letdma.Experiment.prepare}, so
       a configuration the CLI turns away gets the same message here, as

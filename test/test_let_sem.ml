@@ -226,6 +226,81 @@ let test_comms_at_periodicity () =
         (Comm.Set.equal (Groups.comms_at g t) (Groups.comms_at g Time.(t + h))))
     (Groups.instants g)
 
+(* [Groups] stores C(t) once per instant. What it answers must equal C(t)
+   folded from its edges at every instant, at later hyperperiods and at
+   random times, and its patterns must partition the instants by equal
+   C(t), in first-occurrence order, each with the tightest cyclic gap. *)
+let groups_consistent ~st app =
+  let g = Groups.compute app in
+  let h = App.hyperperiod app in
+  let folded t =
+    List.fold_left
+      (fun acc (e : Groups.edge) ->
+        let phase = t mod e.Groups.pair_period in
+        let add mk acc =
+          List.fold_left (fun acc (l : Label.t) -> Comm.Set.add (mk l.Label.id) acc)
+            acc e.Groups.labels
+        in
+        let acc =
+          if List.mem phase e.Groups.w_set then
+            add (fun label -> Comm.write ~task:e.Groups.producer ~label) acc
+          else acc
+        in
+        if List.mem phase e.Groups.r_set then
+          add (fun label -> Comm.read ~task:e.Groups.consumer ~label) acc
+        else acc)
+      Comm.Set.empty (Groups.edges g)
+  in
+  let agrees t = Comm.Set.equal (Groups.comms_at g t) (folded t) in
+  let instants = Groups.instants g in
+  let patterns = Groups.patterns g in
+  let gap =
+    let arr = Array.of_list instants in
+    let n = Array.length arr in
+    fun t ->
+      let i = ref 0 in
+      while arr.(!i) <> t do incr i done;
+      if !i = n - 1 then h - t + arr.(0) else arr.(!i + 1) - t
+  in
+  let occurrences = List.concat_map (fun p -> p.Groups.occurrences) patterns in
+  List.for_all
+    (fun t ->
+      agrees t && agrees (t + h) && agrees (t + (2 * h))
+      && not (Comm.Set.is_empty (Groups.comms_at g t)))
+    instants
+  && List.for_all agrees (List.init 50 (fun _ -> Random.State.full_int st (3 * h)))
+  && List.sort compare occurrences = instants
+  && List.for_all
+       (fun (p : Groups.pattern) ->
+         List.for_all
+           (fun t -> Comm.Set.equal p.Groups.comms (folded t))
+           p.Groups.occurrences
+         && p.Groups.min_gap
+            = List.fold_left (fun m t -> min m (gap t)) max_int p.Groups.occurrences)
+       patterns
+  && List.length (List.sort_uniq Comm.Set.compare
+                    (List.map (fun p -> p.Groups.comms) patterns))
+     = List.length patterns
+  && List.map (fun p -> List.hd p.Groups.occurrences) patterns
+     = List.sort compare (List.map (fun p -> List.hd p.Groups.occurrences) patterns)
+
+let prop_groups_store_comms =
+  QCheck.Test.make ~name:"stored C(t) equals C(t) folded from the edges"
+    ~count:40
+    QCheck.(pair (int_range 0 100_000) bool)
+    (fun (seed, small) ->
+      let config =
+        if small then Workload.Generator.small_config
+        else Workload.Generator.default_config
+      in
+      groups_consistent ~st:(Random.State.make [| seed |])
+        (Workload.Generator.random ~seed ~config ()))
+
+let test_groups_waters_consistent () =
+  check_bool "WATERS: stored C(t) and patterns" true
+    (groups_consistent ~st:(Random.State.make [| 2019 |])
+       (Workload.Waters2019.make ()))
+
 let test_pattern_gap_hand_checked () =
   (* two tasks, both 10ms, single flow: instants every 10ms, so every
      pattern's min gap is exactly 10ms *)
@@ -518,6 +593,9 @@ let () =
         [
           Alcotest.test_case "memories and classes" `Quick test_comm_memories;
           Alcotest.test_case "periodicity over H" `Quick test_comms_at_periodicity;
+          Alcotest.test_case "WATERS stored C(t) equals the edges'" `Quick
+            test_groups_waters_consistent;
+          QCheck_alcotest.to_alcotest prop_groups_store_comms;
           Alcotest.test_case "pattern gap hand-checked" `Quick
             test_pattern_gap_hand_checked;
         ] );

@@ -36,15 +36,12 @@ let gamma_for app alpha =
   | Some s -> s.Rt_analysis.Sensitivity.gamma
   | None -> Alcotest.fail "fixture unschedulable"
 
-let solve_fixture ?options ?warm objective =
+(* Every objective starts from the per-task heuristic plan. *)
+let solve_fixture ?options objective =
   let app = fixture () in
   let groups = Groups.compute app in
   let gamma = gamma_for app 0.3 in
-  let warm =
-    match warm with
-    | Some true | None -> Heuristic.solve_unchecked app groups ~gamma
-    | Some false -> None
-  in
+  let warm = Heuristic.solve_unchecked app groups ~gamma in
   (app, groups, gamma, Solve.solve ?options ~time_limit_s:20.0 ?warm objective app groups ~gamma)
 
 (* ------------------------------------------------------------------ *)
@@ -127,13 +124,18 @@ let test_formulation_deterministic_order () =
   in
   Alcotest.(check (list string))
     "same constraint sequence across builds" (names inst) (names (build ()));
-  (* cold solves: a warm incumbent would shortcut NO-OBJ with 0 nodes *)
+  (* OBJ-DEL searches from its start (NO-OBJ would prove it at 0
+     nodes); the node limit, not the clock, ends both searches *)
   let solve () =
-    (Solve.solve ~time_limit_s:20.0 Formulation.No_obj app groups ~gamma)
-      .Solve.stats
-      .Solve.nodes
+    let r =
+      Solve.solve ~node_limit:50 ~time_limit_s:20.0 Formulation.Min_delay_ratio
+        app groups ~gamma
+    in
+    (r.Solve.stats.Solve.nodes,
+     r.Solve.stats.Solve.lp.Milp.Branch_bound.lp_pivots, r.Solve.x)
   in
-  check_int "same node count across solves" (solve ()) (solve ())
+  check_bool "same nodes, pivots and assignment across solves" true
+    (solve () = solve ())
 
 let test_formulation_rejects_same_core_readers () =
   let platform = Platform.make ~n_cores:2 () in
@@ -256,31 +258,90 @@ let test_solve_min_transfers () =
          (Solution.num_transfers sol <= Solution.num_transfers h)
      | None -> ())
 
+(* A solve without [~warm] starts from [Solve.warm_start]'s plan: it
+   answers what the same solve handed that plan answers, under every
+   objective (OBJ-DEL's search is cut by its node limit). *)
 let test_solve_without_warm () =
-  let app, groups, _gamma, r = solve_fixture ~warm:false Formulation.No_obj in
-  match r.Solve.solution with
-  | None -> Alcotest.fail "expected a solution even without warm start"
-  | Some sol ->
-    Alcotest.(check (result unit string)) "validates" (Ok ())
-      (Solution.validate app groups sol)
-
-(* presolve is on by default; the reduction must not change what the
-   solver returns on the seed example — the perturbation is keyed on
-   stable row ids precisely so reduced and original models solve along
-   identical trajectories (same node count, same assignment) *)
-let test_solve_presolve_default_unchanged () =
   let app = fixture () in
   let groups = Groups.compute app in
   let gamma = gamma_for app 0.3 in
-  (* no warm start: a warm incumbent meets NO-OBJ's floor (a constant
-     objective is its own) and no search (hence no presolve) would run.
-     [basis_pool:0] keeps both solves on the cold per-node path: a warm
+  List.iter
+    (fun objective ->
+      let name = Formulation.objective_name objective ^ ": " in
+      let solve ?warm () =
+        let r =
+          Solve.solve ~node_limit:50 ~time_limit_s:20.0 ?warm objective app
+            groups ~gamma
+        in
+        let st = r.Solve.stats in
+        ( r.Solve.solution,
+          (st.Solve.status, st.Solve.nodes,
+           st.Solve.lp.Milp.Branch_bound.lp_pivots, r.Solve.x) )
+      in
+      let sol, without = solve () in
+      let _, handed = solve ?warm:(Solve.warm_start objective app groups ~gamma) () in
+      check_bool (name ^ "same status, nodes, pivots and assignment") true
+        (without = handed);
+      match sol with
+      | None -> Alcotest.fail (name ^ "expected a solution without ~warm")
+      | Some sol ->
+        Alcotest.(check (result unit string)) (name ^ "validates") (Ok ())
+          (Solution.validate app groups sol))
+    [ Formulation.No_obj; Formulation.Min_transfers; Formulation.Min_delay_ratio ]
+
+(* A caller's plan that fails the model's rows gives way to the
+   heuristic start: on small seed 9 the grouped plan breaks row C7_0_0_3
+   of the NO-OBJ model, so the solve starts from the per-task plan and
+   proves it at 0 nodes, as a solve without [~warm] does. *)
+let test_solve_rejected_warm () =
+  let app = Workload.make ~labels_per_edge:1 ~seed:9 Workload.Small in
+  let groups, gamma =
+    match Experiment.prepare app ~alpha:0.2 with
+    | Ok gg -> gg
+    | Error e -> Alcotest.fail (Experiment.error_to_string e)
+  in
+  let grouped =
+    Heuristic.solve_unchecked ~granularity:Heuristic.Grouped app groups ~gamma
+  in
+  let inst = Formulation.make Formulation.No_obj app groups ~gamma in
+  check_bool "the grouped plan fails the rows" true
+    (match Option.bind grouped (Formulation.encode inst) with
+     | Some x -> Milp.Problem.check_solution inst.Formulation.problem x <> []
+     | None -> true);
+  let solve ?warm () =
+    Solve.solve ~time_limit_s:20.0 ?warm Formulation.No_obj app groups ~gamma
+  in
+  let r = solve ?warm:grouped () and plain = solve () in
+  let st = r.Solve.stats in
+  check_bool "optimal" true (st.Solve.status = Milp.Branch_bound.Optimal);
+  check_int "no node" 0 st.Solve.nodes;
+  check_int "no pivot" 0 st.Solve.lp.Milp.Branch_bound.lp_pivots;
+  check_bool "certified" true
+    (match r.Solve.certificate with Some (Ok _) -> true | _ -> false);
+  check_bool "the plain solve's assignment" true (r.Solve.x = plain.Solve.x)
+
+(* A small generator draw whose OBJ-DEL optimum lies below its MIP
+   start, so the solve searches (NO-OBJ would prove the start at 0
+   nodes): 373 nodes to optimality at alpha 0.2. *)
+let searching_draw () =
+  let app = Workload.make ~labels_per_edge:1 ~seed:33 Workload.Small in
+  match Experiment.prepare app ~alpha:0.2 with
+  | Ok (groups, gamma) -> (app, groups, gamma)
+  | Error e -> Alcotest.fail (Experiment.error_to_string e)
+
+(* presolve is on by default; the reduction must not change what the
+   solver returns — the perturbation is keyed on stable row ids
+   precisely so reduced and original models solve along identical
+   trajectories (same node count, same assignment) *)
+let test_solve_presolve_default_unchanged () =
+  let app, groups, gamma = searching_draw () in
+  (* [basis_pool:0] keeps both solves on the cold per-node path: a warm
      restore may land on a different (equally optimal) degenerate vertex
      of the reduced model, which legitimately changes the branching
      trajectory — warm-vs-cold agreement has its own tests. *)
   let solve presolve =
-    Solve.solve ~presolve ~basis_pool:0 ~time_limit_s:20.0 Formulation.No_obj
-      app groups ~gamma
+    Solve.solve ~presolve ~basis_pool:0 ~time_limit_s:20.0
+      Formulation.Min_delay_ratio app groups ~gamma
   in
   let on = solve true and off = solve false in
   check_bool "both solved" true
@@ -295,25 +356,42 @@ let test_solve_presolve_default_unchanged () =
        (Array.length a = Array.length b
         && Array.for_all2 (fun u v -> Float.abs (u -. v) < 1e-9) a b)
    | _ -> Alcotest.fail "expected raw assignments");
+  check_bool "searched" true (off.Solve.stats.Solve.nodes > 0);
   check_bool "presolve reduced something" true
     (on.Solve.stats.Solve.lp.Milp.Branch_bound.presolve_rounds > 0)
 
-(* A cold NO-OBJ solve ends on an LP vertex of the kernel's perturbed
-   model, whose C5 rows sit up to 1.18e-6 off the model's own. The plan
-   it decodes to is exact, and Solve returns (and certifies) that plan's
-   encoding, so the accepted plan certifies. *)
-let test_solve_cold_certified () =
-  let app = fixture () in
-  let groups = Groups.compute app in
-  let gamma = gamma_for app 0.2 in
-  let r = Solve.solve ~time_limit_s:20.0 Formulation.No_obj app groups ~gamma in
+(* A plan found by the search ends on an LP vertex of the kernel's
+   perturbed model, whose rows sit up to ~1.8e-6 off the model's own.
+   The plan it decodes to is exact, and Solve returns (and certifies)
+   that plan's encoding, so the accepted plan certifies. *)
+let test_solve_searched_certified () =
+  let app, groups, gamma = searching_draw () in
+  let objective = Formulation.Min_delay_ratio in
+  let r = Solve.solve ~time_limit_s:20.0 objective app groups ~gamma in
+  let inst = r.Solve.instance in
+  let value x =
+    Milp.Linexpr.eval (snd (Milp.Problem.objective inst.Formulation.problem)) x
+  in
+  check_bool "searched" true (r.Solve.stats.Solve.nodes > 0);
+  (match
+     ( r.Solve.x,
+       Option.bind
+         (Solve.warm_start objective app groups ~gamma)
+         (Formulation.encode inst) )
+   with
+   | Some x, Some start ->
+     check_bool "plan from the search, below its start" true
+       (value x < value start)
+   | _ -> Alcotest.fail "expected a plan and an encodable start");
+  check_bool "the plan's exact encoding" true
+    (Option.bind r.Solve.solution (Formulation.encode inst) = r.Solve.x);
   match r.Solve.certificate with
   | Some (Ok _) -> ()
   | Some (Error vs) ->
-    Alcotest.failf "cold solve failed certification: %a"
+    Alcotest.failf "searched plan failed certification: %a"
       Fmt.(list ~sep:(any "; ") (Certify.pp_violation app))
       vs
-  | None -> Alcotest.fail "cold solve returned no plan"
+  | None -> Alcotest.fail "the solve returned no plan"
 
 let test_solve_infeasible_gamma () =
   let app = fixture () in
@@ -325,16 +403,13 @@ let test_solve_infeasible_gamma () =
   check_bool "infeasible status" true
     (r.Solve.stats.Solve.status = Milp.Branch_bound.Infeasible)
 
-(* The paper's case study end to end: WATERS NO-OBJ at alpha 0.2, warm
-   started from the heuristic, yields a plan the certifier accepts. *)
+(* The paper's case study end to end: WATERS NO-OBJ at alpha 0.2,
+   started from the heuristic plan, yields a plan the certifier accepts. *)
 let test_solve_waters_certified () =
   let app = Workload.Waters2019.make () in
   let groups = Groups.compute app in
   let gamma = gamma_for app 0.2 in
-  let warm = Heuristic.solve_unchecked app groups ~gamma in
-  let r =
-    Solve.solve ~time_limit_s:30.0 ?warm Formulation.No_obj app groups ~gamma
-  in
+  let r = Solve.solve ~time_limit_s:30.0 Formulation.No_obj app groups ~gamma in
   check_bool "has a solution" true (Option.is_some r.Solve.solution);
   match r.Solve.certificate with
   | Some (Ok _) -> ()
@@ -832,7 +907,7 @@ let forged_result corrupted objective app groups ~gamma =
 let test_pipeline_lying_solver_falls_back () =
   let app, _groups, _gamma, _sol, corrupted = corrupted_fixture () in
   let gammas = ref [] in
-  let lying ~deadline_s:_ ~warm:_ objective app groups ~gamma =
+  let lying ~deadline_s:_ objective app groups ~gamma =
     gammas := gamma :: !gammas;
     forged_result corrupted objective app groups ~gamma
   in
@@ -904,9 +979,9 @@ let test_pipeline_no_comms () =
   | Error (Pipeline.Rejected Experiment.No_communications) -> ()
   | _ -> Alcotest.fail "expected No_communications"
 
-(* regression for the shared-deadline refactor: an already-expired
-   absolute deadline (a monotonic Clock instant) stops the lazy loop
-   before the first round *)
+(* An already-expired absolute deadline (a monotonic Clock instant)
+   still runs round 1, which returns at once: under NO-OBJ the MIP start
+   meets the floor and is proved before any LP. *)
 let test_solve_expired_deadline () =
   let app = fixture () in
   let groups = Groups.compute app in
@@ -916,11 +991,17 @@ let test_solve_expired_deadline () =
     Solve.solve ~deadline_s:(t0 -. 1.0) Formulation.No_obj app groups ~gamma
   in
   check_bool "returns promptly" true (Milp.Clock.now () -. t0 < 2.0);
-  check_bool "no solution" true (r.Solve.solution = None);
-  check_bool "no certificate" true (r.Solve.certificate = None);
-  check_int "no rounds ran" 0 r.Solve.stats.Solve.rounds;
-  check_bool "status unknown" true
-    (r.Solve.stats.Solve.status = Milp.Branch_bound.Unknown)
+  check_int "one round" 1 r.Solve.stats.Solve.rounds;
+  check_int "no node" 0 r.Solve.stats.Solve.nodes;
+  check_bool "status optimal" true
+    (r.Solve.stats.Solve.status = Milp.Branch_bound.Optimal);
+  check_bool "the start is the plan" true
+    (Option.bind
+       (Solve.warm_start Formulation.No_obj app groups ~gamma)
+       (Formulation.encode r.Solve.instance)
+     = r.Solve.x);
+  check_bool "certified" true
+    (match r.Solve.certificate with Some (Ok _) -> true | _ -> false)
 
 let test_experiment_certificate_present () =
   let app = fixture () in
@@ -995,10 +1076,8 @@ let prop_milp_solutions_validate =
         | None -> true
         | Some s ->
           let gamma = s.Rt_analysis.Sensitivity.gamma in
-          let warm = Heuristic.solve_unchecked app groups ~gamma in
           let r =
-            Solve.solve ~time_limit_s:15.0 ?warm Formulation.No_obj app groups
-              ~gamma
+            Solve.solve ~time_limit_s:15.0 Formulation.No_obj app groups ~gamma
           in
           (match r.Solve.solution with
            | Some sol -> Solution.validate app groups sol = Ok ()
@@ -1114,8 +1193,10 @@ let () =
             test_solve_waters_certified;
           Alcotest.test_case "jobs other than 1 refused" `Quick
             test_solve_jobs_refused;
-          Alcotest.test_case "cold NO-OBJ certifies at alpha 0.2" `Slow
-            test_solve_cold_certified;
+          Alcotest.test_case "searched plan certifies at alpha 0.2" `Slow
+            test_solve_searched_certified;
+          Alcotest.test_case "rejected warm plan gives way to the heuristic"
+            `Quick test_solve_rejected_warm;
         ] );
       ( "solution",
         [

@@ -192,14 +192,16 @@ let prop_string_round_trip =
 (* End to end: traced solves                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* OBJ-DEL searches from its MIP start (NO-OBJ would prove the start
+   at 0 nodes); the node limit, not the clock, ends the search. *)
 let traced_solve path =
   let app = fixture () in
   let groups = Groups.compute app in
   let gamma = gamma_for app 0.3 in
   Obs.with_trace ~file:path (fun () ->
       ignore
-        (Letdma.Solve.solve ~time_limit_s:20.0 Letdma.Formulation.No_obj app
-           groups ~gamma))
+        (Letdma.Solve.solve ~node_limit:20 ~time_limit_s:20.0
+           Letdma.Formulation.Min_delay_ratio app groups ~gamma))
 
 (* Every traced solve yields a valid JSONL trace with solver events —
    the property ci.sh enforces on the smoke solve. *)

@@ -302,13 +302,14 @@ let test_validator_rejections () =
 
 module Basis = Milp.Simplex_core.Basis
 
-(* The chaos instance (small generator seed 5, OBJ-DMAT at alpha 0.2),
-   interrupted after 300 nodes as `letdma solve --checkpoint
-   --interrupt-after 300` leaves it: a frontier of open nodes and a pool
-   of bases, no incumbent yet. *)
+(* The chaos instance (small generator seed 8, OBJ-DMAT at alpha 0.2,
+   1895 nodes to optimality from its MIP start), interrupted after 300
+   nodes as `letdma solve --checkpoint --interrupt-after 300` leaves it:
+   a frontier of open nodes, a pool of bases and the start as its
+   incumbent. *)
 let chaos =
   lazy
-    (let app = Workload.make ~labels_per_edge:1 ~seed:5 Workload.Small in
+    (let app = Workload.make ~labels_per_edge:1 ~seed:8 Workload.Small in
      match Letdma.Experiment.prepare app ~alpha:0.2 with
      | Error e -> Alcotest.fail (Letdma.Experiment.error_to_string e)
      | Ok (groups, gamma) ->
@@ -393,14 +394,19 @@ let corrupt_on_resume =
           { n with B.ck_overrides = (99999999, 0.0, 1.0) :: n.B.ck_overrides }) );
     ( "one-entry incumbent",
       with_state (fun st -> { st with B.ck_best = Some (1.0, [| 0.0 |]) }) );
+    ( "all-zeros incumbent",
+      with_state (fun st ->
+          match st.B.ck_best with
+          | Some (obj, x) ->
+            { st with B.ck_best = Some (obj, Array.make (Array.length x) 0.0) }
+          | None -> Alcotest.fail "chaos checkpoint has no incumbent") );
   ]
 
 (* One random edit of the chaos checkpoint, typed or byte-level: the
    file either fails to load with a structured error, or resumes — to a
    result, or to [Invalid_argument] or [Failure], which the CLI reports
-   as a one-line error with exit 1 (a right-length but meaningless
-   incumbent is refused by the plan decoder, not by the loader). Any
-   other exception, or a crash, fails. *)
+   as a one-line error with exit 1. Any other exception, or a crash,
+   fails. *)
 let corruptions =
   [
     ("basis row entry v", fun v -> set_row0 (Basis.Bvar v));
@@ -564,87 +570,95 @@ let test_iteration_limit_is_graceful () =
 (* End to end: Letdma.Solve durable interrupt + resume                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Find a small generator instance that is schedulable and explores a
-   real tree, then check the ISSUE's acceptance criterion at the driver
-   level: interrupt -> checkpoint on disk -> resume -> same certified
-   objective and identical cumulative node count. *)
+(* A small generator instance that searches from its MIP start (OBJ-DEL,
+   379 nodes to optimality at alpha 0.3), checked end to end through
+   [Letdma.Solve]: interrupt -> checkpoint on disk -> resume -> same
+   certified objective and identical cumulative node count. *)
 let test_solve_durable_interrupt_resume () =
-  let open Let_sem in
-  let found = ref None in
-  let seed = ref 1 in
-  while !found = None && !seed <= 60 do
+  let objective = Letdma.Formulation.Min_delay_ratio in
+  let prepared seed =
     let app =
-      Workload.Generator.random ~seed:!seed
-        ~config:Workload.Generator.small_config ()
+      Workload.Generator.random ~seed ~config:Workload.Generator.small_config ()
     in
-    let groups = Groups.compute app in
-    (if not (Comm.Set.is_empty (Groups.s0 groups)) then
-       match Rt_analysis.Sensitivity.gammas app ~alpha:0.3 with
-       | Some s when s.Rt_analysis.Sensitivity.schedulable ->
-         let gamma = s.Rt_analysis.Sensitivity.gamma in
-         let r =
-           Letdma.Solve.solve ~time_limit_s:30.0 Letdma.Formulation.No_obj app
-             groups ~gamma
-         in
-         let n = r.Letdma.Solve.stats.Letdma.Solve.nodes in
-         if
-           r.Letdma.Solve.stats.Letdma.Solve.status = B.Optimal
-           && n >= 10 && n <= 500
-         then found := Some (app, groups, gamma, r)
-       | _ -> ());
-    incr seed
-  done;
-  match !found with
-  | None -> Alcotest.fail "no suitable generator instance in 60 seeds"
-  | Some (app, groups, gamma, baseline) ->
-    let file = Filename.temp_file "resilience_solve" ".json" in
-    Fun.protect
-      ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
-      (fun () ->
-        let k = baseline.Letdma.Solve.stats.Letdma.Solve.nodes / 2 in
-        let interrupted =
-          Letdma.Solve.solve ~time_limit_s:30.0 ~checkpoint_file:file
-            ~interrupt_after_nodes:k Letdma.Formulation.No_obj app groups
-            ~gamma
-        in
-        check_bool "interrupted run is inconclusive" true
-          (interrupted.Letdma.Solve.stats.Letdma.Solve.status <> B.Optimal);
-        check_bool "checkpoint file left on disk" true (Sys.file_exists file);
-        let ck =
-          match Ck.load file with
-          | Ok ck -> ck
-          | Error m -> Alcotest.fail ("checkpoint unreadable: " ^ m)
-        in
-        let resumed =
-          Letdma.Solve.solve ~time_limit_s:30.0 ~checkpoint_file:file
-            ~resume:ck Letdma.Formulation.No_obj app groups ~gamma
-        in
-        let stats r = r.Letdma.Solve.stats in
-        check_bool "resumed to optimality" true
-          ((stats resumed).Letdma.Solve.status = B.Optimal);
-        check_int "identical cumulative node count"
-          (stats baseline).Letdma.Solve.nodes
-          (stats resumed).Letdma.Solve.nodes;
-        check_bool "identical raw assignment" true
-          (resumed.Letdma.Solve.x = baseline.Letdma.Solve.x);
-        check_bool "conclusive resume removed the checkpoint" false
-          (Sys.file_exists file);
-        (* a fingerprint from a different model must be refused *)
-        let other =
-          Workload.Generator.random ~seed:(!seed + 1000)
-            ~config:Workload.Generator.small_config ()
-        in
-        let ogroups = Groups.compute other in
-        match Rt_analysis.Sensitivity.gammas other ~alpha:0.3 with
-        | None -> ()
-        | Some s ->
-          (match
-             Letdma.Solve.solve ~time_limit_s:5.0 ~resume:ck
-               Letdma.Formulation.No_obj other ogroups
-               ~gamma:s.Rt_analysis.Sensitivity.gamma
-           with
-          | exception Invalid_argument _ -> ()
-          | _ -> Alcotest.fail "foreign checkpoint must be refused"))
+    match Letdma.Experiment.prepare app ~alpha:0.3 with
+    | Ok (groups, gamma) -> (app, groups, gamma)
+    | Error e -> Alcotest.fail (Letdma.Experiment.error_to_string e)
+  in
+  let app, groups, gamma = prepared 33 in
+  let baseline =
+    Letdma.Solve.solve ~time_limit_s:30.0 objective app groups ~gamma
+  in
+  check_bool "baseline optimal after a search" true
+    (baseline.Letdma.Solve.stats.Letdma.Solve.status = B.Optimal
+     && baseline.Letdma.Solve.stats.Letdma.Solve.nodes >= 10);
+  let file = Filename.temp_file "resilience_solve" ".json" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
+    (fun () ->
+      let k = baseline.Letdma.Solve.stats.Letdma.Solve.nodes / 2 in
+      let interrupted =
+        Letdma.Solve.solve ~time_limit_s:30.0 ~checkpoint_file:file
+          ~interrupt_after_nodes:k objective app groups ~gamma
+      in
+      check_bool "interrupted run is inconclusive" true
+        (interrupted.Letdma.Solve.stats.Letdma.Solve.status <> B.Optimal);
+      check_bool "checkpoint file left on disk" true (Sys.file_exists file);
+      let ck =
+        match Ck.load file with
+        | Ok ck -> ck
+        | Error m -> Alcotest.fail ("checkpoint unreadable: " ^ m)
+      in
+      let resumed =
+        Letdma.Solve.solve ~time_limit_s:30.0 ~checkpoint_file:file
+          ~resume:ck objective app groups ~gamma
+      in
+      let stats r = r.Letdma.Solve.stats in
+      check_bool "resumed to optimality" true
+        ((stats resumed).Letdma.Solve.status = B.Optimal);
+      check_int "identical cumulative node count"
+        (stats baseline).Letdma.Solve.nodes
+        (stats resumed).Letdma.Solve.nodes;
+      check_bool "identical raw assignment" true
+        (resumed.Letdma.Solve.x = baseline.Letdma.Solve.x);
+      check_bool "conclusive resume removed the checkpoint" false
+        (Sys.file_exists file);
+      (* a fingerprint from a different model must be refused *)
+      let other, ogroups, ogamma = prepared 1033 in
+      match
+        Letdma.Solve.solve ~time_limit_s:5.0 ~resume:ck objective other
+          ogroups ~gamma:ogamma
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.fail "foreign checkpoint must be refused")
+
+(* The interrupt hook counts the nodes of the whole solve, not of each
+   lazy round, and no round starts once it has fired. Small seed 5
+   OBJ-DEL at alpha 0.2 needs three rounds (65, 52, then 881 nodes to
+   the proof): an interrupt at 300 nodes stops round 3 at node 300 in
+   all, and one at 100 stops round 2 and returns without a third. *)
+let test_interrupt_counts_the_solve () =
+  let app =
+    Workload.Generator.random ~seed:5 ~config:Workload.Generator.small_config ()
+  in
+  let groups, gamma =
+    match Letdma.Experiment.prepare app ~alpha:0.2 with
+    | Ok gg -> gg
+    | Error e -> Alcotest.fail (Letdma.Experiment.error_to_string e)
+  in
+  List.iter
+    (fun (after, rounds) ->
+      let r =
+        Letdma.Solve.solve ~time_limit_s:60.0 ~interrupt_after_nodes:after
+          Letdma.Formulation.Min_delay_ratio app groups ~gamma
+      in
+      let st = r.Letdma.Solve.stats in
+      let name = Printf.sprintf "interrupt after %d: " after in
+      check_int (name ^ "nodes") after st.Letdma.Solve.nodes;
+      check_int (name ^ "rounds") rounds st.Letdma.Solve.rounds;
+      check_bool (name ^ "inconclusive, with a plan") true
+        (st.Letdma.Solve.status = B.Feasible
+         && r.Letdma.Solve.solution <> None))
+    [ (300, 3); (100, 2) ]
 
 let () =
   Alcotest.run "resilience"
@@ -690,5 +704,7 @@ let () =
         [
           Alcotest.test_case "durable interrupt + resume (Letdma.Solve)" `Slow
             test_solve_durable_interrupt_resume;
+          Alcotest.test_case "interrupt counts the nodes of the solve" `Slow
+            test_interrupt_counts_the_solve;
         ] );
     ]

@@ -140,6 +140,81 @@ let test_render_deterministic () =
   in
   check_bool "round-trips" true (Result.is_ok (J.parse (String.trim line)))
 
+(* Valid request lines the fuzzer mutates. *)
+let fuzz_seeds =
+  [|
+    {|{"id":"r1","op":"solve","workload":"small","seed":7,"objective":"dmat","alpha":0.2,"deadline_s":10,"class":"gold"}|};
+    {|{"id":"r2","op":"solve","workload":"waters","labels_per_edge":2,"objective":"del","alpha":0.3,"deadline_s":0.5,"class":"bronze"}|};
+    {|{"id":"caf\u00e9","op":"stats"}|};
+    {|{"id":"c","op":"crash","times":2}|};
+  |]
+
+(* JSON values a mutated field may take. *)
+let fuzz_values =
+  [|
+    "null"; "true"; "0"; "-1"; "1e308"; "-1e999"; "99999999999999999999";
+    "0.5"; "\"\""; "\"\\ud800\""; "\"x\\u0000y\""; "[]"; "{}";
+    "[1,{\"a\":[]}]"; "NaN"; "\"small\""; "\"no-obj\""; "\"\xff\xfe\"";
+  |]
+
+let fuzz_keys =
+  [|
+    "id"; "op"; "workload"; "seed"; "labels_per_edge"; "objective"; "alpha";
+    "deadline_s"; "class"; "times"; "extra"; "";
+  |]
+
+(* A fuzzed line: random bytes, byte edits of a valid line (overwrite,
+   delete, insert, truncate), or a valid line with one member set to
+   another JSON value or added under another key. *)
+let fuzz_line =
+  let open QCheck.Gen in
+  let byte = map Char.chr (int_bound 255) in
+  let seed_line = map (Array.get fuzz_seeds) (int_bound (Array.length fuzz_seeds - 1)) in
+  let pick a = map (Array.get a) (int_bound (Array.length a - 1)) in
+  let edit =
+    seed_line >>= fun l ->
+    let n = String.length l in
+    int_bound (n - 1) >>= fun i ->
+    byte >>= fun c ->
+    oneofl
+      [
+        String.mapi (fun j x -> if j = i then c else x) l;
+        String.sub l 0 i ^ String.sub l (i + 1) (n - i - 1);
+        String.sub l 0 i ^ String.make 1 c ^ String.sub l i (n - i);
+        String.sub l 0 i;
+      ]
+  in
+  let field =
+    seed_line >>= fun l ->
+    pick fuzz_keys >>= fun k ->
+    pick fuzz_values >>= fun v ->
+    (* the line minus its closing brace, plus one member *)
+    return (Printf.sprintf "%s,\"%s\":%s}" (String.sub l 0 (String.length l - 1)) k v)
+  in
+  frequency
+    [
+      (1, string_size ~gen:byte (int_bound 64));
+      (3, edit);
+      (3, field);
+    ]
+
+(* [parse_request] answers [Ok] or [Error] for any line and never
+   raises; the error response of each [Error] is strict JSON that
+   carries the recovered id. *)
+let prop_protocol_fuzz =
+  QCheck.Test.make ~name:"fuzzed request lines parse or fail as JSON"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") fuzz_line)
+    (fun line ->
+      match P.parse_request line with
+      | Ok _ -> true
+      | Error e -> (
+        match J.parse (String.trim (P.error_line ~id:e.P.err_id e.P.message)) with
+        | Ok (J.O ms) ->
+          J.as_string "id" (J.field "r" ms "id") = e.P.err_id
+          && J.as_string "status" (J.field "r" ms "status") = "error"
+        | Ok _ | Error _ -> false))
+
 (* ---------- qos ---------- *)
 
 let tier = Alcotest.testable (Fmt.of_to_string Pipeline.rung_name) ( = )
@@ -275,10 +350,11 @@ let with_engine ?(jobs = 1) ?(retry_on_crash = 1) ?cache_capacity f =
 
 let run_batch e lines = E.process e (List.map P.parse_request lines)
 
-let small ?(alpha = 0.2) ?(klass = "gold") ?(deadline = 60.0) ~id seed =
+let small ?(alpha = 0.2) ?(klass = "gold") ?(deadline = 60.0)
+    ?(objective = "no-obj") ~id seed =
   Printf.sprintf
-    {|{"id":"%s","op":"solve","workload":"small","seed":%d,"alpha":%g,"deadline_s":%g,"class":"%s"}|}
-    id seed alpha deadline klass
+    {|{"id":"%s","op":"solve","workload":"small","seed":%d,"objective":"%s","alpha":%g,"deadline_s":%g,"class":"%s"}|}
+    id seed objective alpha deadline klass
 
 let test_engine_hit_and_warm () =
   with_engine @@ fun e ->
@@ -292,6 +368,12 @@ let test_engine_hit_and_warm () =
     let a = parse_obj la and b = parse_obj lb and c = parse_obj lc in
     check_string "a status" "ok" (sfield a "status");
     check_string "a cold" "miss" (sfield a "cache");
+    (* a miss starts from the heuristic plan, which NO-OBJ proves as it
+       stands *)
+    check_int "miss explores no nodes" 0 (ifield a "nodes");
+    check_int "miss does no pivots" 0 (ifield a "pivots");
+    check_bool "miss certified" true
+      (J.as_bool "certified" (J.field "r" a "certified"));
     check_string "b hit" "hit" (sfield b "cache");
     check_int "hit does no work" 0 (ifield b "pivots");
     check_int "hit explores no nodes" 0 (ifield b "nodes");
@@ -436,69 +518,120 @@ let test_engine_two_domains () =
     one;
   List.iter2 (check_string "jobs 2 answers as jobs 1") one two
 
-(* The service and a cold solve share one front door: a fresh engine's
-   miss answers what [Solve.solve] answers on the configuration
-   [Experiment.prepare] accepts (the same %.17g objective, nodes, pivots
-   and certificate), and a shed request answers with the ladder's
-   fallback plan. *)
-let test_engine_matches_front_door () =
-  let prepare app ~alpha =
-    match Letdma.Experiment.prepare app ~alpha with
-    | Ok p -> p
-    | Error e -> Alcotest.fail (Letdma.Experiment.error_to_string e)
-  in
-  let answer line =
-    match with_engine (fun e -> run_batch e [ line ]) with
-    | [ l ] -> parse_obj l
-    | ls -> Alcotest.failf "expected 1 response, got %d" (List.length ls)
-  in
-  List.iter
+let prepare app ~alpha =
+  match Letdma.Experiment.prepare app ~alpha with
+  | Ok p -> Some p
+  | Error _ -> None
+
+(* A fresh engine's one response to [line]. *)
+let answer line =
+  match with_engine (fun e -> run_batch e [ line ]) with
+  | [ l ] -> parse_obj l
+  | ls -> Alcotest.failf "expected 1 response, got %d" (List.length ls)
+
+(* The service, [letdma solve] and the durable path share one front
+   door: on a configuration [Experiment.prepare] accepts, a fresh
+   engine's miss, [Experiment.run_config] (what [letdma solve] runs) and
+   [Solve.solve ~checkpoint_file] (what [letdma solve --checkpoint]
+   runs) answer the same %.17g objective, nodes, pivots and
+   certificate. [None] when [prepare] turns the configuration away. *)
+let front_door_agrees ~objective ~alpha seed =
+  let app = Workload.make ~labels_per_edge:1 ~seed Workload.Small in
+  Option.map
+    (fun (groups, gamma) ->
+      let what = Printf.sprintf "seed %d %s: " seed objective in
+      let obj = List.assoc objective Letdma.Formulation.objective_flags in
+      let ms = answer (small ~id:"d" ~objective ~alpha ~deadline:120.0 seed) in
+      check_string (what ^ "a miss") "miss" (sfield ms "cache");
+      let served =
+        ( Printf.sprintf "%.17g"
+            (J.as_float "objective" (J.field "r" ms "objective")),
+          ifield ms "nodes",
+          ifield ms "pivots",
+          J.as_bool "certified" (J.field "r" ms "certified") )
+      in
+      (* the %.17g objective of an assignment of this configuration's
+         model *)
+      let inst = Letdma.Formulation.make obj app groups ~gamma in
+      let value x =
+        Printf.sprintf "%.17g"
+          (Milp.Linexpr.eval
+             (snd (Milp.Problem.objective inst.Letdma.Formulation.problem))
+             x)
+      in
+      let cli =
+        match
+          Letdma.Experiment.run_config
+            ~solver:(Letdma.Experiment.milp ~time_limit_s:120.0 obj) app ~alpha
+        with
+        | Error e -> Alcotest.fail (what ^ Letdma.Experiment.error_to_string e)
+        | Ok r ->
+          let st = Option.get r.Letdma.Experiment.solve_stats in
+          ( Option.fold ~none:"none" ~some:value
+              (Letdma.Formulation.encode inst r.Letdma.Experiment.solution),
+            st.Letdma.Solve.nodes,
+            st.Letdma.Solve.lp.Milp.Branch_bound.lp_pivots,
+            true )
+      in
+      let file = Filename.temp_file "service_front_door" ".json" in
+      let durable =
+        Fun.protect
+          ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
+          (fun () ->
+            let r =
+              Letdma.Solve.solve ~time_limit_s:120.0 ~checkpoint_file:file obj
+                app groups ~gamma
+            in
+            let st = r.Letdma.Solve.stats in
+            ( Option.fold ~none:"none" ~some:value r.Letdma.Solve.x,
+              st.Letdma.Solve.nodes,
+              st.Letdma.Solve.lp.Milp.Branch_bound.lp_pivots,
+              match r.Letdma.Solve.certificate with
+              | Some (Ok _) -> true
+              | _ -> false ))
+      in
+      let show (o, n, p, c) = Printf.sprintf "%s/%d/%d/%b" o n p c in
+      check_string (what ^ "letdma solve") (show cli) (show served);
+      check_string (what ^ "durable solve") (show durable) (show served))
+    (prepare app ~alpha)
+
+(* NO-OBJ on random small draws (gold, 120 s): every miss is proved from
+   its start, so all three paths agree. *)
+let prop_front_door =
+  QCheck.Test.make ~name:"answers as the front door" ~count:8
+    QCheck.(int_range 1 1_000_000)
     (fun seed ->
-      let what = Printf.sprintf "seed %d: " seed in
-      let ms = answer (small ~id:"d" ~deadline:120.0 seed) in
-      check_string (what ^ "cold answer") "miss" (sfield ms "cache");
-      let app = Workload.make ~labels_per_edge:1 ~seed Workload.Small in
-      let groups, gamma = prepare app ~alpha:0.2 in
-      let r =
-        Letdma.Solve.solve ~time_limit_s:120.0 Letdma.Formulation.No_obj app
-          groups ~gamma
-      in
-      let st = r.Letdma.Solve.stats in
-      let objective =
-        match r.Letdma.Solve.x with
-        | Some x ->
-          let _, e =
-            Milp.Problem.objective
-              r.Letdma.Solve.instance.Letdma.Formulation.problem
-          in
-          Milp.Linexpr.eval e x
-        | None -> Alcotest.fail (what ^ "cold solve found no plan")
-      in
-      check_string (what ^ "objective")
-        (Printf.sprintf "%.17g" objective)
-        (Printf.sprintf "%.17g" (J.as_float "objective" (J.field "r" ms "objective")));
-      check_int (what ^ "nodes") st.Letdma.Solve.nodes (ifield ms "nodes");
-      check_int (what ^ "pivots")
-        st.Letdma.Solve.lp.Milp.Branch_bound.lp_pivots (ifield ms "pivots");
-      check_bool (what ^ "certified")
-        (match r.Letdma.Solve.certificate with Some (Ok _) -> true | _ -> false)
-        (J.as_bool "certified" (J.field "r" ms "certified")))
-    [ 2; 4; 7; 9 ];
+      match front_door_agrees ~objective:"no-obj" ~alpha:0.2 seed with
+      | Some () -> true
+      | None -> QCheck.assume_fail ())
+
+(* OBJ-DMAT on two draws that prove within the deadline (seed 7 at its
+   start, seed 20 after a search), and a shed request, which answers
+   with the ladder's fallback plan. *)
+let test_engine_front_door_dmat_and_shed () =
+  List.iter
+    (fun (seed, alpha) ->
+      match front_door_agrees ~objective:"dmat" ~alpha seed with
+      | Some () -> ()
+      | None -> Alcotest.failf "seed %d turned away" seed)
+    [ (7, 0.2); (20, 0.3) ];
   let ms =
     answer {|{"id":"w","op":"solve","workload":"waters","deadline_s":0.5,"class":"bronze"}|}
   in
   check_string "bronze at 0.5 s is shed to the heuristic" "heuristic"
     (sfield ms "tier");
   let app = Workload.make ~labels_per_edge:1 ~seed:42 Workload.Waters in
-  let groups, gamma = prepare app ~alpha:0.2 in
-  match Pipeline.fallback Pipeline.Heuristic app groups ~gamma with
-  | None -> Alcotest.fail "the heuristic found no WATERS plan"
-  | Some (sol, verdict) ->
-    check_int "fallback transfers"
-      (Letdma.Solution.num_transfers sol)
-      (ifield ms "transfers");
-    check_bool "fallback verdict" (Result.is_ok verdict)
-      (J.as_bool "certified" (J.field "r" ms "certified"))
+  match prepare app ~alpha:0.2 with
+  | None -> Alcotest.fail "WATERS turned away"
+  | Some (groups, gamma) -> (
+    match Pipeline.fallback Pipeline.Heuristic app groups ~gamma with
+    | None -> Alcotest.fail "the heuristic found no WATERS plan"
+    | Some (sol, verdict) ->
+      check_int "fallback transfers"
+        (Letdma.Solution.num_transfers sol)
+        (ifield ms "transfers");
+      check_bool "fallback verdict" (Result.is_ok verdict)
+        (J.as_bool "certified" (J.field "r" ms "certified")))
 
 (* ---------- daemon end-to-end ---------- *)
 
@@ -667,6 +800,7 @@ let () =
           Alcotest.test_case "stats and crash ops" `Quick test_parse_ops;
           Alcotest.test_case "deterministic rendering" `Quick
             test_render_deterministic;
+          QCheck_alcotest.to_alcotest prop_protocol_fuzz;
         ] );
       ( "qos",
         [
@@ -697,8 +831,9 @@ let () =
             test_engine_stats_sees_batch;
           Alcotest.test_case "escaped ids decode to UTF-8" `Quick
             test_engine_escaped_ids;
-          Alcotest.test_case "answers as the front door" `Quick
-            test_engine_matches_front_door;
+          QCheck_alcotest.to_alcotest prop_front_door;
+          Alcotest.test_case "OBJ-DMAT and shed answers as the front door"
+            `Quick test_engine_front_door_dmat_and_shed;
           Alcotest.test_case "two domains answer as one" `Quick
             test_engine_two_domains;
         ] );
