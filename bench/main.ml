@@ -80,11 +80,10 @@ let ablation_c6 () =
   List.iter
     (fun seed ->
       let app = Workload.Generator.random ~seed ~config () in
-      let groups = Groups.compute app in
-      match Rt_analysis.Sensitivity.gammas app ~alpha:0.3 with
-      | None -> Fmt.pr "seed %d: unschedulable@." seed
-      | Some s ->
-        let gamma = s.Rt_analysis.Sensitivity.gamma in
+      match Letdma.Experiment.prepare app ~alpha:0.3 with
+      | Error e ->
+        Fmt.pr "seed %d: %s@." seed (Letdma.Experiment.error_to_string e)
+      | Ok (groups, gamma) ->
         (* NO-OBJ would prove its MIP start at 0 nodes: OBJ-DEL
            searches, so the model-size and lazy-round differences
            actually show in the running times *)
@@ -154,11 +153,9 @@ let ablation_heuristic () =
 let ablation_p3 app =
   section
     "ABLATION-P3: Constraint 10 as written (last read) vs strict (last transfer)";
-  let groups = Groups.compute app in
-  match Rt_analysis.Sensitivity.gammas app ~alpha:0.2 with
-  | None -> Fmt.pr "unschedulable@."
-  | Some s ->
-    let gamma = s.Rt_analysis.Sensitivity.gamma in
+  match Letdma.Experiment.prepare app ~alpha:0.2 with
+  | Error e -> Fmt.pr "%s@." (Letdma.Experiment.error_to_string e)
+  | Ok (groups, gamma) ->
     List.iter
       (fun (name, strict) ->
         let options =
@@ -191,11 +188,9 @@ let ablation_p3 app =
 let extension_multi_dma app =
   section
     "EXT-MULTIDMA: parallel DMA channels (extension beyond the paper's single engine)";
-  let groups = Groups.compute app in
-  match Rt_analysis.Sensitivity.gammas app ~alpha:0.2 with
-  | None -> Fmt.pr "unschedulable@."
-  | Some s ->
-    let gamma = s.Rt_analysis.Sensitivity.gamma in
+  match Letdma.Experiment.prepare app ~alpha:0.2 with
+  | Error e -> Fmt.pr "%s@." (Letdma.Experiment.error_to_string e)
+  | Ok (groups, gamma) ->
     (match Letdma.Heuristic.solve_unchecked app groups ~gamma with
      | None -> Fmt.pr "no plan@."
      | Some sol ->
@@ -230,15 +225,12 @@ let extension_automotive () =
   List.iter
     (fun seed ->
       let app = Workload.Automotive.generate ~seed () in
-      let groups = Groups.compute app in
-      let n_comms = Comm.Set.cardinal (Groups.s0 groups) in
-      match Rt_analysis.Sensitivity.gammas app ~alpha:0.3 with
-      | None -> Fmt.pr "  seed %d: unschedulable@." seed
-      | Some s ->
-        (match
-           Letdma.Heuristic.solve_unchecked app groups
-             ~gamma:s.Rt_analysis.Sensitivity.gamma
-         with
+      match Letdma.Experiment.prepare app ~alpha:0.3 with
+      | Error e ->
+        Fmt.pr "  seed %d: %s@." seed (Letdma.Experiment.error_to_string e)
+      | Ok (groups, gamma) ->
+        let n_comms = Comm.Set.cardinal (Groups.s0 groups) in
+        (match Letdma.Heuristic.solve_unchecked app groups ~gamma with
          | None -> Fmt.pr "  seed %d: no communications@." seed
          | Some sol ->
            let worst approach =
@@ -267,11 +259,11 @@ let scaling () =
   List.iter
     (fun labels_per_edge ->
       let app = Workload.Waters2019.make ~labels_per_edge () in
-      let groups = Groups.compute app in
-      match Rt_analysis.Sensitivity.gammas app ~alpha:0.2 with
-      | None -> Fmt.pr "  x%d: unschedulable@." labels_per_edge
-      | Some s ->
-        let gamma = s.Rt_analysis.Sensitivity.gamma in
+      match Letdma.Experiment.prepare app ~alpha:0.2 with
+      | Error e ->
+        Fmt.pr "  x%d: %s@." labels_per_edge
+          (Letdma.Experiment.error_to_string e)
+      | Ok (groups, gamma) ->
         let t0 = Unix.gettimeofday () in
         let warm = Letdma.Heuristic.solve_unchecked app groups ~gamma in
         let t_heur = Unix.gettimeofday () -. t0 in
@@ -297,11 +289,9 @@ let scaling () =
 let robustness app =
   section
     "ROBUSTNESS: certifier overhead, fault-injection sweep, degradation ladder";
-  let groups = Groups.compute app in
-  match Rt_analysis.Sensitivity.gammas app ~alpha:0.2 with
-  | None -> Fmt.pr "unschedulable@."
-  | Some s ->
-    let gamma = s.Rt_analysis.Sensitivity.gamma in
+  match Letdma.Experiment.prepare app ~alpha:0.2 with
+  | Error e -> Fmt.pr "%s@." (Letdma.Experiment.error_to_string e)
+  | Ok (groups, gamma) ->
     (* certifier overhead per solve: full independent re-verification
        (MILP residuals + layouts + Properties 1-3 + deadlines) relative
        to the MILP solve it vouches for; the budget is <5% *)

@@ -85,15 +85,6 @@ let positive_int what =
   in
   Arg.conv (parse, Fmt.int)
 
-let nonneg_int what =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok n
-    | Some n -> Error (`Msg (Fmt.str "%s must be >= 0, got %d" what n))
-    | None -> Error (`Msg (Fmt.str "%s must be an integer, got %S" what s))
-  in
-  Arg.conv (parse, Fmt.int)
-
 let positive_float what =
   let parse s =
     match float_of_string_opt s with
@@ -719,25 +710,12 @@ let serve_cmd =
             "Largest request batch carved through one shared deadline; \
              pipelined input beyond $(docv) starts the next batch.")
   in
-  let retry_on_crash_t =
-    Arg.(
-      value
-      & opt (nonneg_int "crash retries") 1
-      & info [ "retry-on-crash" ] ~docv:"N"
-          ~doc:
-            "How many times a request whose worker domain died is retried \
-             before it is answered with a structured error (the daemon \
-             itself always survives worker crashes).")
-  in
-  let run verbose socket cache max_batch retry_on_crash jobs trace metrics =
+  let run verbose socket cache max_batch jobs trace metrics =
     guard @@ fun () ->
     setup_logs verbose;
     check_jobs jobs @@ fun () ->
     with_obs ~trace ~metrics @@ fun () ->
-    let engine =
-      Service.Engine.create ~jobs ~cache_capacity:cache
-        ~retry_on_crash ()
-    in
+    let engine = Service.Engine.create ~jobs ~cache_capacity:cache () in
     let r = Service.Daemon.run ?socket ~max_batch engine in
     Service.Engine.shutdown engine;
     match r with
@@ -758,8 +736,8 @@ let serve_cmd =
           over-deadline work down the degradation ladder by QoS class. See \
           README: Running as a service for the protocol.")
     Term.(
-      const run $ verbose_t $ socket_t $ cache_t $ max_batch_t
-      $ retry_on_crash_t $ jobs_t $ trace_t $ metrics_t)
+      const run $ verbose_t $ socket_t $ cache_t $ max_batch_t $ jobs_t
+      $ trace_t $ metrics_t)
 
 (* --- random workload --------------------------------------------------- *)
 

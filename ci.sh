@@ -169,24 +169,27 @@ echo "pipeline OBJ-DMAT: ${dmat_head}"
   echo "FAIL: want an accepted milp solution with at most 16 transfers:"
   cat "$TMP/ci_pipeline_dmat.out"; exit 1; }
 
-echo "== service smoke (daemon, cache hit, malformed request, plan seed) =="
+echo "== service smoke (daemon, cache hit, malformed request, plan seed, unknown op) =="
 # One daemon session over stdin/stdout: the same solve twice, one
-# malformed request, an alpha sibling of the first solve, then EOF. The
-# daemon must answer all four lines (malformed -> structured error, not
-# a crash), the first solve, a cache miss, must prove the heuristic MIP
-# start with no node, certified, the second solve must be answered from
-# the cache with a byte-identical %.17g objective, the sibling must
-# start from the first solve's plan and prove it optimal with no node,
-# certified, and the drained EOF shutdown must exit 0.
+# malformed request, an alpha sibling of the first solve, a crash line,
+# then EOF. The daemon must answer all five lines (malformed -> structured
+# error, not a crash), the first solve, a cache miss, must prove the
+# heuristic MIP start with no node, certified, the second solve must be
+# answered from the cache with a byte-identical %.17g objective, the
+# sibling must start from the first solve's plan and prove it optimal
+# with no node, certified, the crash line must be refused as an unknown
+# op (no client can kill a worker domain), and the drained EOF shutdown
+# must exit 0.
 printf '%s\n' \
   '{"id":"s1","op":"solve","workload":"small","seed":7,"deadline_s":120,"class":"gold"}' \
   '{"id":"s2","op":"solve","workload":"small","seed":7,"deadline_s":120,"class":"gold"}' \
   '{"id":"s3","op":"solve","oops":true}' \
   '{"id":"s4","op":"solve","workload":"small","seed":7,"alpha":0.25,"deadline_s":120,"class":"gold"}' \
+  '{"id":"s5","op":"crash","times":1}' \
   | timeout 200 $CLI serve --jobs 1 > "$TMP/ci_service.out" || {
     echo "FAIL: serve exited $? (want 0 after EOF drain)"; exit 1; }
-[ "$(wc -l < "$TMP/ci_service.out")" -eq 4 ] || {
-  echo "FAIL: expected 4 responses, got:"; cat "$TMP/ci_service.out"; exit 1; }
+[ "$(wc -l < "$TMP/ci_service.out")" -eq 5 ] || {
+  echo "FAIL: expected 5 responses, got:"; cat "$TMP/ci_service.out"; exit 1; }
 s1=$(grep '"id":"s1"' "$TMP/ci_service.out")
 echo "service smoke: first solve ${s1}"
 case "$s1" in *'"cache":"miss"'*'"nodes":0,'*'"certified":true'*) ;; *)
@@ -205,6 +208,11 @@ s4=$(grep '"id":"s4"' "$TMP/ci_service.out")
 echo "service smoke: alpha sibling ${s4}"
 case "$s4" in *'"cache":"warm"'*'"nodes":0,'*'"certified":true'*) ;; *)
   echo "FAIL: alpha sibling not answered warm from its sibling's plan with 0 nodes, certified:"
+  cat "$TMP/ci_service.out"; exit 1 ;; esac
+s5=$(grep '"id":"s5"' "$TMP/ci_service.out")
+echo "service smoke: crash line ${s5}"
+case "$s5" in *'"status":"error"'*'expected solve/stats'*) ;; *)
+  echo "FAIL: crash line not refused as an unknown op:"
   cat "$TMP/ci_service.out"; exit 1 ;; esac
 
 echo "== ci.sh: all green =="

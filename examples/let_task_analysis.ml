@@ -6,15 +6,15 @@
    Run with: dune exec examples/let_task_analysis.exe *)
 
 open Rt_model
-open Let_sem
 
 let () =
   let app = Workload.Waters2019.make () in
-  let groups = Groups.compute app in
-  let gamma =
-    match Rt_analysis.Sensitivity.gammas app ~alpha:0.2 with
-    | Some s -> s.Rt_analysis.Sensitivity.gamma
-    | None -> failwith "unschedulable"
+  let groups, gamma =
+    match Letdma.Experiment.prepare app ~alpha:0.2 with
+    | Ok p -> p
+    | Error e ->
+      Fmt.epr "%s@." (Letdma.Experiment.error_to_string e);
+      exit 1
   in
   let solution =
     match Letdma.Heuristic.solve app groups ~gamma with

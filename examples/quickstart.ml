@@ -38,17 +38,18 @@ let () =
   let app = App.make ~platform ~tasks ~labels in
   Fmt.pr "%a@.@." App.pp app;
 
-  (* 4. Necessary LET communications (Algorithm 1): note how the logger's
+  (* 4-5. Necessary LET communications (Algorithm 1) and the
+        data-acquisition deadlines from the sensitivity analysis, or why
+        the configuration is turned away. Note how the logger's
         oversampled reads are skipped. *)
-  let groups = Groups.compute app in
-  Fmt.pr "%a@.@." Groups.pp groups;
-
-  (* 5. Data-acquisition deadlines from the sensitivity analysis. *)
-  let gamma =
-    match Rt_analysis.Sensitivity.gammas app ~alpha:0.3 with
-    | Some s -> s.Rt_analysis.Sensitivity.gamma
-    | None -> failwith "task set unschedulable"
+  let groups, gamma =
+    match Letdma.Experiment.prepare app ~alpha:0.3 with
+    | Ok p -> p
+    | Error e ->
+      Fmt.epr "%s@." (Letdma.Experiment.error_to_string e);
+      exit 1
   in
+  Fmt.pr "%a@.@." Groups.pp groups;
 
   (* 6. Plan transfers and allocate memory with the heuristic. *)
   let solution =

@@ -227,6 +227,21 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
           ?incumbent:(Option.map snd (start ())) ?bound
           inst.Formulation.problem
       in
+      (* A conclusive round makes the checkpoint stale: resuming it would
+         re-prove what is already proven, and no later round writes one.
+         Removing it lets an operator loop "resume while a checkpoint
+         exists" terminate. *)
+      (match (checkpoint_file, bb.Milp.Branch_bound.status) with
+       | ( Some file,
+           ( Milp.Branch_bound.Optimal | Milp.Branch_bound.Infeasible
+           | Milp.Branch_bound.Unbounded ) )
+         when Sys.file_exists file -> (
+         try
+           Sys.remove file;
+           Log.info (fun f ->
+               f "round %d conclusive: checkpoint %s removed" round file)
+         with Sys_error _ -> ())
+       | _ -> ());
       nodes_total := !nodes_total + bb.Milp.Branch_bound.stats.Milp.Branch_bound.nodes;
       lp_total :=
         Milp.Branch_bound.lp_add !lp_total
@@ -286,19 +301,6 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
         | _ -> (sol, x))
       accepted
   in
-  (* A conclusive finish makes the checkpoint stale (resuming it would
-     re-prove what is already proven): remove it so an operator loop
-     "resume while a checkpoint exists" terminates. *)
-  (match (checkpoint_file, status) with
-   | ( Some file,
-       ( Milp.Branch_bound.Optimal | Milp.Branch_bound.Infeasible
-       | Milp.Branch_bound.Unbounded ) )
-     when Sys.file_exists file -> (
-     try
-       Sys.remove file;
-       Log.info (fun f -> f "solve conclusive: checkpoint %s removed" file)
-     with Sys_error _ -> ())
-   | _ -> ());
   let solution = Option.map fst accepted in
   let x = Option.map snd accepted in
   (* independent certification of accepted solutions: the decoded

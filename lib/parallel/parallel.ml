@@ -3,8 +3,8 @@
 
     Two layers, no global state:
 
-    - {!Pool}: fixed-size supervised domain pool with futures and
-      exception funneling — the substrate of sweeps and of the service's
+    - {!Pool}: fixed-size domain pool with futures and exception
+      funneling — the substrate of sweeps and of the service's
       request pool;
     - {!Sweep}: batch runner farming {e independent} instances with
       per-item deadlines carved from one shared absolute deadline. *)

@@ -24,22 +24,13 @@ type ('a, 'b) outcome = {
       ones. Without [deadline] every item gets [infinity].
 
     Item exceptions are funneled into their outcome ([Error]); one
-    crashing instance never aborts the sweep. The only exception that is
-    {e not} funneled is {!Pool.Poison}, which keeps its pool-level
-    meaning — it kills the worker domain so supervision (respawn +
-    crash retry) takes over, exactly as for any other pool task. If the pool machinery
-    itself fails (e.g. submission on a shut-down pool), the outcome is
-    [Error] with the global deadline (or [infinity]) recorded — the
-    [deadline] field is always well-defined, never NaN.
-
-    [retry_on_crash] (default 1) is handed to {!Pool.async}: an item
-    whose worker {e domain} dies is transparently re-enqueued that many
-    times before its outcome becomes [Error Pool.Worker_crashed]. Note a
-    retried item re-carves its deadline when it re-runs. *)
+    failing instance never aborts the sweep. Work submitted to a
+    shut-down pool ({!Pool.async} raises [Invalid_argument]) has an
+    [Error] outcome with the global deadline (or [infinity]) recorded —
+    the [deadline] field is always well-defined, never NaN. *)
 val map :
   pool:Pool.t ->
   ?deadline:float ->
-  ?retry_on_crash:int ->
   (deadline:float -> 'a -> 'b) ->
   'a list ->
   ('a, 'b) outcome list

@@ -17,8 +17,8 @@
     returns 0. In-flight requests are never dropped.
 
     {b Robustness.} A malformed line yields a structured error response
-    (never a crash); a worker-domain death is absorbed by the pool's
-    supervisor (see {!Engine}); SIGPIPE is ignored, so a client that
+    (never a crash); a request whose handling raises gets an error
+    line too (see {!Engine}); SIGPIPE is ignored, so a client that
     disconnects mid-response cannot kill the daemon. *)
 
 val run :

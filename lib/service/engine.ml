@@ -1,5 +1,5 @@
 (* Batch execution: QoS planning, fair-deadline dispatch over the
-   supervised pool, and the fingerprint-keyed warm cache. *)
+   domain pool, and the fingerprint-keyed warm cache. *)
 
 let src = Logs.Src.create "service.engine" ~doc:"solver service engine"
 
@@ -16,7 +16,6 @@ type payload = {
 type t = {
   pool : Parallel.Pool.t;
   cache : payload Cache.t;
-  retry_on_crash : int;
   started_at : float;
   m : Mutex.t;
   mutable requests : int;
@@ -25,14 +24,12 @@ type t = {
   mutable shed : int;
   mutable batches : int;
   mutable max_batch : int;
-  crash_counts : (string, int) Hashtbl.t;
 }
 
-let create ?jobs ?(cache_capacity = 64) ?(retry_on_crash = 1) () =
+let create ?jobs ?(cache_capacity = 64) () =
   {
     pool = Parallel.Pool.create ?jobs ();
     cache = Cache.create ~capacity:cache_capacity;
-    retry_on_crash;
     started_at = Milp.Clock.now ();
     m = Mutex.create ();
     requests = 0;
@@ -41,7 +38,6 @@ let create ?jobs ?(cache_capacity = 64) ?(retry_on_crash = 1) () =
     shed = 0;
     batches = 0;
     max_batch = 0;
-    crash_counts = Hashtbl.create 16;
   }
 
 let cache_stats t = Cache.stats t.cache
@@ -201,31 +197,6 @@ let handle_solve t ~arrival ~load ~deadline ~id (s : Protocol.solve) =
           gamma)
   end
 
-(* --- chaos op -------------------------------------------------------- *)
-
-(* Crash the worker domain [times] times, then answer: with the default
-   retry budget of 1, [times:1] exercises transparent recovery (the
-   request survives its own worker's death) and [times:2] exercises the
-   budget-exhausted path (a structured Worker_crashed error). *)
-let handle_crash t ~id times =
-  let seen =
-    Mutex.protect t.m (fun () ->
-        let c =
-          Option.value ~default:0 (Hashtbl.find_opt t.crash_counts id)
-        in
-        Hashtbl.replace t.crash_counts id (c + 1);
-        c)
-  in
-  if seen < times then
-    raise (Parallel.Pool.Poison (Printf.sprintf "injected crash %s" id));
-  count t (fun t -> t.solved <- t.solved + 1);
-  Protocol.render ~id ~status:"ok"
-    [
-      ("op", Protocol.S "crash");
-      ("recovered", Protocol.B true);
-      ("crashes", Protocol.I seen);
-    ]
-
 (* --- stats op -------------------------------------------------------- *)
 
 let handle_stats t ~id =
@@ -239,7 +210,9 @@ let handle_stats t ~id =
       ("op", Protocol.S "stats");
       ("uptime_s", Protocol.F (Milp.Clock.now () -. t.started_at));
       ("pool_jobs", Protocol.I (Parallel.Pool.jobs t.pool));
-      ("pool_crashes", Protocol.I (Parallel.Pool.crashes t.pool));
+      (* no worker domain dies before shutdown; the member stays for
+         readers that report it *)
+      ("pool_crashes", Protocol.I 0);
       ("requests", Protocol.I requests);
       ("solved", Protocol.I solved);
       ("errors", Protocol.I errors);
@@ -263,8 +236,6 @@ let handle t ~arrival ~load ~deadline item =
   | Error { Protocol.err_id; message } ->
     error_response t ~id:err_id "invalid request: %s" message
   | Ok { Protocol.id; op = Protocol.Stats } -> handle_stats t ~id
-  | Ok { Protocol.id; op = Protocol.Crash { times } } ->
-    handle_crash t ~id times
   | Ok { Protocol.id; op = Protocol.Solve s } ->
     handle_solve t ~arrival ~load ~deadline ~id s
 
@@ -310,7 +281,6 @@ let process t items =
     in
     let outcomes =
       Parallel.Sweep.map ~pool:t.pool ?deadline:global
-        ~retry_on_crash:t.retry_on_crash
         (fun ~deadline item -> handle t ~arrival ~load ~deadline item)
         items
     in
@@ -318,10 +288,6 @@ let process t items =
       (fun (o : _ Parallel.Sweep.outcome) ->
         match o.Parallel.Sweep.result with
         | Ok line -> line
-        | Error (Parallel.Pool.Worker_crashed { worker; cause }) ->
-          error_response t ~id:(id_of o.Parallel.Sweep.item)
-            "worker %d crashed (%s); crash-retry budget exhausted" worker
-            cause
         | Error e ->
           error_response t ~id:(id_of o.Parallel.Sweep.item)
             "internal error: %s" (Printexc.to_string e))

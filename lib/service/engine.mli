@@ -3,7 +3,7 @@
     One {!process} call takes a parsed request batch (order preserved)
     and returns one rendered response line per request:
 
-    - {b batching}: the batch's solve requests run on a supervised
+    - {b batching}: the batch's solve requests run on a
       {!Parallel.Pool} through {!Parallel.Sweep.map}, which carves one
       shared absolute deadline (the latest per-request deadline in the
       batch) into fair per-item deadlines — a queued request can never
@@ -30,27 +30,25 @@
       solving tier — a rung of the degradation ladder — through
       {!Qos.plan}; shed requests are answered with the ladder's fallback
       plan ({!Letdma.Pipeline.fallback}) instead of queueing;
-    - {b supervision}: a request that kills its worker domain (the
-      [crash] chaos op, or a real bug) is retried [retry_on_crash]
-      times by the pool's supervisor; past the budget its response is a
-      structured error — the engine and its other in-flight requests
-      are unaffected.
+    - {b failures}: a request whose handling raises is answered with an
+      ["internal error"] line; the pool funnels the exception, so the
+      engine and its other requests are unaffected.
 
     A [stats] request is answered from the same queue (so with a
     sequential pool it observes every earlier request of its batch)
-    with a snapshot of engine counters, cache and pool state.
+    with a snapshot of engine counters, cache and pool state. Its
+    ["pool_crashes"] member is always 0: no worker domain dies before
+    {!shutdown}.
 
     Thread-safety: counters and the cache are mutex-guarded; one
     engine serves one daemon loop but its work runs on pool domains. *)
 
 type t
 
-val create :
-  ?jobs:int -> ?cache_capacity:int -> ?retry_on_crash:int -> unit -> t
+val create : ?jobs:int -> ?cache_capacity:int -> unit -> t
 (** [jobs] sizes the worker pool (default
     [Domain.recommended_domain_count ()]); [cache_capacity] bounds the
-    LRU (default 64); [retry_on_crash] (default 1) is each request's
-    crash-retry budget. *)
+    LRU (default 64). *)
 
 val process :
   t -> (Protocol.request, Protocol.error) Stdlib.result list -> string list

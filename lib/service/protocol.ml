@@ -13,7 +13,7 @@ type solve = {
   klass : Qos.klass;
 }
 
-type op = Solve of solve | Stats | Crash of { times : int }
+type op = Solve of solve | Stats
 
 type request = { id : string; op : op }
 
@@ -32,8 +32,6 @@ let solve_keys =
   ]
 
 let stats_keys = [ "id"; "op" ]
-
-let crash_keys = [ "id"; "op"; "times" ]
 
 let check_keys ms allowed =
   List.iter
@@ -95,16 +93,6 @@ let parse_solve ms =
   in
   Solve { workload; seed; labels_per_edge; objective; alpha; deadline_s; klass }
 
-let parse_crash ms =
-  check_keys ms crash_keys;
-  let times =
-    opt_field ms "times" ~default:1 (fun v ->
-        let n = Json.as_int "times" v in
-        if n < 1 then Json.invalid "times: must be >= 1, got %d" n;
-        n)
-  in
-  Crash { times }
-
 (* Best-effort id recovery from a line that failed validation, so the
    error response still correlates with the request that caused it. *)
 let recover_id = function
@@ -130,8 +118,7 @@ let parse_request line =
           | "stats" ->
             check_keys ms stats_keys;
             Stats
-          | "crash" -> parse_crash ms
-          | s -> Json.invalid "op: expected solve/stats/crash, got %S" s)
+          | s -> Json.invalid "op: expected solve/stats, got %S" s)
       in
       Ok { id; op }
     with Json.Invalid m -> Error { err_id; message = m })

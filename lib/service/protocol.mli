@@ -16,15 +16,12 @@
     {"id":"r1","op":"solve","workload":"small","seed":7,
      "objective":"dmat","alpha":0.2,"deadline_s":10,"class":"gold"}
     {"id":"r2","op":"stats"}
-    {"id":"r3","op":"crash","times":1}
     v}
 
     [solve] defaults: workload ["waters"], seed [42],
     [labels_per_edge] 1, objective ["no-obj"], alpha [0.2],
-    [deadline_s] 60, class ["silver"]. [crash] raises
-    {!Parallel.Pool.Poison} in the worker [times] times before
-    completing — the chaos hook behind the supervision tests and the CI
-    gate. *)
+    [deadline_s] 60, class ["silver"]. Any other op is an error
+    naming the two. *)
 
 type solve = {
   workload : Workload.kind;  (** named by {!Workload.kinds} *)
@@ -36,7 +33,7 @@ type solve = {
   klass : Qos.klass;
 }
 
-type op = Solve of solve | Stats | Crash of { times : int }
+type op = Solve of solve | Stats
 
 type request = { id : string; op : op }
 

@@ -75,6 +75,11 @@ let test_retries_unknown () =
   check_unknown "--backoff"
     [ "solve --backoff 0.1"; "resume --backoff 0.1"; "pipeline --backoff 0.1" ]
 
+(* No worker domain dies before shutdown, so serve has no crash-retry
+   budget. *)
+let test_retry_on_crash_unknown () =
+  check_unknown "--retry-on-crash" [ "serve --retry-on-crash 1 </dev/null" ]
+
 (* A checkpoint as the retired depth-first engine wrote it: [resume] must
    refuse it by kind, before building any model. *)
 let test_resume_dfs_checkpoint () =
@@ -162,6 +167,8 @@ let () =
         [
           Alcotest.test_case "solve, resume and pipeline have no --retries"
             `Quick test_retries_unknown;
+          Alcotest.test_case "serve has no --retry-on-crash" `Quick
+            test_retry_on_crash_unknown;
         ] );
       ( "checkpoint",
         [

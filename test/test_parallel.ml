@@ -1,5 +1,5 @@
-(* Tests for the lib/parallel subsystem: the supervised domain pool and
-   batch sweeps. *)
+(* Tests for the lib/parallel subsystem: the domain pool and batch
+   sweeps. *)
 
 module Pool = Parallel.Pool
 module Sweep = Parallel.Sweep
@@ -16,10 +16,6 @@ let with_pool ~jobs f =
 
 (* The task's value, re-raising its exception. *)
 let await_ok fut = match Pool.await fut with Ok v -> v | Error e -> raise e
-
-(* The item's worker domain died and its crash-retry budget ran out. *)
-let crashed (o : _ Sweep.outcome) =
-  match o.Sweep.result with Error (Pool.Worker_crashed _) -> true | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                *)
@@ -64,58 +60,30 @@ let test_pool_shutdown () =
     Pool.shutdown pl;
     Alcotest.fail "jobs=0 must be rejected"
 
-(* ------------------------------------------------------------------ *)
-(* Worker-death supervision                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* A task whose exception escapes the funnel (Poison) kills its worker
-   domain. Await must surface Worker_crashed — never hang — and the
-   supervisor must respawn the domain so capacity is preserved. *)
-let test_pool_worker_death_no_hang () =
-  with_pool ~jobs:1 (fun pl ->
-      let doomed = Pool.async pl (fun () -> raise (Pool.Poison "chaos")) in
-      (match Pool.await doomed with
-       | Error (Pool.Worker_crashed { worker; cause }) ->
-         check_bool "slot index in range" true (worker >= 0 && worker < 1);
-         check_bool "cause names the poison" true
-           (String.length cause > 0)
-       | Error e ->
-         Alcotest.fail ("expected Worker_crashed, got " ^ Printexc.to_string e)
-       | Ok _ -> Alcotest.fail "poisoned task reported Ok");
-      check_int "supervisor counted the death" 1 (Pool.crashes pl);
-      (* jobs=1: if the dead domain were not replaced, this would hang *)
-      let after = Pool.async pl (fun () -> 41 + 1) in
-      check_int "respawned worker serves new tasks" 42 (await_ok after))
-
-let test_pool_retry_on_crash () =
-  with_pool ~jobs:1 (fun pl ->
-      (* poison exactly once: the re-enqueued run must succeed *)
-      let armed = Atomic.make true in
-      let f =
-        Pool.async ~retry_on_crash:1 pl (fun () ->
-            if Atomic.exchange armed false then raise (Pool.Poison "once");
-            7)
-      in
-      check_int "task survived one worker death" 7 (await_ok f);
-      check_int "the death was still counted" 1 (Pool.crashes pl);
-      (* budget exhausted: a persistent crasher ends as Worker_crashed *)
-      let f = Pool.async ~retry_on_crash:2 pl (fun () -> raise (Pool.Poison "always")) in
-      (match Pool.await f with
-       | Error (Pool.Worker_crashed _) -> ()
-       | Error e -> Alcotest.fail ("unexpected " ^ Printexc.to_string e)
-       | Ok _ -> Alcotest.fail "persistent crasher reported Ok");
-      check_int "every death counted" 4 (Pool.crashes pl))
-
-let test_pool_shutdown_after_crash () =
-  (* shutdown's joins must not raise on a pool that lost (and respawned)
-     workers mid-flight *)
-  let pl = Pool.create ~jobs:2 () in
-  let doomed = Pool.async pl (fun () -> raise (Pool.Poison "boom")) in
-  (match Pool.await doomed with
-   | Error (Pool.Worker_crashed _) -> ()
-   | _ -> Alcotest.fail "expected Worker_crashed");
+(* No exception a task raises leaves the funnel, not even the runtime's
+   own: with one worker, each comes back as its task's [Error], and the
+   task after them still runs, so that worker is alive. *)
+let test_pool_funnels_every_exception () =
+  let pl = Pool.create ~jobs:1 () in
+  let raised =
+    [ Stack_overflow; Out_of_memory; Exit; Failure "f"; Invalid_argument "i" ]
+  in
+  let futures =
+    List.map (fun e -> (e, Pool.async pl (fun () -> raise e))) raised
+  in
+  List.iter
+    (fun (e, fut) ->
+      match Pool.await fut with
+      | Error e' when e' = e -> ()
+      | Error e' ->
+        Alcotest.failf "%s came back as %s" (Printexc.to_string e)
+          (Printexc.to_string e')
+      | Ok () -> Alcotest.failf "%s came back Ok" (Printexc.to_string e))
+    futures;
+  check_int "the worker still serves" 42
+    (await_ok (Pool.async pl (fun () -> 41 + 1)));
   Pool.shutdown pl;
-  Pool.shutdown pl (* still idempotent *)
+  Pool.shutdown pl (* idempotent *)
 
 (* ------------------------------------------------------------------ *)
 (* Sweep                                                               *)
@@ -166,48 +134,6 @@ let test_sweep_deadline_carving () =
       | Error e -> raise e)
     outs
 
-(* A sweep item whose worker domain dies is transparently re-enqueued
-   (default retry budget 1); a persistent crasher ends as a crashed
-   outcome without aborting the sweep. *)
-let test_sweep_worker_crash () =
-  with_pool ~jobs:2 @@ fun pool ->
-  let armed = Atomic.make true in
-  let outs =
-    Sweep.map ~pool
-      (fun ~deadline:_ x ->
-        if x = 2 && Atomic.exchange armed false then
-          raise (Pool.Poison "sweep chaos");
-        x * 10)
-      [ 1; 2; 3 ]
-  in
-  List.iter
-    (fun (o : _ Sweep.outcome) ->
-      check_bool "retried item recovered" false (crashed o);
-      match o.Sweep.result with
-      | Ok v -> check_int "result intact" (10 * o.Sweep.item) v
-      | Error e -> raise e)
-    outs;
-  (* with the retry budget at 0, the crash surfaces as an outcome *)
-  let outs =
-    Sweep.map ~pool ~retry_on_crash:0
-      (fun ~deadline:_ x ->
-        if x = 2 then raise (Pool.Poison "sweep chaos");
-        x * 10)
-      [ 1; 2; 3 ]
-  in
-  check_int "every item has an outcome" 3 (List.length outs);
-  List.iter
-    (fun (o : _ Sweep.outcome) ->
-      if o.Sweep.item = 2 then
-        check_bool "poisoned item marked crashed" true (crashed o)
-      else begin
-        check_bool "other items unaffected" false (crashed o);
-        match o.Sweep.result with
-        | Ok v -> check_int "result intact" (10 * o.Sweep.item) v
-        | Error e -> raise e
-      end)
-    outs
-
 (* Regression (PR 4): the pool-failure branch stamped [deadline = nan]
    into the outcome (global -. now misapplied), poisoning any downstream
    arithmetic. A submission failure must record the carved/global
@@ -246,15 +172,8 @@ let () =
           Alcotest.test_case "exception funneling" `Quick
             test_pool_exception_funnel;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
-        ] );
-      ( "supervision",
-        [
-          Alcotest.test_case "worker death surfaces, never hangs" `Quick
-            test_pool_worker_death_no_hang;
-          Alcotest.test_case "crash retries re-enqueue the task" `Quick
-            test_pool_retry_on_crash;
-          Alcotest.test_case "shutdown after a crash" `Quick
-            test_pool_shutdown_after_crash;
+          Alcotest.test_case "every exception is funneled" `Quick
+            test_pool_funnels_every_exception;
         ] );
       ( "sweep",
         [
@@ -264,7 +183,5 @@ let () =
             test_sweep_deadline_carving;
           Alcotest.test_case "dead pool keeps deadline finite" `Quick
             test_sweep_dead_pool_deadline;
-          Alcotest.test_case "worker crash retried then surfaced" `Quick
-            test_sweep_worker_crash;
         ] );
     ]

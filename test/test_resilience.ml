@@ -660,6 +660,39 @@ let test_interrupt_counts_the_solve () =
          && r.Letdma.Solve.solution <> None))
     [ (300, 3); (100, 2) ]
 
+(* Only round 1 writes checkpoints, so a conclusive round 1 leaves a
+   stale file for a later round's interrupt to point at. Small seed 5
+   OBJ-DEL at alpha 0.2 ends round 1 conclusively at node 65 on a
+   non-contiguous incumbent: an interrupt at 100 nodes stops round 2
+   with a plan and leaves no file behind. *)
+let test_conclusive_round_removes_checkpoint () =
+  let app =
+    Workload.Generator.random ~seed:5 ~config:Workload.Generator.small_config ()
+  in
+  let groups, gamma =
+    match Letdma.Experiment.prepare app ~alpha:0.2 with
+    | Ok gg -> gg
+    | Error e -> Alcotest.fail (Letdma.Experiment.error_to_string e)
+  in
+  let file = Filename.temp_file "resilience_rounds" ".json" in
+  Sys.remove file;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
+    (fun () ->
+      let r =
+        Letdma.Solve.solve ~time_limit_s:60.0 ~checkpoint_file:file
+          ~checkpoint_every:8 ~interrupt_after_nodes:100
+          Letdma.Formulation.Min_delay_ratio app groups ~gamma
+      in
+      let st = r.Letdma.Solve.stats in
+      check_int "stopped in round 2" 2 st.Letdma.Solve.rounds;
+      check_bool "no checkpoint left" false (Sys.file_exists file);
+      check_bool "a certified plan" true
+        (st.Letdma.Solve.status = B.Feasible
+         && r.Letdma.Solve.solution <> None
+         && Option.fold ~none:false ~some:Result.is_ok
+              r.Letdma.Solve.certificate))
+
 let () =
   Alcotest.run "resilience"
     [
@@ -706,5 +739,7 @@ let () =
             test_solve_durable_interrupt_resume;
           Alcotest.test_case "interrupt counts the nodes of the solve" `Slow
             test_interrupt_counts_the_solve;
+          Alcotest.test_case "conclusive round drops checkpoint" `Quick
+            test_conclusive_round_removes_checkpoint;
         ] );
     ]

@@ -1,8 +1,8 @@
 (* Tests for lib/service: the strict wire protocol, the QoS shedding
    table, the fingerprint-keyed LRU cache (unit + model-based QCheck),
-   the batch engine (byte-identical hits, warm seeding, crash
-   supervision, stats), and an end-to-end daemon session over pipes
-   with the full request mix the acceptance gate demands. *)
+   the batch engine (byte-identical hits, warm seeding, unknown ops,
+   stats), and an end-to-end daemon session over pipes with the full
+   request mix the acceptance gate demands. *)
 
 module J = Resilience.Json
 module P = Service.Protocol
@@ -115,13 +115,15 @@ let test_parse_rejects_bad_values () =
       "" (* empty line *);
     ]
 
+(* stats is an op; crash is not, and its error keeps the id. *)
 let test_parse_ops () =
   (match (req_ok {|{"id":"s","op":"stats"}|}).P.op with
   | P.Stats -> ()
   | _ -> Alcotest.fail "expected stats");
-  match (req_ok {|{"id":"c","op":"crash","times":3}|}).P.op with
-  | P.Crash { times } -> check_int "times" 3 times
-  | _ -> Alcotest.fail "expected crash"
+  let e = req_err {|{"id":"c","op":"crash"}|} in
+  check_string "recovered id" "c" e.P.err_id;
+  check_bool "names the ops" true
+    (find_sub e.P.message "expected solve/stats" <> None)
 
 let test_render_deterministic () =
   check_string "float is %.17g"
@@ -146,7 +148,7 @@ let fuzz_seeds =
     {|{"id":"r1","op":"solve","workload":"small","seed":7,"objective":"dmat","alpha":0.2,"deadline_s":10,"class":"gold"}|};
     {|{"id":"r2","op":"solve","workload":"waters","labels_per_edge":2,"objective":"del","alpha":0.3,"deadline_s":0.5,"class":"bronze"}|};
     {|{"id":"caf\u00e9","op":"stats"}|};
-    {|{"id":"c","op":"crash","times":2}|};
+    {|{"id":"r3","op":"solve","workload":"small","seed":5,"objective":"del","alpha":0.25,"deadline_s":1,"class":"silver"}|};
   |]
 
 (* JSON values a mutated field may take. *)
@@ -344,8 +346,8 @@ let prop_cache_model =
 
 (* ---------- engine ---------- *)
 
-let with_engine ?(jobs = 1) ?(retry_on_crash = 1) ?cache_capacity f =
-  let e = E.create ~jobs ?cache_capacity ~retry_on_crash () in
+let with_engine ?(jobs = 1) ?cache_capacity f =
+  let e = E.create ~jobs ?cache_capacity () in
   Fun.protect ~finally:(fun () -> E.shutdown e) (fun () -> f e)
 
 let run_batch e lines = E.process e (List.map P.parse_request lines)
@@ -391,36 +393,25 @@ let test_engine_hit_and_warm () =
     check_int "one warm seed" 1 cs.C.warm_seeds
   | ls -> Alcotest.failf "expected 3 responses, got %d" (List.length ls)
 
-let test_engine_crash_supervision () =
-  with_engine @@ fun e ->
-  (* one crash is absorbed by the retry budget; two exhaust it *)
-  (match run_batch e [ {|{"id":"c1","op":"crash","times":1}|} ] with
-  | [ l ] ->
-    let ms = parse_obj l in
-    check_string "recovered" "ok" (sfield ms "status");
-    check_bool "marked recovered" true
-      (J.as_bool "recovered" (J.field "r" ms "recovered"))
-  | _ -> Alcotest.fail "expected one response");
-  match run_batch e [ {|{"id":"c2","op":"crash","times":2}|} ] with
-  | [ l ] ->
-    let ms = parse_obj l in
-    check_string "budget exhausted" "error" (sfield ms "status");
-    check_bool "names the crash" true
-      (find_sub (sfield ms "error") "crash" <> None)
-  | _ -> Alcotest.fail "expected one response"
-
-let test_engine_daemon_survives_crash () =
-  (* the request after a worker death is answered normally *)
+(* A crash line is an unknown op: the batch answers it with an error and
+   answers the stats line after it, in order. *)
+let test_engine_crash_is_unknown () =
   with_engine @@ fun e ->
   match
     run_batch e
       [ {|{"id":"k","op":"crash","times":1}|}; {|{"id":"s","op":"stats"}|} ]
   with
-  | [ _; l ] ->
-    let ms = parse_obj l in
-    check_string "stats ok" "ok" (sfield ms "status");
-    check_bool "crash was supervised" true (ifield ms "pool_crashes" >= 1)
-  | _ -> Alcotest.fail "expected two responses"
+  | [ lk; ls ] ->
+    let k = parse_obj lk and st = parse_obj ls in
+    check_string "crash line first" "k" (sfield k "id");
+    check_string "crash is an error" "error" (sfield k "status");
+    check_string "unknown op"
+      {|invalid request: op: expected solve/stats, got "crash"|}
+      (sfield k "error");
+    check_string "stats second" "s" (sfield st "id");
+    check_string "stats ok" "ok" (sfield st "status");
+    check_int "no worker died" 0 (ifield st "pool_crashes")
+  | ls -> Alcotest.failf "expected 2 responses, got %d" (List.length ls)
 
 let test_engine_errors () =
   with_engine @@ fun e ->
@@ -656,10 +647,9 @@ let read_to_eof fd =
   go ()
 
 (* The acceptance-gate session: >= 20 scripted requests covering cold
-   solves, exact repeats, perturbed repeats, shedding, both crash
-   outcomes, a malformed line, an over-deadline request and a final
-   stats probe — all answered in order through one daemon over pipes,
-   with the worker crash not dropping anything. *)
+   solves, exact repeats, perturbed repeats, shedding, two unknown-op
+   lines, a malformed line, an over-deadline request and a final stats
+   probe — all answered in order through one daemon over pipes. *)
 let test_daemon_e2e () =
   let script =
     [
@@ -690,7 +680,7 @@ let test_daemon_e2e () =
   let resp_r, resp_w = Unix.pipe () in
   write_all req_w (String.concat "\n" script ^ "\n");
   Unix.close req_w;
-  let engine = E.create ~jobs:1 ~retry_on_crash:1 () in
+  let engine = E.create ~jobs:1 () in
   let outcome = D.run ~input:req_r ~output:resp_w engine in
   E.shutdown engine;
   Unix.close resp_w;
@@ -727,23 +717,23 @@ let test_daemon_e2e () =
   List.iter
     (fun id -> check_string (id ^ " warm") "warm" (field id "cache"))
     [ "q11"; "q12"; "q13"; "q14"; "q15" ];
-  (* crash outcomes *)
-  check_string "crash recovered" "ok" (field "q17" "status");
-  check_string "crash budget exhausted" "error" (field "q18" "status");
+  (* crash is not an op *)
+  List.iter
+    (fun id ->
+      check_string (id ^ " unknown op") "error" (field id "status");
+      check_bool (id ^ " names the ops") true
+        (find_sub (field id "error") "expected solve/stats" <> None))
+    [ "q17"; "q18" ];
   (* failure modes *)
   check_string "malformed answered" "error" (field "q19" "status");
   check_string "expired answered" "error" (field "q20" "status");
-  (* the stats probe proves the cache and the supervisor did their jobs *)
+  (* the stats probe proves the cache did its job *)
   let stats = parse_obj (resp "q21") in
   check_int "all requests counted" 21 (ifield stats "requests");
   check_bool "cache hits observed" true (ifield stats "cache_hits" >= 5);
   check_bool "warm seeds observed" true
     (ifield stats "cache_warm_seeds" >= 5);
-  (* q17's crash and q18's first crash have happened by the time the
-     stats probe runs; q18's re-enqueued retry sits behind it in the
-     queue, so its second crash may land after the snapshot *)
-  check_bool "worker crashes supervised" true
-    (ifield stats "pool_crashes" >= 2)
+  check_int "no worker died" 0 (ifield stats "pool_crashes")
 
 (* A second session against the same daemon code path via the
    Unix-domain socket listener: connect, probe stats, disconnect, then
@@ -755,7 +745,7 @@ let test_daemon_socket () =
   in
   let req_r, req_w = Unix.pipe () in
   let resp_r, resp_w = Unix.pipe () in
-  let engine = E.create ~jobs:1 ~retry_on_crash:1 () in
+  let engine = E.create ~jobs:1 () in
   let daemon =
     Domain.spawn (fun () ->
         D.run ~socket:path ~input:req_r ~output:resp_w engine)
@@ -820,10 +810,8 @@ let () =
         [
           Alcotest.test_case "byte-identical hit + warm seed" `Quick
             test_engine_hit_and_warm;
-          Alcotest.test_case "crash supervision" `Quick
-            test_engine_crash_supervision;
-          Alcotest.test_case "daemon survives worker crash" `Quick
-            test_engine_daemon_survives_crash;
+          Alcotest.test_case "crash is an unknown op" `Quick
+            test_engine_crash_is_unknown;
           Alcotest.test_case "malformed, expired, garbage" `Quick
             test_engine_errors;
           Alcotest.test_case "bronze shedding" `Quick test_engine_shedding;
