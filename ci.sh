@@ -71,19 +71,22 @@ echo "== chaos gate (checkpoint / interrupt / resume) =="
 # run killed mid-tree (exit 7, checkpoint left on disk), a corrupted copy
 # of that checkpoint that resume must refuse (exit 1), and a resume that
 # must land on the exact same objective and cumulative node count.
-# The instance is the small generator workload, seed 8, OBJ-DMAT: 1895
-# nodes from its MIP start to optimality. Both conclusive runs must
-# certify their plan (exit 0).
+# The instance is the small generator workload, seed 645158921 at alpha
+# 0.3, OBJ-DMAT: 107 nodes over three lazy rounds, each a floor search
+# (the objective capped at its structural floor) that finds a plan. The
+# interrupt at node 12 falls inside round 1's floor search, so the
+# checkpoint and the resume are the floor search's. Both conclusive runs
+# must certify their plan (exit 0).
 CLI=./_build/default/bin/letdma_cli.exe
 CK=$TMP/ci_chaos_ck.json
-CHAOS="--workload small --seed 8 --objective dmat --time-limit 120"
+CHAOS="--workload small --seed 645158921 --alpha 0.3 --objective dmat --time-limit 120"
 $CLI solve $CHAOS --checkpoint "$CK" > "$TMP/ci_chaos_base.out" || {
   echo "FAIL: baseline durable solve exited $? (want 0)"; exit 1; }
 grep -q '^status: optimal$' "$TMP/ci_chaos_base.out" || {
   echo "FAIL: baseline durable solve not optimal"; exit 1; }
 [ ! -f "$CK" ] || {
   echo "FAIL: conclusive solve left its checkpoint behind"; exit 1; }
-$CLI solve $CHAOS --checkpoint "$CK" --interrupt-after 300 \
+$CLI solve $CHAOS --checkpoint "$CK" --interrupt-after 12 \
   > "$TMP/ci_chaos_int.out" && rc=0 || rc=$?
 [ "$rc" -eq 7 ] || {
   echo "FAIL: interrupted solve exited $rc, want 7"; exit 1; }
@@ -138,6 +141,25 @@ case "$integral_stats" in
   *" status=optimal "*" nodes=0 "*) ;;
   *) echo "FAIL: want status=optimal and nodes=0 on the solver stats line"
      exit 1 ;;
+esac
+
+echo "== floor-first proof (OBJ-DMAT plan found at the floor) =="
+# A lazy round whose start misses the objective's structural floor
+# first searches the model with the objective capped at that floor: a
+# plan found there is optimal. On this generator draw a C7 row once
+# rejected the grouped heuristic start and the open search found no
+# plan (exit 5). The floor search alone proves a 4-transfer plan in 43
+# nodes; the grouped start, now in Property-1 order, meets the floor
+# and proves at 0 nodes. Either way the solve must prove a plan.
+timeout 120 $CLI solve --workload small --seed 202282499 --alpha 0.3 \
+  --objective dmat --time-limit 30 --stats \
+  > "$TMP/ci_floor.out" || {
+    echo "FAIL: floor-first solve exited $? (want 0)"; exit 1; }
+floor_stats=$(grep '^solver stats:' "$TMP/ci_floor.out" || true)
+echo "floor-first proof: ${floor_stats}"
+case "$floor_stats" in
+  *" status=optimal "*) ;;
+  *) echo "FAIL: want status=optimal on the solver stats line"; exit 1 ;;
 esac
 
 echo "== pipeline smoke (sequential ladder) =="

@@ -701,11 +701,17 @@ let set_objective inst =
      + omega bytes(S_i), and Eq. (5) divides by T_i.
    The argument uses C1-C3, C7-C9 and the class rows only, so the floor
    holds under lazy Constraint-6 rows and either form of Constraint 10.
-   NO-OBJ has none. *)
+   Returned with the objective variable it bounds (OBJ_W or OBJ_L), so a
+   caller can cap that variable at the floor. NO-OBJ has none. *)
 let objective_floor inst =
+  let var () =
+    match L.terms (snd (P.objective inst.problem)) with
+    | [ (_, v) ] -> v
+    | _ -> invalid_arg "Formulation.objective_floor: objective is not one variable"
+  in
   match inst.objective with
   | No_obj -> None
-  | Min_transfers -> Some (float_of_int (Array.length inst.classes - 1))
+  | Min_transfers -> Some (var (), float_of_int (Array.length inst.classes - 1))
   | Min_delay_ratio ->
     let writes_before z =
       let r = inst.comms.(z) in
@@ -740,7 +746,7 @@ let objective_floor inst =
               (lam /. us_of_time (App.task inst.app i).Task.period)
         end)
       inst.ready_set;
-    Some !floor
+    Some (var (), !floor)
 
 (* Build the whole model (without Constraint 6 unless [full_c6]). *)
 let make ?options objective app groups ~gamma =

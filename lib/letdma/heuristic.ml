@@ -177,9 +177,14 @@ let order_transfers ~gamma transfers =
       in
       (* Property 1: the consumer's own writes must precede its reads *)
       List.iter emit (writes_of_task consumer);
-      (* Property 2: the writes feeding each read *)
+      (* Property 2: the writes feeding each read; Property 1 again for
+         every other task whose reads a grouped read carries *)
       List.iter
-        (fun r -> List.iter (fun l -> List.iter emit (writes_of_label l)) (labels_of r))
+        (fun r ->
+          List.iter (fun l -> List.iter emit (writes_of_label l)) (labels_of r);
+          List.iter
+            (fun c -> List.iter emit (writes_of_task c.Comm.task))
+            r.comms)
         my_reads;
       List.iter emit my_reads)
     consumers;

@@ -7,9 +7,15 @@ open Mem_layout
    blocks, re-solve. The optimum is unchanged w.r.t. the full formulation
    (cuts are only added when violated); small instances can force the full
    model upfront with [options.full_c6] (compared in an ablation bench).
-   Each round is one sequential best-first search. Short of a conclusive
-   answer, a round ends only at its deadline, node limit or LP iteration
-   cap, or at the [interrupt_after_nodes] test hook. *)
+   A round under a min-max objective whose start does not meet the
+   objective's structural floor first searches at the floor: the same
+   model with the objective variable capped there, which root presolve
+   propagates into a small feasibility problem. A plan it finds meets a
+   proven floor, so it is optimal; otherwise the open search gets the
+   rest of the round. Each search is one sequential best-first search.
+   Short of a conclusive answer, a round ends only at its deadline, node
+   limit or LP iteration cap, or at the [interrupt_after_nodes] test
+   hook. *)
 
 let src = Logs.Src.create "letdma.solve" ~doc:"lazy MILP solver driver"
 
@@ -113,37 +119,61 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
   Log.info (fun f -> f "built %s model: %s"
                (Formulation.objective_name objective)
                (Formulation.stats_string inst));
+  let problem = inst.Formulation.problem in
   (* Derived from the model alone, so a resumed search gets the same one;
      it stays valid as lazy rounds add Constraint-6 rows. *)
-  let bound = Formulation.objective_floor inst in
+  let floor = Formulation.objective_floor inst in
+  let bound = Option.map snd floor in
+  (* The floor search's cap on the objective variable: the floor itself
+     on OBJ-DMAT, whose values are integers; on OBJ-DEL the floor plus
+     branch-and-bound's improvement tolerance (1e-9), so a plan under the
+     cap is one the search calls optimal against the floor. *)
+  let cap_of f = if objective = Formulation.Min_transfers then f else f +. 1.0e-9 in
+  (* [capped (var, f) run] runs [run] with [var] capped at [cap_of f],
+     and restores its bounds however [run] ends. *)
+  let capped (var, f) run =
+    let lo, hi = Milp.Problem.var_bounds problem var in
+    Milp.Problem.set_bounds ~hi:(cap_of f) problem var;
+    Fun.protect ~finally:(fun () -> Milp.Problem.set_bounds ~lo ~hi problem var) run
+  in
   let durable = checkpoint_file <> None || resume <> None in
-  let fp = if durable then Checkpoint.fingerprint inst.Formulation.problem
-    else "" in
-  (* Validate a resume checkpoint against the model. *)
-  let resume =
-    Option.map
-      (fun (ck : Checkpoint.t) ->
-        if ck.Checkpoint.ck_fingerprint <> fp then
-          invalid_arg
-            (Fmt.str
-               "Solve.solve: checkpoint fingerprint %s does not match the \
-                model (%s) — different workload, objective, options or a \
-                later lazy round"
-               ck.Checkpoint.ck_fingerprint fp);
-        ck.Checkpoint.ck_state)
-      resume
+  (* The capped model differs from the open one in one bound, and so in
+     its fingerprint: a checkpoint names the search that wrote it. *)
+  let fp = if durable then Checkpoint.fingerprint problem else "" in
+  let fp_floor =
+    match floor with
+    | Some vf when durable -> capped vf (fun () -> Checkpoint.fingerprint problem)
+    | _ -> ""
+  in
+  (* Validate a resume checkpoint against the model: it resumes either
+     round 1's floor search or its open search. *)
+  let resume_floor, resume_open =
+    match resume with
+    | None -> (None, None)
+    | Some (ck : Checkpoint.t) ->
+      let f = ck.Checkpoint.ck_fingerprint in
+      if f = fp then (None, Some ck.Checkpoint.ck_state)
+      else if f = fp_floor && fp_floor <> "" then
+        (Some ck.Checkpoint.ck_state, None)
+      else
+        invalid_arg
+          (Fmt.str
+             "Solve.solve: checkpoint fingerprint %s does not match the \
+              model (%s) — different workload, objective, options or a \
+              later lazy round"
+             f fp)
   in
   (* Writer: wrap each solver snapshot in a versioned file. Only round 1
      checkpoints are written — later lazy rounds solve a model grown by
      Constraint-6 cuts that a fresh process cannot reproduce without
      replaying the earlier rounds, so their fingerprint would never match
      on load. (Nearly all instances finish in round 1; see EXPERIMENTS.) *)
-  let write_state state =
+  let write_state fingerprint state =
     match checkpoint_file with
     | None -> ()
     | Some file ->
       let meta = [ ("objective", Formulation.objective_name objective) ] in
-      (match Checkpoint.save file (Checkpoint.make ~meta ~fingerprint:fp state)
+      (match Checkpoint.save file (Checkpoint.make ~meta ~fingerprint state)
        with
        | Ok () -> ()
        | Error m -> Log.err (fun f -> f "checkpoint write failed: %s" m))
@@ -205,6 +235,66 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
   let c6_total = ref 0 in
   let nodes_total = ref 0 in
   let lp_total = ref Milp.Branch_bound.lp_zero in
+  let tally (bb : Milp.Branch_bound.solution) =
+    nodes_total := !nodes_total + bb.Milp.Branch_bound.stats.Milp.Branch_bound.nodes;
+    lp_total :=
+      Milp.Branch_bound.lp_add !lp_total
+        bb.Milp.Branch_bound.stats.Milp.Branch_bound.lp;
+    bb
+  in
+  (* One lazy round's search. [ck_floor]/[ck_open] are the checkpoint
+     arguments of its two searches (round 1 of a durable solve only).
+     The floor search runs without an incumbent: any plan it finds meets
+     the floor. When it stops at a limit, the open search gets no budget
+     and writes no checkpoint, so the file keeps the floor search's
+     state. *)
+  let round_search ?ck_floor ?ck_open incumbent =
+    let open_search ?ck ~nodes_used () =
+      tally
+        (bb_solve ~presolve ?basis_pool ~hooks ?ck ~deadline
+           ~node_limit:(node_limit - nodes_used) ?incumbent ?bound problem)
+    in
+    match floor with
+    | Some ((var, f) as vf)
+      when not
+             (Option.fold ~none:false ~some:(fun x -> x.(var) <= cap_of f)
+                incumbent) ->
+      let fl =
+        tally
+          (capped vf (fun () ->
+               bb_solve ~presolve ?basis_pool ~hooks ?ck:ck_floor ~deadline
+                 ~node_limit ?bound problem))
+      in
+      let nodes_used = fl.Milp.Branch_bound.stats.Milp.Branch_bound.nodes in
+      let report outcome =
+        Log.info (fun m ->
+            m "floor search at %g: %s after %d nodes" f outcome nodes_used);
+        if Obs.enabled () then begin
+          let lp = fl.Milp.Branch_bound.stats.Milp.Branch_bound.lp in
+          Obs.point ~cat:"solver" "floor_search"
+            [
+              ("floor", Obs.Float f);
+              ("outcome", Obs.Str outcome);
+              ("nodes", Obs.Int nodes_used);
+              ( "pivots",
+                Obs.Int
+                  (lp.Milp.Branch_bound.lp_pivots
+                  + lp.Milp.Branch_bound.lp_dual_pivots) );
+            ]
+        end
+      in
+      (match (fl.Milp.Branch_bound.x, fl.Milp.Branch_bound.status) with
+       | Some _, _ ->
+         report "plan";
+         fl
+       | None, Milp.Branch_bound.Unknown ->
+         report "limit";
+         open_search ~nodes_used ()
+       | None, _ ->
+         report "exhausted";
+         open_search ?ck:ck_open ~nodes_used ())
+    | _ -> open_search ?ck:ck_open ~nodes_used:0 ()
+  in
   (* Round 1 runs whatever time is left: branch-and-bound returns the
      start promptly past its deadline. A later round needs 0.5 s, and
      none starts once the interrupt hook has fired. *)
@@ -216,16 +306,21 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
       | Some acc -> (Some acc, Milp.Branch_bound.Feasible, None, round - 1)
       | None -> (None, Milp.Branch_bound.Unknown, None, round - 1)
     else begin
-      let ck =
-        if (not durable) || round > 1 then None
-        else Some (write_state, checkpoint_every, resume)
+      (* Round 1 of a durable solve checkpoints whichever search runs.
+         Resuming the open search replays the floor search first: it is
+         deterministic and ended without a plan, and the replay writes
+         no checkpoint over the open search's. *)
+      let ck_floor, ck_open =
+        if (not durable) || round > 1 then (None, None)
+        else
+          ( (if resume_open <> None then None
+             else Some (write_state fp_floor, checkpoint_every, resume_floor)),
+            Some (write_state fp, checkpoint_every, resume_open) )
       in
       let bb =
         Obs.span ~cat:"solver" "round" ~fields:[ ("round", Obs.Int round) ]
         @@ fun () ->
-        bb_solve ~presolve ?basis_pool ~hooks ?ck ~deadline ~node_limit
-          ?incumbent:(Option.map snd (start ())) ?bound
-          inst.Formulation.problem
+        round_search ?ck_floor ?ck_open (Option.map snd (start ()))
       in
       (* A conclusive round makes the checkpoint stale: resuming it would
          re-prove what is already proven, and no later round writes one.
@@ -242,10 +337,6 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
                f "round %d conclusive: checkpoint %s removed" round file)
          with Sys_error _ -> ())
        | _ -> ());
-      nodes_total := !nodes_total + bb.Milp.Branch_bound.stats.Milp.Branch_bound.nodes;
-      lp_total :=
-        Milp.Branch_bound.lp_add !lp_total
-          bb.Milp.Branch_bound.stats.Milp.Branch_bound.lp;
       let bb_stats = Some bb.Milp.Branch_bound.stats in
       match bb.Milp.Branch_bound.x with
       | None -> (None, bb.Milp.Branch_bound.status, bb_stats, round)

@@ -290,9 +290,11 @@ let test_solve_without_warm () =
     [ Formulation.No_obj; Formulation.Min_transfers; Formulation.Min_delay_ratio ]
 
 (* A caller's plan that fails the model's rows gives way to the
-   heuristic start: on small seed 9 the grouped plan breaks row C7_0_0_3
-   of the NO-OBJ model, so the solve starts from the per-task plan and
-   proves it at 0 nodes, as a solve without [~warm] does. *)
+   heuristic start. On small seed 9, the per-task plan with its first
+   read transfer moved to the front reads a label before its write, so
+   it breaks a C7/C8 row of the NO-OBJ model: the solve starts from the
+   per-task plan itself and proves it at 0 nodes, as a solve without
+   [~warm] does. *)
 let test_solve_rejected_warm () =
   let app = Workload.make ~labels_per_edge:1 ~seed:9 Workload.Small in
   let groups, gamma =
@@ -300,18 +302,31 @@ let test_solve_rejected_warm () =
     | Ok gg -> gg
     | Error e -> Alcotest.fail (Experiment.error_to_string e)
   in
-  let grouped =
-    Heuristic.solve_unchecked ~granularity:Heuristic.Grouped app groups ~gamma
+  let per_task = Option.get (Heuristic.solve_unchecked app groups ~gamma) in
+  let moved =
+    let is_read = function
+      | c :: _ -> c.Comm.kind = Comm.Read
+      | [] -> false
+    in
+    let plan = Solution.s0_plan app per_task in
+    let read = List.find is_read plan in
+    Solution.make ~allocation:(Solution.allocation per_task)
+      ~slots:(Array.of_list (read :: List.filter (fun t -> t != read) plan))
   in
   let inst = Formulation.make Formulation.No_obj app groups ~gamma in
-  check_bool "the grouped plan fails the rows" true
-    (match Option.bind grouped (Formulation.encode inst) with
-     | Some x -> Milp.Problem.check_solution inst.Formulation.problem x <> []
-     | None -> true);
+  check_bool "the moved plan fails a C7/C8 row" true
+    (match Formulation.encode inst moved with
+     | Some x ->
+       List.exists
+         (fun row ->
+           String.starts_with ~prefix:"C7_" row
+           || String.starts_with ~prefix:"C8_" row)
+         (Milp.Problem.check_solution inst.Formulation.problem x)
+     | None -> false);
   let solve ?warm () =
     Solve.solve ~time_limit_s:20.0 ?warm Formulation.No_obj app groups ~gamma
   in
-  let r = solve ?warm:grouped () and plain = solve () in
+  let r = solve ~warm:moved () and plain = solve () in
   let st = r.Solve.stats in
   check_bool "optimal" true (st.Solve.status = Milp.Branch_bound.Optimal);
   check_int "no node" 0 st.Solve.nodes;
@@ -322,43 +337,73 @@ let test_solve_rejected_warm () =
 
 (* A small generator draw whose OBJ-DEL optimum lies below its MIP
    start, so the solve searches (NO-OBJ would prove the start at 0
-   nodes): 373 nodes to optimality at alpha 0.2. *)
+   nodes): at alpha 0.2 an open search from the start takes 373 nodes
+   to optimality, Solve's floor search 18. *)
 let searching_draw () =
   let app = Workload.make ~labels_per_edge:1 ~seed:33 Workload.Small in
   match Experiment.prepare app ~alpha:0.2 with
   | Ok (groups, gamma) -> (app, groups, gamma)
   | Error e -> Alcotest.fail (Experiment.error_to_string e)
 
-(* presolve is on by default; the reduction must not change what the
-   solver returns — the perturbation is keyed on stable row ids
-   precisely so reduced and original models solve along identical
-   trajectories (same node count, same assignment) *)
+let objective_value (r : Solve.result) =
+  Option.map
+    (Milp.Linexpr.eval
+       (snd (Milp.Problem.objective r.Solve.instance.Formulation.problem)))
+    r.Solve.x
+
+(* presolve is on by default; on an open search from the MIP start the
+   reduction must not change what branch-and-bound returns — the
+   perturbation is keyed on stable row ids precisely so reduced and
+   original models solve along identical trajectories (same node count,
+   same assignment). Solve's floor search is another matter: presolve
+   propagates its cap and shortens it, so there the two agree on status
+   and objective only. *)
 let test_solve_presolve_default_unchanged () =
   let app, groups, gamma = searching_draw () in
-  (* [basis_pool:0] keeps both solves on the cold per-node path: a warm
+  let objective = Formulation.Min_delay_ratio in
+  let inst = Formulation.make objective app groups ~gamma in
+  let p = inst.Formulation.problem in
+  let start =
+    Option.bind (Solve.warm_start objective app groups ~gamma)
+      (Formulation.encode inst)
+  in
+  (* [basis_pool:0] keeps both searches on the cold per-node path: a warm
      restore may land on a different (equally optimal) degenerate vertex
      of the reduced model, which legitimately changes the branching
      trajectory — warm-vs-cold agreement has its own tests. *)
-  let solve presolve =
-    Solve.solve ~presolve ~basis_pool:0 ~time_limit_s:20.0
-      Formulation.Min_delay_ratio app groups ~gamma
+  let search presolve =
+    Milp.Branch_bound.solve ~presolve ~basis_pool:0 ~time_limit_s:20.0
+      ?incumbent:start
+      ?bound:(Option.map snd (Formulation.objective_floor inst))
+      p
   in
-  let on = solve true and off = solve false in
-  check_bool "both solved" true
-    (on.Solve.solution <> None && off.Solve.solution <> None);
-  check_bool "same status" true
-    (on.Solve.stats.Solve.status = off.Solve.stats.Solve.status);
-  check_int "same node count" off.Solve.stats.Solve.nodes
-    on.Solve.stats.Solve.nodes;
-  (match (on.Solve.x, off.Solve.x) with
+  let on = search true and off = search false in
+  let module B = Milp.Branch_bound in
+  check_bool "both solved" true (on.B.x <> None && off.B.x <> None);
+  check_bool "same status" true (on.B.status = off.B.status);
+  check_int "same node count" off.B.stats.B.nodes on.B.stats.B.nodes;
+  (* the plans' exact encodings: the two LP vertices may sit ~1e-6 apart
+     in the continuous variables (the kernel's perturbation) *)
+  let exact x = Formulation.encode inst (Formulation.decode inst x) in
+  (match (Option.bind on.B.x exact, Option.bind off.B.x exact) with
    | Some a, Some b ->
      check_bool "same assignment" true
        (Array.length a = Array.length b
         && Array.for_all2 (fun u v -> Float.abs (u -. v) < 1e-9) a b)
-   | _ -> Alcotest.fail "expected raw assignments");
-  check_bool "searched" true (off.Solve.stats.Solve.nodes > 0);
+   | _ -> Alcotest.fail "expected plans");
+  check_bool "searched" true (off.B.stats.B.nodes > 0);
   check_bool "presolve reduced something" true
-    (on.Solve.stats.Solve.lp.Milp.Branch_bound.presolve_rounds > 0)
+    (on.B.stats.B.lp.B.presolve_rounds > 0);
+  let solve presolve =
+    Solve.solve ~presolve ~time_limit_s:20.0 objective app groups ~gamma
+  in
+  let on = solve true and off = solve false in
+  check_bool "Solve: same status" true
+    (on.Solve.stats.Solve.status = off.Solve.stats.Solve.status);
+  check_bool "Solve: same objective" true
+    (match (objective_value on, objective_value off) with
+     | Some a, Some b -> Float.abs (a -. b) <= 1e-9
+     | _ -> false)
 
 (* A plan found by the search ends on an LP vertex of the kernel's
    perturbed model, whose rows sit up to ~1.8e-6 off the model's own.
@@ -424,6 +469,44 @@ let test_solve_jobs_refused () =
   match Solve.solve ~jobs:2 Formulation.No_obj app groups ~gamma with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "jobs = 2 must be refused"
+
+(* A small generator draw at alpha 0.3. *)
+let small_draw seed =
+  let app = Workload.make ~labels_per_edge:1 ~seed Workload.Small in
+  match Experiment.prepare app ~alpha:0.3 with
+  | Ok (groups, gamma) -> (app, groups, gamma)
+  | Error e -> Alcotest.fail (Experiment.error_to_string e)
+
+(* Each min-max objective proves a floor plan at a 200-node budget,
+   certified: draw 202282499 under OBJ-DMAT once answered nothing (a C7
+   row rejected its grouped start and the open search found no plan),
+   and draw 200262451 under OBJ-DEL ended at the node limit above the
+   floor. *)
+let test_solve_floor_search_proves () =
+  List.iter
+    (fun (seed, objective, expect) ->
+      let name = Fmt.str "%d %s: " seed (Formulation.objective_name objective) in
+      let app, groups, gamma = small_draw seed in
+      let r =
+        Solve.solve ~node_limit:200 ~time_limit_s:30.0 objective app groups
+          ~gamma
+      in
+      let floor =
+        snd (Option.get (Formulation.objective_floor r.Solve.instance))
+      in
+      check_bool (name ^ "optimal") true
+        (r.Solve.stats.Solve.status = Milp.Branch_bound.Optimal);
+      (match objective_value r with
+       | Some v ->
+         check_bool (name ^ "objective at the floor") true
+           (Float.abs (v -. floor) <= 1e-6 && Float.abs (v -. expect) <= 1e-7)
+       | None -> Alcotest.fail (name ^ "no plan"));
+      check_bool (name ^ "certified") true
+        (match r.Solve.certificate with Some (Ok _) -> true | _ -> false))
+    [
+      (202282499, Formulation.Min_transfers, 3.0);
+      (200262451, Formulation.Min_delay_ratio, 0.0035914);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Solution                                                            *)
@@ -494,6 +577,23 @@ let test_heuristic_grouped_fewer_transfers () =
     (Solution.num_transfers grouped <= Solution.num_transfers per_task);
   Alcotest.(check (result unit string)) "grouped still validates" (Ok ())
     (Solution.validate app groups grouped)
+
+(* Property 1 for grouped reads: a grouped read transfer also carries
+   other tasks' reads, and each of those tasks' writes goes before it.
+   On draw 202282499 a C7 row once rejected the grouped plan. *)
+let test_heuristic_grouped_start_passes () =
+  let app, groups, gamma = small_draw 202282499 in
+  let inst = Formulation.make Formulation.Min_transfers app groups ~gamma in
+  match
+    Option.bind
+      (Heuristic.solve_unchecked ~granularity:Heuristic.Grouped app groups
+         ~gamma)
+      (Formulation.encode inst)
+  with
+  | Some x ->
+    Alcotest.(check (list string)) "no violated row" []
+      (Milp.Problem.check_solution inst.Formulation.problem x)
+  | None -> Alcotest.fail "grouped plan does not encode"
 
 let test_heuristic_no_comms () =
   let platform = Platform.make ~n_cores:2 () in
@@ -1108,7 +1208,7 @@ let prop_objective_floor_sound =
           (fun objective ->
             let inst = Formulation.make objective app groups ~gamma in
             let p = inst.Formulation.problem in
-            let floor = Option.get (Formulation.objective_floor inst) in
+            let _, floor = Option.get (Formulation.objective_floor inst) in
             let _, obj = Milp.Problem.objective p in
             let encoded granularity =
               match
@@ -1155,6 +1255,104 @@ let prop_objective_floor_sound =
           [ Formulation.Min_transfers; Formulation.Min_delay_ratio ]
       | _ -> true)
 
+(* Both heuristic granularities emit every write that Property 1 or 2
+   puts before a read ahead of it: their encodings pass every C7 and C8
+   row. *)
+let prop_heuristic_plans_ordered =
+  QCheck.Test.make ~name:"heuristic plans pass every C7/C8 row" ~count:40
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let app =
+        Workload.Generator.random ~seed ~config:Workload.Generator.small_config
+          ()
+      in
+      match Experiment.prepare app ~alpha:0.3 with
+      | Error _ -> true
+      | Ok (groups, gamma) ->
+        let inst = Formulation.make Formulation.No_obj app groups ~gamma in
+        List.for_all
+          (fun granularity ->
+            match
+              Option.bind
+                (Heuristic.solve_unchecked ~granularity app groups ~gamma)
+                (Formulation.encode inst)
+            with
+            | None -> false
+            | Some x ->
+              List.for_all
+                (fun row ->
+                  not
+                    (String.starts_with ~prefix:"C7_" row
+                    || String.starts_with ~prefix:"C8_" row))
+                (Milp.Problem.check_solution inst.Formulation.problem x))
+          [ Heuristic.Grouped; Heuristic.Per_task ])
+
+(* Wherever Solve proves optimality, the objective of its plan lies
+   between the proven bound and the incumbent of a plain
+   branch-and-bound search of the same draw's full-C6 model from the
+   same start: a search of the whole model never beats a proof of the
+   floor search. [false] names the first objective that breaks it. *)
+let proofs_agree_with_full_c6 seed =
+  let app =
+    Workload.Generator.random ~seed ~config:Workload.Generator.small_config ()
+  in
+  match Experiment.prepare app ~alpha:0.3 with
+  | Error _ -> None
+  | Ok (groups, gamma) ->
+    List.find_opt
+      (fun objective ->
+        let r =
+          Solve.solve ~node_limit:200 ~time_limit_s:20.0 objective app groups
+            ~gamma
+        in
+        match (r.Solve.stats.Solve.status, objective_value r) with
+        | Milp.Branch_bound.Optimal, Some v ->
+          let full =
+            Formulation.make
+              ~options:{ Formulation.default_options with full_c6 = true }
+              objective app groups ~gamma
+          in
+          let p = full.Formulation.problem in
+          let start =
+            match
+              Option.bind
+                (Solve.warm_start objective app groups ~gamma)
+                (Formulation.encode full)
+            with
+            | Some x when Milp.Problem.check_solution p x = [] -> Some x
+            | _ -> None
+          in
+          let bb =
+            Milp.Branch_bound.solve ~node_limit:100 ~time_limit_s:20.0
+              ?incumbent:start p
+          in
+          let module B = Milp.Branch_bound in
+          not
+            (bb.B.stats.B.best_bound -. 1e-6 <= v
+            && Option.fold ~none:true ~some:(fun inc -> v <= inc +. 1e-6)
+                 bb.B.obj)
+        | _ -> false)
+      [ Formulation.Min_transfers; Formulation.Min_delay_ratio ]
+
+(* Draws whose floor search proves a plan below the start: OBJ-DMAT over
+   three and two lazy rounds (107 and 63 nodes; a full-C6 search finds
+   the first one's optimum within 89 nodes), and OBJ-DEL. *)
+let test_solve_floor_search_sound () =
+  List.iter
+    (fun seed ->
+      match proofs_agree_with_full_c6 seed with
+      | None -> ()
+      | Some objective ->
+        Alcotest.failf "draw %d, %s: a full-C6 search beats the proof" seed
+          (Formulation.objective_name objective))
+    [ 645158921; 898443853; 200262451 ]
+
+let prop_floor_search_sound =
+  QCheck.Test.make ~name:"Solve's proofs agree with a full-C6 search"
+    ~count:4
+    QCheck.(int_range 0 1_000_000)
+    (fun seed -> proofs_agree_with_full_c6 seed = None)
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -1163,6 +1361,8 @@ let () =
         prop_theorem1_on_random_workloads;
         prop_milp_solutions_validate;
         prop_objective_floor_sound;
+        prop_heuristic_plans_ordered;
+        prop_floor_search_sound;
       ]
   in
   Alcotest.run "letdma"
@@ -1197,6 +1397,10 @@ let () =
             test_solve_searched_certified;
           Alcotest.test_case "rejected warm plan gives way to the heuristic"
             `Quick test_solve_rejected_warm;
+          Alcotest.test_case "floor search proves at 200 nodes" `Quick
+            test_solve_floor_search_proves;
+          Alcotest.test_case "floor-search proofs agree with full C6" `Slow
+            test_solve_floor_search_sound;
         ] );
       ( "solution",
         [
@@ -1209,6 +1413,8 @@ let () =
           Alcotest.test_case "validates" `Quick test_heuristic_validates;
           Alcotest.test_case "grouped granularity" `Quick
             test_heuristic_grouped_fewer_transfers;
+          Alcotest.test_case "grouped start passes every row" `Quick
+            test_heuristic_grouped_start_passes;
           Alcotest.test_case "no communications" `Quick test_heuristic_no_comms;
         ] );
       ( "let-task",

@@ -217,6 +217,55 @@ let test_traced_solve_valid () =
   check_bool "has node events" true
     (List.exists (fun l -> contains l {|"name":"node"|}) lines)
 
+(* A lazy round whose start misses the objective's floor searches at
+   the floor first, and says so in one solver/floor_search point. On
+   small draw 645158921 under OBJ-DMAT at alpha 0.3 the grouped start
+   has 5 transfers and round 1's floor search finds a 4-transfer plan:
+   the first point reads outcome "plan", floor 3, its nodes and pivots,
+   and the trace validates. *)
+let test_floor_search_point () =
+  with_temp @@ fun path ->
+  let app = Workload.make ~labels_per_edge:1 ~seed:645158921 Workload.Small in
+  let groups, gamma =
+    match Letdma.Experiment.prepare app ~alpha:0.3 with
+    | Ok gg -> gg
+    | Error e -> Alcotest.fail (Letdma.Experiment.error_to_string e)
+  in
+  Obs.with_trace ~file:path (fun () ->
+      ignore
+        (Letdma.Solve.solve ~node_limit:200 ~time_limit_s:30.0
+           Letdma.Formulation.Min_transfers app groups ~gamma));
+  (match Obs.Check.trace_file path with
+   | Ok n -> check_bool "trace non-empty" true (n > 0)
+   | Error e -> Alcotest.fail e);
+  match
+    List.find_opt
+      (fun l -> contains l {|"name":"floor_search"|})
+      (read_lines path)
+  with
+  | None -> Alcotest.fail "no solver/floor_search point"
+  | Some line -> (
+    match Obs.Check.parse_json line with
+    | Ok (Obs.Check.O ms) ->
+      check_bool "a solver point" true
+        (List.assoc_opt "cat" ms = Some (Obs.Check.S "solver")
+        && List.assoc_opt "kind" ms = Some (Obs.Check.S "point"));
+      (match List.assoc_opt "args" ms with
+       | Some (Obs.Check.O args) ->
+         check_bool "outcome plan" true
+           (List.assoc_opt "outcome" args = Some (Obs.Check.S "plan"));
+         check_bool "floor 3" true
+           (List.assoc_opt "floor" args = Some (Obs.Check.N 3.0));
+         List.iter
+           (fun key ->
+             check_bool (key ^ " counted") true
+               (match List.assoc_opt key args with
+                | Some (Obs.Check.N v) -> v > 0.0
+                | _ -> false))
+           [ "nodes"; "pivots" ]
+       | _ -> Alcotest.fail "floor_search point without args")
+    | _ -> Alcotest.fail ("unparsable point: " ^ line))
+
 (* strip the wall-clock-valued keys so runs are comparable *)
 let strip_times line =
   let buf = Buffer.create (String.length line) in
@@ -324,5 +373,7 @@ let () =
             test_jobs1_trace_deterministic;
           Alcotest.test_case "basis events traced" `Quick
             test_basis_events_traced;
+          Alcotest.test_case "floor search point traced" `Quick
+            test_floor_search_point;
         ] );
     ]

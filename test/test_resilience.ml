@@ -302,31 +302,40 @@ let test_validator_rejections () =
 
 module Basis = Milp.Simplex_core.Basis
 
-(* The chaos instance (small generator seed 8, OBJ-DMAT at alpha 0.2,
-   1895 nodes to optimality from its MIP start), interrupted after 300
-   nodes as `letdma solve --checkpoint --interrupt-after 300` leaves it:
-   a frontier of open nodes, a pool of bases and the start as its
-   incumbent. *)
+(* The chaos instance: small generator seed 645158921, OBJ-DMAT at alpha
+   0.3, 107 nodes over three lazy rounds to optimality, each round a
+   floor search that finds a plan (25 nodes in round 1). Interrupted
+   after 12 nodes as `letdma solve --checkpoint --interrupt-after 12`
+   leaves it: inside round 1's floor search, a frontier of open nodes
+   and a pool of bases, with no incumbent yet. [n_vars] is the model's
+   variable count. *)
+let chaos_prepared () =
+  let app = Workload.make ~labels_per_edge:1 ~seed:645158921 Workload.Small in
+  match Letdma.Experiment.prepare app ~alpha:0.3 with
+  | Error e -> Alcotest.fail (Letdma.Experiment.error_to_string e)
+  | Ok (groups, gamma) -> (app, groups, gamma)
+
 let chaos =
   lazy
-    (let app = Workload.make ~labels_per_edge:1 ~seed:8 Workload.Small in
-     match Letdma.Experiment.prepare app ~alpha:0.2 with
-     | Error e -> Alcotest.fail (Letdma.Experiment.error_to_string e)
-     | Ok (groups, gamma) ->
-       let file = Filename.temp_file "resilience_chaos" ".json" in
-       Fun.protect
-         ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
-         (fun () ->
-           ignore
-             (Letdma.Solve.solve ~time_limit_s:120.0 ~checkpoint_file:file
-                ~interrupt_after_nodes:300 Letdma.Formulation.Min_transfers
-                app groups ~gamma);
-           match Ck.load file with
-           | Ok ck -> (app, groups, gamma, ck)
-           | Error m -> Alcotest.fail ("chaos checkpoint unreadable: " ^ m)))
+    (let app, groups, gamma = chaos_prepared () in
+     let file = Filename.temp_file "resilience_chaos" ".json" in
+     Fun.protect
+       ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
+       (fun () ->
+         let r =
+           Letdma.Solve.solve ~time_limit_s:120.0 ~checkpoint_file:file
+             ~interrupt_after_nodes:12 Letdma.Formulation.Min_transfers app
+             groups ~gamma
+         in
+         let n_vars =
+           P.num_vars r.Letdma.Solve.instance.Letdma.Formulation.problem
+         in
+         match Ck.load file with
+         | Ok ck -> (app, groups, gamma, n_vars, ck)
+         | Error m -> Alcotest.fail ("chaos checkpoint unreadable: " ^ m)))
 
 let resume_chaos ck =
-  let app, groups, gamma, _ = Lazy.force chaos in
+  let app, groups, gamma, _, _ = Lazy.force chaos in
   Letdma.Solve.solve ~time_limit_s:1.0 ~node_limit:320 ~resume:ck
     Letdma.Formulation.Min_transfers app groups ~gamma
 
@@ -357,7 +366,7 @@ let set_row0 e =
    out of bounds". The loader refuses the first three; the resume
    refuses the other two before branch-and-bound indexes its arrays. *)
 let test_corrupt_refused_on_load name edit () =
-  let _, _, _, ck = Lazy.force chaos in
+  let _, _, _, _, ck = Lazy.force chaos in
   match Ck.of_string (Ck.to_string (edit ck)) with
   | Error m ->
     check_bool (name ^ ": structured loader error") true
@@ -365,7 +374,7 @@ let test_corrupt_refused_on_load name edit () =
   | Ok _ -> Alcotest.fail (name ^ ": corrupted checkpoint was accepted")
 
 let test_corrupt_refused_on_resume name edit () =
-  let _, _, _, ck = Lazy.force chaos in
+  let _, _, _, _, ck = Lazy.force chaos in
   match Ck.of_string (Ck.to_string (edit ck)) with
   | Error m -> Alcotest.fail (name ^ ": loader refused a well-formed file: " ^ m)
   | Ok ck' -> (
@@ -395,11 +404,11 @@ let corrupt_on_resume =
     ( "one-entry incumbent",
       with_state (fun st -> { st with B.ck_best = Some (1.0, [| 0.0 |]) }) );
     ( "all-zeros incumbent",
-      with_state (fun st ->
-          match st.B.ck_best with
-          | Some (obj, x) ->
-            { st with B.ck_best = Some (obj, Array.make (Array.length x) 0.0) }
-          | None -> Alcotest.fail "chaos checkpoint has no incumbent") );
+      fun ck ->
+        let _, _, _, n_vars, _ = Lazy.force chaos in
+        with_state
+          (fun st -> { st with B.ck_best = Some (0.0, Array.make n_vars 0.0) })
+          ck );
   ]
 
 (* One random edit of the chaos checkpoint, typed or byte-level: the
@@ -459,7 +468,7 @@ let prop_corrupt_checkpoint =
     ~name:"a corrupted checkpoint loads with an error or resumes" ~count:30
     (QCheck.make ~print gen)
     (fun (k, v, at) ->
-      let _, _, _, ck = Lazy.force chaos in
+      let _, _, _, _, ck = Lazy.force chaos in
       let doc =
         if k = List.length corruptions then begin
           (* one byte of the file overwritten *)
@@ -631,25 +640,80 @@ let test_solve_durable_interrupt_resume () =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "foreign checkpoint must be refused")
 
-(* The interrupt hook counts the nodes of the whole solve, not of each
-   lazy round, and no round starts once it has fired. Small seed 5
-   OBJ-DEL at alpha 0.2 needs three rounds (65, 52, then 881 nodes to
-   the proof): an interrupt at 300 nodes stops round 3 at node 300 in
-   all, and one at 100 stops round 2 and returns without a third. *)
-let test_interrupt_counts_the_solve () =
+(* Round 1's floor search checkpoints as the open search does, under
+   the capped model's fingerprint. The chaos instance interrupted inside
+   it (node 12 of 25) resumes the floor search from the file. On small
+   seed 202282499 under OBJ-DEL at alpha 0.3 the floor search is
+   exhausted after 3 nodes and the open search runs to the 200-node
+   limit: its checkpoint at node 20 resumes after a replay of the floor
+   search. Both land on the uninterrupted status, objective and node
+   count. *)
+let test_floor_search_interrupt_resume () =
+  let objective_value (r : Letdma.Solve.result) =
+    let p = r.Letdma.Solve.instance.Letdma.Formulation.problem in
+    Option.map (L.eval (snd (P.objective p))) r.Letdma.Solve.x
+  in
+  let check name objective (app, groups, gamma) ~node_limit ~after
+      ~by_floor_search =
+    let solve ?checkpoint_file ?resume ?interrupt_after_nodes () =
+      Letdma.Solve.solve ~time_limit_s:60.0 ~node_limit ?checkpoint_file
+        ?resume ?interrupt_after_nodes objective app groups ~gamma
+    in
+    let stats (r : Letdma.Solve.result) = r.Letdma.Solve.stats in
+    let baseline = solve () in
+    let file = Filename.temp_file "resilience_floor" ".json" in
+    Fun.protect
+      ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
+      (fun () ->
+        let interrupted =
+          solve ~checkpoint_file:file ~interrupt_after_nodes:after ()
+        in
+        check_int (name ^ "interrupted at") after
+          (stats interrupted).Letdma.Solve.nodes;
+        check_bool (name ^ "checkpoint file left on disk") true
+          (Sys.file_exists file);
+        let ck =
+          match Ck.load file with
+          | Ok ck -> ck
+          | Error m -> Alcotest.fail (name ^ "checkpoint unreadable: " ^ m)
+        in
+        check_bool (name ^ "written by the floor search") by_floor_search
+          (ck.Ck.ck_fingerprint
+          <> Ck.fingerprint
+               interrupted.Letdma.Solve.instance.Letdma.Formulation.problem);
+        let resumed = solve ~checkpoint_file:file ~resume:ck () in
+        check_bool (name ^ "identical status") true
+          ((stats resumed).Letdma.Solve.status
+          = (stats baseline).Letdma.Solve.status);
+        check_bool (name ^ "identical objective") true
+          (objective_value resumed = objective_value baseline
+          && objective_value baseline <> None);
+        check_int (name ^ "identical node count")
+          (stats baseline).Letdma.Solve.nodes (stats resumed).Letdma.Solve.nodes)
+  in
+  check "floor search: " Letdma.Formulation.Min_transfers (chaos_prepared ())
+    ~node_limit:200_000 ~after:12 ~by_floor_search:true;
   let app =
-    Workload.Generator.random ~seed:5 ~config:Workload.Generator.small_config ()
+    Workload.make ~labels_per_edge:1 ~seed:202282499 Workload.Small
   in
-  let groups, gamma =
-    match Letdma.Experiment.prepare app ~alpha:0.2 with
-    | Ok gg -> gg
-    | Error e -> Alcotest.fail (Letdma.Experiment.error_to_string e)
-  in
+  match Letdma.Experiment.prepare app ~alpha:0.3 with
+  | Error e -> Alcotest.fail (Letdma.Experiment.error_to_string e)
+  | Ok (groups, gamma) ->
+    check "open search: " Letdma.Formulation.Min_delay_ratio
+      (app, groups, gamma) ~node_limit:200 ~after:20 ~by_floor_search:false
+
+(* The interrupt hook counts the nodes of the whole solve, not of each
+   lazy round, and no round starts once it has fired. The chaos instance
+   needs three rounds (25, 41, then 41 floor-search nodes to the proof):
+   an interrupt at 100 nodes stops round 3 at node 100 in all, and one
+   at 50 stops round 2 and returns without a third. *)
+let test_interrupt_counts_the_solve () =
+  let app, groups, gamma = chaos_prepared () in
   List.iter
     (fun (after, rounds) ->
       let r =
         Letdma.Solve.solve ~time_limit_s:60.0 ~interrupt_after_nodes:after
-          Letdma.Formulation.Min_delay_ratio app groups ~gamma
+          Letdma.Formulation.Min_transfers app groups ~gamma
       in
       let st = r.Letdma.Solve.stats in
       let name = Printf.sprintf "interrupt after %d: " after in
@@ -658,22 +722,15 @@ let test_interrupt_counts_the_solve () =
       check_bool (name ^ "inconclusive, with a plan") true
         (st.Letdma.Solve.status = B.Feasible
          && r.Letdma.Solve.solution <> None))
-    [ (300, 3); (100, 2) ]
+    [ (100, 3); (50, 2) ]
 
 (* Only round 1 writes checkpoints, so a conclusive round 1 leaves a
-   stale file for a later round's interrupt to point at. Small seed 5
-   OBJ-DEL at alpha 0.2 ends round 1 conclusively at node 65 on a
-   non-contiguous incumbent: an interrupt at 100 nodes stops round 2
-   with a plan and leaves no file behind. *)
+   stale file for a later round's interrupt to point at. The chaos
+   instance ends round 1 conclusively at node 25 on a non-contiguous
+   plan of its floor search: an interrupt at 50 nodes stops round 2 with
+   a plan and leaves no file behind. *)
 let test_conclusive_round_removes_checkpoint () =
-  let app =
-    Workload.Generator.random ~seed:5 ~config:Workload.Generator.small_config ()
-  in
-  let groups, gamma =
-    match Letdma.Experiment.prepare app ~alpha:0.2 with
-    | Ok gg -> gg
-    | Error e -> Alcotest.fail (Letdma.Experiment.error_to_string e)
-  in
+  let app, groups, gamma = chaos_prepared () in
   let file = Filename.temp_file "resilience_rounds" ".json" in
   Sys.remove file;
   Fun.protect
@@ -681,8 +738,8 @@ let test_conclusive_round_removes_checkpoint () =
     (fun () ->
       let r =
         Letdma.Solve.solve ~time_limit_s:60.0 ~checkpoint_file:file
-          ~checkpoint_every:8 ~interrupt_after_nodes:100
-          Letdma.Formulation.Min_delay_ratio app groups ~gamma
+          ~checkpoint_every:8 ~interrupt_after_nodes:50
+          Letdma.Formulation.Min_transfers app groups ~gamma
       in
       let st = r.Letdma.Solve.stats in
       check_int "stopped in round 2" 2 st.Letdma.Solve.rounds;
@@ -737,6 +794,8 @@ let () =
         [
           Alcotest.test_case "durable interrupt + resume (Letdma.Solve)" `Slow
             test_solve_durable_interrupt_resume;
+          Alcotest.test_case "floor search interrupt + resume" `Quick
+            test_floor_search_interrupt_resume;
           Alcotest.test_case "interrupt counts the nodes of the solve" `Slow
             test_interrupt_counts_the_solve;
           Alcotest.test_case "conclusive round drops checkpoint" `Quick
