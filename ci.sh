@@ -124,20 +124,20 @@ echo "chaos gate: baseline obj ${base_obj} (${base_nodes} nodes), resumed obj ${
 [ ! -f "$CK" ] || {
   echo "FAIL: conclusive resume left its checkpoint behind"; exit 1; }
 
-echo "== integral-objective proof (OBJ-DMAT floor proves the warm start) =="
+echo "== floor proof of the warm start (OBJ-DMAT, no LP) =="
 # OBJ-DMAT counts DMA transfers, and a transfer carries one (core,
 # direction) class, so the model's structure alone bounds it below by
 # classes - 1. On this generator draw the heuristic warm start meets
-# that floor: the solve must prove it before any LP, with 0 nodes (the
-# rounded root LP bound proved it in 1 node; the raw bound took 1517).
-# Deterministic: every solve is one sequential search.
+# that floor: branch-and-bound's floor shortcut must prove it before
+# presolve and any LP, with 0 nodes. Deterministic: every solve is one
+# sequential search.
 timeout 120 $CLI solve --workload small --seed 939499556 --alpha 0.3 \
   --objective dmat --time-limit 30 --stats \
-  > "$TMP/ci_integral.out" || {
-    echo "FAIL: integral-objective solve exited $?"; exit 1; }
-integral_stats=$(grep '^solver stats:' "$TMP/ci_integral.out" || true)
-echo "integral-objective proof: ${integral_stats}"
-case "$integral_stats" in
+  > "$TMP/ci_warm_floor.out" || {
+    echo "FAIL: warm-start floor solve exited $?"; exit 1; }
+warm_floor_stats=$(grep '^solver stats:' "$TMP/ci_warm_floor.out" || true)
+echo "floor proof of the warm start: ${warm_floor_stats}"
+case "$warm_floor_stats" in
   *" status=optimal "*" nodes=0 "*) ;;
   *) echo "FAIL: want status=optimal and nodes=0 on the solver stats line"
      exit 1 ;;

@@ -4,10 +4,11 @@ open Let_sem
 (* Discrete-event simulation of one hyperperiod of LET communications,
    under the paper's DMA protocol (rules R1-R3 of Section V.B) or under
    the Giotto baselines. The protocol is strictly sequential per resource
-   (a single DMA engine; CPU copies on their cores), so the simulation
-   advances per-resource time cursors across the sorted communication
-   instants; bursts that overrun the next instant (possible for baselines
-   that violate Property 3) queue up naturally on the busy resource. *)
+   (one DMA engine, or [n] channels under [Dma_multi]; CPU copies on
+   their cores), so the simulation advances per-resource time cursors
+   across the sorted communication instants; bursts that overrun the
+   next instant (possible for baselines that violate Property 3) queue
+   up naturally on the busy resource. *)
 
 type cpu_model = Parallel_phases | Serialized
 
@@ -86,34 +87,7 @@ let exec_transfer p ~inj ~record ~core ~index ~labels ~bytes ~t0 trace =
   end;
   t3
 
-(* Executes the transfers of one instant back to back on the DMA engine,
-   starting no earlier than [at] and than the engine's availability.
-   Returns per-transfer completion times. *)
-let run_dma_burst app ?inj ~record plan ~at ~dma_avail trace =
-  let p = App.platform app in
-  let cursor = ref (Time.max at !dma_avail) in
-  let completions =
-    List.mapi
-      (fun g transfer ->
-        let core =
-          match transfer with
-          | c :: _ -> Comm.local_core app c
-          | [] -> 0
-        in
-        let bytes = Properties.transfer_bytes app transfer in
-        let t3 =
-          exec_transfer p ~inj ~record ~core ~index:g
-            ~labels:(List.map (fun c -> c.Comm.label) transfer)
-            ~bytes ~t0:!cursor trace
-        in
-        cursor := t3;
-        (transfer, t3, bytes))
-      plan
-  in
-  dma_avail := !cursor;
-  completions
-
-(* --- multi-channel DMA burst execution ------------------------------ *)
+(* --- DMA burst execution on one or more channels -------------------- *)
 
 (* LET-ordering dependencies between a plan's transfers: transfer j must
    wait for an earlier transfer i when i writes a label j reads (Property
@@ -142,12 +116,21 @@ let plan_dependencies (plan : Properties.plan) =
   done;
   (transfers, deps)
 
-(* Execute one instant's burst on [channels] parallel DMA engines:
-   transfers are taken in plan order, each starting on the earliest
-   available channel once its dependencies have completed. *)
-let run_dma_burst_multi app ?inj ~record ~channels plan ~at ~chan_avail trace =
+(* Execute one instant's burst on the parallel DMA engines whose
+   availability [chan_avail] holds: transfers are taken in plan order,
+   each starting on the earliest available channel once its dependencies
+   have completed. On one channel every transfer already waits for the
+   one before it, so the dependency scan is skipped there. Returns the
+   transfers in plan order with their completion times and bytes. *)
+let run_dma_burst app ?inj ~record plan ~at ~chan_avail trace =
   let p = App.platform app in
-  let transfers, deps = plan_dependencies plan in
+  let channels = Array.length chan_avail in
+  let transfers, deps =
+    if channels = 1 then
+      let transfers = Array.of_list plan in
+      (transfers, Array.make (Array.length transfers) [])
+    else plan_dependencies plan
+  in
   let n = Array.length transfers in
   let completion = Array.make n Time.zero in
   let out = ref [] in
@@ -245,27 +228,33 @@ let run ?(record_trace = false) ?horizon ?faults app groups mode =
   let n = App.num_tasks app in
   let inj = Option.map Faults.create faults in
   let trace = ref [] in
-  let dma_avail = ref Time.zero in
   let core_avail = Array.make (App.platform app).Platform.n_cores Time.zero in
   let chan_avail =
     match mode with
     | Dma_multi (channels, _) ->
       if channels < 1 then invalid_arg "Sim.run: need at least one DMA channel";
       Array.make channels Time.zero
-    | Dma_protocol _ | Dma_barrier _ | Cpu_copy _ -> [||]
+    | Dma_protocol _ | Dma_barrier _ -> Array.make 1 Time.zero
+    | Cpu_copy _ -> [||]
   in
   let transfers = ref 0 in
   let bytes_total = ref 0 in
   let busy_total = ref Time.zero in
   let p = App.platform app in
-  let account_dma completions =
+  (* Execute the DMA burst at instant [t] and account its transfers. *)
+  let dma_burst t schedule =
+    let completions =
+      run_dma_burst app ?inj ~record:record_trace (schedule t) ~at:t
+        ~chan_avail trace
+    in
     transfers := !transfers + List.length completions;
     List.iter
       (fun (_, _, b) ->
         bytes_total := !bytes_total + b;
         busy_total :=
           Time.(!busy_total + Platform.lambda_o p + Platform.dma_copy_time p b))
-      completions
+      completions;
+    completions
   in
   (* Execute the burst at instant [t]; the result maps a released task to
      its ready time. *)
@@ -274,12 +263,8 @@ let run ?(record_trace = false) ?horizon ?faults app groups mode =
     if Comm.Set.is_empty comms then fun _ -> t
     else
       match mode with
-      | Dma_protocol schedule ->
-        let completions =
-          run_dma_burst app ?inj ~record:record_trace (schedule t) ~at:t
-            ~dma_avail trace
-        in
-        account_dma completions;
+      | Dma_protocol schedule | Dma_multi (_, schedule) ->
+        let completions = dma_burst t schedule in
         fun task ->
           (* R1/R3: ready when the transfers carrying this task's own
              communications have completed *)
@@ -289,27 +274,11 @@ let run ?(record_trace = false) ?horizon ?faults app groups mode =
                 Time.max acc fin
               else acc)
             t completions
-      | Dma_multi (channels, schedule) ->
-        let completions =
-          run_dma_burst_multi app ?inj ~record:record_trace ~channels
-            (schedule t) ~at:t ~chan_avail trace
-        in
-        account_dma completions;
-        fun task ->
-          List.fold_left
-            (fun acc (g, fin, _) ->
-              if List.exists (fun c -> c.Comm.task = task) g then
-                Time.max acc fin
-              else acc)
-            t completions
       | Dma_barrier schedule ->
-        let completions =
-          run_dma_burst app ?inj ~record:record_trace (schedule t) ~at:t
-            ~dma_avail trace
-        in
-        account_dma completions;
         let burst_end =
-          List.fold_left (fun acc (_, fin, _) -> Time.max acc fin) t completions
+          List.fold_left
+            (fun acc (_, fin, _) -> Time.max acc fin)
+            t (dma_burst t schedule)
         in
         fun _ -> burst_end
       | Cpu_copy model ->

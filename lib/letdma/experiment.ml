@@ -146,13 +146,15 @@ let run_config ?(solver = Heuristic) app ~alpha =
       }
 
 (* The paper's Fig. 2 grid: alphas 0.2 and 0.4, the three objectives. *)
-let fig2 ?(alphas = [ 0.2; 0.4 ])
-    ?(objectives = [ Formulation.No_obj; Formulation.Min_transfers; Formulation.Min_delay_ratio ])
-    ?(time_limit_s = 60.0) app =
+let fig2 ?(time_limit_s = 60.0) app =
   let configs =
     List.concat_map
-      (fun alpha -> List.map (fun objective -> (alpha, objective)) objectives)
-      alphas
+      (fun alpha ->
+        List.map
+          (fun objective -> (alpha, objective))
+          [ Formulation.No_obj; Formulation.Min_transfers;
+            Formulation.Min_delay_ratio ])
+      [ 0.2; 0.4 ]
   in
   List.map
     (fun (alpha, objective) ->
@@ -195,10 +197,11 @@ let table1_row ((alpha, objective), res) =
    order. *)
 let table1 results = List.map table1_row results
 
-(* The alpha sweep of Section VII: feasibility for alpha in {0.1..0.5}. *)
-let alpha_sweep ?(alphas = [ 0.1; 0.2; 0.3; 0.4; 0.5 ]) ?(time_limit_s = 60.0)
-    ?(objective = Formulation.No_obj) app =
+(* The alpha sweep of Section VII: NO-OBJ feasibility for alpha in
+   {0.1..0.5}. *)
+let alpha_sweep ?(time_limit_s = 60.0) app =
   List.map
     (fun alpha ->
-      (alpha, run_config ~solver:(milp ~time_limit_s objective) app ~alpha))
-    alphas
+      ( alpha,
+        run_config ~solver:(milp ~time_limit_s Formulation.No_obj) app ~alpha ))
+    [ 0.1; 0.2; 0.3; 0.4; 0.5 ]

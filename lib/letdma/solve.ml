@@ -52,8 +52,7 @@ type result = {
 (* One branch-and-bound round. [hooks] carries the interrupt test hook.
    [ck] bundles the checkpoint arguments as (writer, every, resume).
    [bound] is the model's proven objective floor. *)
-let bb_solve ~presolve ?basis_pool ~hooks ?ck ~deadline ~node_limit
-    ?incumbent ?bound p =
+let bb_solve ~presolve ~hooks ?ck ~deadline ~node_limit ?incumbent ?bound p =
   let hooks = Obs.Solver_hooks.wrap hooks in
   let on_checkpoint, checkpoint_every, resume =
     match ck with
@@ -61,7 +60,7 @@ let bb_solve ~presolve ?basis_pool ~hooks ?ck ~deadline ~node_limit
     | None -> (None, 0, None)
   in
   Milp.Branch_bound.solve ~deadline ~node_limit ?incumbent ?bound ~hooks
-    ~presolve ?basis_pool ~checkpoint_every ?on_checkpoint ?resume p
+    ~presolve ~checkpoint_every ?on_checkpoint ?resume p
 
 (* (pattern, class) blocks whose projected transfers break contiguity. *)
 let find_violations inst (sol : Solution.t) =
@@ -103,7 +102,7 @@ let warm_start objective app groups ~gamma =
 
 let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
     ?deadline_s ?(node_limit = 200_000) ?(jobs = 1) ?(presolve = true) ?warm
-    ?basis_pool ?checkpoint_file
+    ?checkpoint_file
     ?(checkpoint_every = 64) ?resume ?interrupt_after_nodes
     objective app groups ~gamma =
   (* [jobs] survives only for existing [~jobs:1] callers: every solve is
@@ -251,7 +250,7 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
   let round_search ?ck_floor ?ck_open incumbent =
     let open_search ?ck ~nodes_used () =
       tally
-        (bb_solve ~presolve ?basis_pool ~hooks ?ck ~deadline
+        (bb_solve ~presolve ~hooks ?ck ~deadline
            ~node_limit:(node_limit - nodes_used) ?incumbent ?bound problem)
     in
     match floor with
@@ -262,7 +261,7 @@ let solve ?(options = Formulation.default_options) ?(time_limit_s = 60.0)
       let fl =
         tally
           (capped vf (fun () ->
-               bb_solve ~presolve ?basis_pool ~hooks ?ck:ck_floor ~deadline
+               bb_solve ~presolve ~hooks ?ck:ck_floor ~deadline
                  ~node_limit ?bound problem))
       in
       let nodes_used = fl.Milp.Branch_bound.stats.Milp.Branch_bound.nodes in

@@ -124,36 +124,14 @@ let no_hooks =
 
 (* Search tolerances. An LP value within [int_eps] of an integer counts
    as integral, and a new incumbent must beat the cutoff by
-   [improve_eps]. On an integer-valued objective (see
-   {!Problem.integral_objective}) a node whose LP bound is [b] can do no
-   better than [ceil (b -. bound_slack)], and an incumbent within
-   [snap_eps] of an integer counts as that integer. LP values sit off
-   the integers by more than the integrality tolerance: with the
-   kernel's anti-degeneracy perturbations and its 1e-7 reduced-cost
-   optimality test, an optimal transfer count of 1 may read 1.0000010,
-   and node bounds read 2.0000016 to 4.0000061 on small generator draws.
-   Nothing at that precision says whether such a bound is the integer
-   itself, so the slack stays well above it rather than rounding it up
-   to the next integer. It only costs pruning on bounds that lie within
-   it above an integer; on 160 such draws every other bound lay at
-   least 0.02 above one. *)
+   [improve_eps]. *)
 let int_eps = 1.0e-6
 let improve_eps = 1.0e-9
-let bound_slack = 1.0e-4
-let snap_eps = 1.0e-5
 
-(* What a node's LP bound (minimization sense) proves about its subtree. *)
-let proven_bound ~integral b =
-  if integral then Float.ceil (b -. bound_slack) else b
-
-(* The one prune rule: a node whose LP bound is [b] is kept only if its
-   subtree can still beat the cutoff [best]. *)
-let keeps ~integral ~best b =
-  let best =
-    let r = Float.round best in
-    if integral && Float.abs (best -. r) <= snap_eps then r else best
-  in
-  proven_bound ~integral b < best -. improve_eps
+(* The one prune rule: a node whose bound (minimization sense, lifted to
+   the caller's floor) is [b] is kept only if its subtree can still beat
+   the cutoff [best]. *)
+let keeps ~best b = b < best -. improve_eps
 
 type solution = {
   status : status;
@@ -277,9 +255,8 @@ let floor_shortcut (p : Problem.t) ~sense ~floor incumbent =
     let t0 = Clock.now () in
     let _, obj_expr = Problem.objective p in
     let obj = Linexpr.eval obj_expr x in
-    let integral = Problem.integral_objective p in
     if
-      keeps ~integral ~best:(sense *. obj) floor
+      keeps ~best:(sense *. obj) floor
       || Problem.check_solution ~eps:1.0e-6 p x <> []
     then None
     else
@@ -445,12 +422,9 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000) ?incumbent
     p;
   let best_obj = ref infinity (* minimization sense *) in
   let best_x = ref None in
-  (* decided once on the model the search runs on: presolve keeps every
-     variable and may only drop rows or tighten bounds *)
-  let integral = Problem.integral_objective p in
   (* a node's bound: its LP bound, lifted to the caller's floor *)
   let lift b = Float.max b floor in
-  let keep b = keeps ~integral ~best:!best_obj (lift b) in
+  let keep b = keeps ~best:!best_obj (lift b) in
   let simplex_solves = ref 0 in
   let consider_incumbent x obj_orig =
     let obj_min = sense *. obj_orig in
@@ -741,9 +715,7 @@ let solve ?(time_limit_s = 60.0) ?deadline ?(node_limit = 200_000) ?incumbent
   in
   let best_bound_min =
     if !root_unbounded then neg_infinity
-    else
-      Float.max floor
-        (Float.min !best_obj (proven_bound ~integral (lift open_bound)))
+    else lift (Float.min !best_obj open_bound)
   in
   let has_incumbent = !best_x <> None in
   let status =

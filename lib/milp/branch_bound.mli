@@ -9,16 +9,11 @@
     {!hooks} let a caller cancel the search and observe its nodes,
     incumbents and warm starts.
 
-    When {!Problem.integral_objective} holds for the (presolved) model,
-    every node's LP bound [b] is read as [ceil (b - 1e-4)] and the
-    incumbent, within [1e-5] of an integer, as that integer, wherever the
-    search prunes and in the final bound, gap and status: an OBJ-DMAT
-    bound of 2.44 under an incumbent of 3 closes its subtree. The rule
-    is re-derived from the model, so checkpoints are unaffected.
-
-    A caller that knows a proven bound on the optimum passes it as
-    [?bound] (see {!solve}); the search then reads every node's bound as
-    max(LP bound, [bound]). *)
+    A node is kept while its bound is below the incumbent's objective
+    (minimization sense) by more than 1e-9. The bound is the node's LP bound, lifted to the caller's
+    proven bound on the optimum when it passes one as [?bound] (see
+    {!solve}): max(LP bound, [bound]). The same rule decides every prune,
+    the final [best_bound], gap and status. *)
 
 type status =
   | Optimal     (** incumbent proven optimal *)
@@ -59,8 +54,9 @@ type stats = {
   simplex_solves : int;
   time_s : float;
   best_bound : float;
-      (** proven bound on the optimum, in the problem's own sense
-          (rounded to an integer on integral objectives) *)
+      (** proven bound on the optimum, in the problem's own sense: the
+          lower of the incumbent and the best open node's bound, lifted
+          to the caller's [bound] *)
   gap : float option;
       (** (incumbent − bound) / max(1, |incumbent|): relative for
           objectives of magnitude at least 1, absolute below;

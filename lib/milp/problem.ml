@@ -70,7 +70,6 @@ let continuous ?name ?lo ?hi t = add_var ?name ?lo ?hi t Continuous
 let integer ?name ?lo ?hi t = add_var ?name ?lo ?hi t Integer
 
 let var_name t v = (Vec.get t.vars v).v_name
-let var_kind t v = (Vec.get t.vars v).v_kind
 let var_bounds t v =
   let vi = Vec.get t.vars v in
   (vi.v_lo, vi.v_hi)
@@ -95,63 +94,11 @@ let add_constr ?name ?id t expr sense rhs =
   ignore (Vec.push t.constrs { c_name; c_id; c_expr; c_sense = sense; c_rhs });
   idx
 
-let constr t i = Vec.get t.constrs i
-
 let set_objective t dir expr = t.objective <- (dir, expr)
 let objective t = t.objective
 
 let iter_constrs f t = Vec.iter f t.constrs
 let iter_vars f t = Vec.iteri (fun i vi -> f i vi.v_kind (vi.v_lo, vi.v_hi)) t.vars
-
-(* Integer-valued optima. An integer variable is integral in every
-   feasible point. A continuous variable [v] that the objective pushes
-   down settles, at every optimum, on the largest of its lower bound and
-   the values its lower-bounding rows force; when each such row is
-   [±1·v] plus integer multiples of integer variables against an
-   integral right-hand side, every one of those values is an integer.
-   Rows that only bound [v] from above loosen as [v] falls, so they never
-   hold it off that value. This is exactly [w >= sum_g g * x_g], the
-   epigraph of a max of integer counts. Branching tightens integer
-   bounds only, so the property carries to every node of a search. *)
-let integral_objective t =
-  let dir, obj = t.objective in
-  let sign = match dir with Minimize -> 1.0 | Maximize -> -1.0 in
-  let integer_var j =
-    match (Vec.get t.vars j).v_kind with
-    | Integer | Binary -> true
-    | Continuous -> false
-  in
-  let lower_rows_integral v =
-    Vec.fold_left
-      (fun ok c ->
-        ok
-        &&
-        let a = Linexpr.coeff_of c.c_expr v in
-        let bounds_below =
-          match c.c_sense with
-          | Ge -> a > 0.0
-          | Le -> a < 0.0
-          | Eq -> a <> 0.0
-        in
-        (not bounds_below)
-        || Float.abs a = 1.0
-           && Float.is_integer c.c_rhs
-           && List.for_all
-                (fun (b, j) ->
-                  j = v || (integer_var j && Float.is_integer b))
-                (Linexpr.terms c.c_expr))
-      true t.constrs
-  in
-  (not (Linexpr.is_constant obj))
-  && Float.is_integer (Linexpr.constant obj)
-  && List.for_all
-       (fun (c, j) ->
-         Float.is_integer c
-         && (integer_var j
-            || sign *. c > 0.0
-               && Float.is_integer (Vec.get t.vars j).v_lo
-               && lower_rows_integral j))
-       (Linexpr.terms obj)
 
 (* ------------------------------------------------------------------ *)
 (* Logic / big-M helpers                                               *)

@@ -44,7 +44,6 @@ val continuous : ?name:string -> ?lo:float -> ?hi:float -> t -> int
 val integer : ?name:string -> ?lo:float -> ?hi:float -> t -> int
 
 val var_name : t -> int -> string
-val var_kind : t -> int -> var_kind
 val var_bounds : t -> int -> float * float
 
 (** Raises [Invalid_argument] when [lo] is [neg_infinity] or the new
@@ -58,22 +57,10 @@ val set_bounds : ?lo:float -> ?hi:float -> t -> int -> unit
     like the originals. *)
 val add_constr : ?name:string -> ?id:int -> t -> Linexpr.t -> sense -> float -> int
 
-val constr : t -> int -> constr
 val set_objective : t -> dir -> Linexpr.t -> unit
 val objective : t -> dir * Linexpr.t
 val iter_constrs : (constr -> unit) -> t -> unit
 val iter_vars : (int -> var_kind -> float * float -> unit) -> t -> unit
-
-(** [integral_objective t] is [true] when every optimal objective value
-    of [t] is an integer, and stays one under any tightening of integer
-    variables' bounds (so at every branch-and-bound node). It holds when
-    the objective is not constant, its constant and coefficients are
-    integers, and each of its variables is either an integer variable or
-    a continuous [v] that the objective pushes down, with an integral
-    lower bound, whose every lower-bounding row is [±1·v] plus integer
-    multiples of integer variables against an integral right-hand side:
-    e.g. [min w] with [w >= sum_g g * x_g] over binaries. *)
-val integral_objective : t -> bool
 
 (** {1 Implication helpers}
 

@@ -69,16 +69,6 @@ let fresh_counters () =
     basis_evictions = 0;
   }
 
-let add_counters ~into c =
-  into.pivots <- into.pivots + c.pivots;
-  into.dual_pivots <- into.dual_pivots + c.dual_pivots;
-  into.pricing_scanned <- into.pricing_scanned + c.pricing_scanned;
-  into.pricing_refreshes <- into.pricing_refreshes + c.pricing_refreshes;
-  into.warm_hits <- into.warm_hits + c.warm_hits;
-  into.warm_misses <- into.warm_misses + c.warm_misses;
-  into.dual_pivots_saved <- into.dual_pivots_saved + c.dual_pivots_saved;
-  into.basis_evictions <- into.basis_evictions + c.basis_evictions
-
 (* Immutable snapshot of a counters record (checkpointing). *)
 let copy_counters c = { c with pivots = c.pivots }
 
@@ -1271,9 +1261,6 @@ module Basis = struct
     bn : int;              (* donor variable count *)
     bsig : int;            (* donor original-sense fingerprint *)
   }
-
-  (* Approximate heap words held by a snapshot (for pool sizing). *)
-  let size_words b = Array.length b.rows + Array.length b.at_upper + 8
 end
 
 (* Inverse of [col_of_var]: the variable owning each structural column. *)

@@ -1,4 +1,4 @@
-(* Structured observability spine: typed spans, point events and counters
+(* Structured observability spine: typed spans and point events
    timestamped on the monotonic Milp.Clock, buffered per domain
    (Domain.DLS — a domain only ever appends to its own buffer, so the hot
    path takes no lock) and drained to a JSONL sink. Disabled, every emit
@@ -14,13 +14,12 @@ type value = Int of int | Float of float | Str of string | Bool of bool
 
 type fields = (string * value) list
 
-type kind = Begin | End | Point | Counter
+type kind = Begin | End | Point
 
 let kind_name = function
   | Begin -> "begin"
   | End -> "end"
   | Point -> "point"
-  | Counter -> "counter"
 
 type event = {
   ev_ts : float; (* absolute Milp.Clock.now, rebased on the sink's t0 *)
@@ -97,7 +96,6 @@ let render ~t0 b e =
 type metric = {
   mutable m_count : int; (* events seen for this (cat, name) *)
   mutable m_total_s : float; (* summed span durations (End events) *)
-  mutable m_last : int; (* last Counter value *)
 }
 
 type row = {
@@ -105,7 +103,6 @@ type row = {
   name : string;
   count : int;
   total_s : float;
-  last : int;
 }
 
 (* --- sink ------------------------------------------------------------- *)
@@ -175,19 +172,16 @@ let tally s e =
     match Hashtbl.find_opt s.s_metrics k with
     | Some m -> m
     | None ->
-      let m = { m_count = 0; m_total_s = 0.0; m_last = 0 } in
+      let m = { m_count = 0; m_total_s = 0.0 } in
       Hashtbl.replace s.s_metrics k m;
       m
   in
   (* spans appear once in the counts (their Begin); the End contributes
      the duration *)
-  (match e.ev_kind with
-   | End -> (
-     match e.ev_dur with Some d -> m.m_total_s <- m.m_total_s +. d | None -> ())
-   | Begin | Point | Counter -> m.m_count <- m.m_count + 1);
-  match (e.ev_kind, e.ev_fields) with
-  | Counter, ("value", Int v) :: _ -> m.m_last <- v
-  | _ -> ()
+  match e.ev_kind with
+  | End -> (
+    match e.ev_dur with Some d -> m.m_total_s <- m.m_total_s +. d | None -> ())
+  | Begin | Point -> m.m_count <- m.m_count + 1
 
 (* Drain [b] into the sink. Called by the owning domain (buffer full) or
    by [stop]/[start] from the draining domain. *)
@@ -238,8 +232,6 @@ let emit kind ~cat ~name ?dur fields =
 let enabled () = Atomic.get on
 
 let point ~cat name fields = emit Point ~cat ~name fields
-
-let counter ~cat name v = emit Counter ~cat ~name [ ("value", Int v) ]
 
 let span ~cat name ?(fields = []) f =
   if not (Atomic.get on) then f ()
@@ -294,8 +286,7 @@ let metrics () =
   | Some s ->
     Hashtbl.fold
       (fun (cat, name) m acc ->
-        { cat; name; count = m.m_count; total_s = m.m_total_s; last = m.m_last }
-        :: acc)
+        { cat; name; count = m.m_count; total_s = m.m_total_s } :: acc)
       s.s_metrics []
     |> List.sort (fun a b ->
            match compare a.cat b.cat with 0 -> compare a.name b.name | c -> c)
@@ -550,7 +541,7 @@ module Check = struct
     if c.pos <> String.length s then fail "trailing garbage at %d" c.pos;
     v
 
-  let kinds = [ "begin"; "end"; "point"; "counter" ]
+  let kinds = [ "begin"; "end"; "point" ]
 
   (* Validate one trace line: a JSON object carrying the required schema
      fields, with a numeric (hence finite) timestamp. *)

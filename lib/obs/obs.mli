@@ -1,6 +1,6 @@
 (** Structured observability spine.
 
-    Typed spans, point events and counters, timestamped on the monotonic
+    Typed spans and point events, timestamped on the monotonic
     {!Milp.Clock}, buffered per domain (the hot path takes no lock) and
     drained to a JSONL sink — one line per event:
 
@@ -11,7 +11,7 @@
 
     Fields: ["ts"] seconds since {!start} (monotonic, per-domain ordered),
     ["dom"] emitting domain id, ["kind"] one of
-    ["begin"]/["end"]/["point"]/["counter"], ["cat"] subsystem category,
+    ["begin"]/["end"]/["point"], ["cat"] subsystem category,
     ["name"] event name, ["dur"] span duration on [end] events, ["args"]
     optional event payload. Non-finite floats serialize as [null], so a
     sink file never contains NaN/Infinity tokens.
@@ -52,9 +52,6 @@ val lines_written : unit -> int
 val point : cat:string -> string -> fields -> unit
 (** [point ~cat name fields] records an instantaneous event. *)
 
-val counter : cat:string -> string -> int -> unit
-(** [counter ~cat name v] records a counter sample [v]. *)
-
 val span : cat:string -> string -> ?fields:fields -> (unit -> 'a) -> 'a
 (** [span ~cat name ?fields f] wraps [f] in a [begin]/[end] event pair;
     the [end] event carries the wall-clock duration (and is emitted even
@@ -67,7 +64,6 @@ type row = {
   name : string;
   count : int;  (** events for this (cat, name); spans counted once *)
   total_s : float;  (** summed span durations from [end] events *)
-  last : int;  (** last [counter] value *)
 }
 
 val metrics : unit -> row list

@@ -42,8 +42,6 @@ let create ?jobs ?(cache_capacity = 64) () =
 
 let cache_stats t = Cache.stats t.cache
 
-let pool_jobs t = Parallel.Pool.jobs t.pool
-
 let shutdown t = Parallel.Pool.shutdown t.pool
 
 let count t f = Mutex.protect t.m (fun () -> f t)

@@ -58,7 +58,5 @@ val process :
 
 val cache_stats : t -> Cache.stats
 
-val pool_jobs : t -> int
-
 val shutdown : t -> unit
 (** Join the worker pool. The engine must not be used afterwards. *)

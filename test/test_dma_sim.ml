@@ -174,18 +174,44 @@ let multi_fixture () =
   in
   App.make ~platform ~tasks ~labels
 
+(* Every field of two runs' metrics, trace and fault counters included. *)
+let check_same_metrics what (a : Sim.metrics) (b : Sim.metrics) =
+  let field name = what ^ ": " ^ name in
+  check_bool (field "lambda") true (a.Sim.lambda = b.Sim.lambda);
+  check_bool (field "jobs") true (a.Sim.jobs = b.Sim.jobs);
+  check_int (field "transfers") a.Sim.transfers_issued b.Sim.transfers_issued;
+  check_int (field "bytes") a.Sim.bytes_moved b.Sim.bytes_moved;
+  check_int (field "busy") a.Sim.busy b.Sim.busy;
+  check_bool (field "trace") true (a.Sim.trace = b.Sim.trace);
+  check_bool (field "fault stats") true (a.Sim.fault_stats = b.Sim.fault_stats)
+
+(* One DMA channel is the protocol's engine: on the two-pair fixture, and
+   on WATERS under the heuristic plan with and without injected faults,
+   the two modes agree on every metric. *)
 let test_multi_channel_single_equals_protocol () =
+  let same what ?faults app groups schedule =
+    let run mode = Sim.run ~record_trace:true ?faults app groups mode in
+    let m = run (Sim.Dma_protocol schedule) in
+    check_same_metrics what m (run (Sim.Dma_multi (1, schedule)));
+    m
+  in
   let app = multi_fixture () in
   let groups = Groups.compute app in
-  let schedule = singleton_schedule app groups in
-  let m1 = Sim.run app groups (Sim.Dma_protocol schedule) in
-  let mm = Sim.run app groups (Sim.Dma_multi (1, schedule)) in
-  List.iter
-    (fun (t : Task.t) ->
-      check_int t.Task.name
-        (Sim.lambda_of m1 t.Task.id)
-        (Sim.lambda_of mm t.Task.id))
-    (App.tasks app)
+  ignore (same "fixture" app groups (singleton_schedule app groups));
+  let app = Workload.Waters2019.make () in
+  match Letdma.Experiment.prepare app ~alpha:0.2 with
+  | Error e -> Alcotest.fail (Letdma.Experiment.error_to_string e)
+  | Ok (groups, gamma) ->
+    let plan =
+      Option.get (Letdma.Heuristic.solve_unchecked app groups ~gamma)
+    in
+    let schedule = Letdma.Solution.schedule app groups plan in
+    ignore (same "WATERS" app groups schedule);
+    let faults = Faults.at_intensity ~seed:42 2.0 in
+    let m = same "WATERS, faults" ~faults app groups schedule in
+    match m.Sim.fault_stats with
+    | Some s -> check_bool "faults injected" true (s.Faults.faulty_transfers > 0)
+    | None -> Alcotest.fail "fault stats missing"
 
 let test_multi_channel_parallelism () =
   let app = multi_fixture () in

@@ -1353,6 +1353,36 @@ let prop_floor_search_sound =
     QCheck.(int_range 0 1_000_000)
     (fun seed -> proofs_agree_with_full_c6 seed = None)
 
+(* Every OBJ-DMAT proof is a proof of the structural floor: a draw that
+   Solve proves optimal at a 200-node budget proves classes - 1. A proof
+   above the floor would come from an open search after an exhausted
+   floor search, where branch-and-bound prunes on its LP bounds alone. *)
+let prop_dmat_proves_at_floor =
+  QCheck.Test.make ~name:"OBJ-DMAT proofs sit on the structural floor"
+    ~count:100
+    QCheck.(
+      pair (int_range 0 1_000_000)
+        (oneofl ~print:string_of_float [ 0.1; 0.2; 0.3; 0.4 ]))
+    (fun (seed, alpha) ->
+      let app =
+        Workload.Generator.random ~seed ~config:Workload.Generator.small_config
+          ()
+      in
+      match Experiment.prepare app ~alpha with
+      | Error _ -> true
+      | Ok (groups, gamma) -> (
+        let r =
+          Solve.solve ~node_limit:200 ~time_limit_s:20.0
+            Formulation.Min_transfers app groups ~gamma
+        in
+        match (r.Solve.stats.Solve.status, objective_value r) with
+        | Milp.Branch_bound.Optimal, Some v ->
+          let _, floor =
+            Option.get (Formulation.objective_floor r.Solve.instance)
+          in
+          Float.abs (v -. floor) <= 1e-6
+        | _ -> true))
+
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
@@ -1363,6 +1393,7 @@ let () =
         prop_objective_floor_sound;
         prop_heuristic_plans_ordered;
         prop_floor_search_sound;
+        prop_dmat_proves_at_floor;
       ]
   in
   Alcotest.run "letdma"

@@ -69,14 +69,12 @@ let test_disabled_is_noop () =
   check_bool "disabled by default" false (Obs.enabled ());
   (* all emitters are inert and [span] is transparent *)
   Obs.point ~cat:"x" "p" [];
-  Obs.counter ~cat:"x" "c" 1;
   check_int "span passes through" 41 (Obs.span ~cat:"x" "s" (fun () -> 41))
 
 let test_trace_file_schema () =
   with_temp @@ fun path ->
   Obs.with_trace ~file:path (fun () ->
       Obs.point ~cat:"t" "start" [ ("k", Obs.Int 1); ("s", Obs.Str "a\"b") ];
-      Obs.counter ~cat:"t" "gauge" 7;
       ignore
         (Obs.span ~cat:"t" "work"
            ~fields:[ ("f", Obs.Float 0.5); ("b", Obs.Bool true) ]
@@ -85,7 +83,7 @@ let test_trace_file_schema () =
       Obs.point ~cat:"t" "bad"
         [ ("nan", Obs.Float Float.nan); ("inf", Obs.Float Float.infinity) ]);
   (match Obs.Check.trace_file path with
-   | Ok n -> check_int "five events" 5 n
+   | Ok n -> check_int "four events" 4 n
    | Error e -> Alcotest.fail e);
   let lines = read_lines path in
   List.iter
@@ -103,8 +101,7 @@ let test_metrics_aggregation () =
   Obs.with_trace ~file:path (fun () ->
       ignore (Obs.span ~cat:"m" "phase" (fun () -> ()));
       Obs.point ~cat:"m" "tick" [];
-      Obs.point ~cat:"m" "tick" [];
-      Obs.counter ~cat:"m" "depth" 3);
+      Obs.point ~cat:"m" "tick" []);
   let row name =
     match List.find_opt (fun r -> r.Obs.name = name) (Obs.metrics ()) with
     | Some r -> r
@@ -113,8 +110,7 @@ let test_metrics_aggregation () =
   (* a span is one event (begin/end pair), not two *)
   check_int "span counted once" 1 (row "phase").Obs.count;
   check_bool "span accumulates duration" true ((row "phase").Obs.total_s >= 0.0);
-  check_int "points counted" 2 (row "tick").Obs.count;
-  check_int "counter keeps last value" 3 (row "depth").Obs.last
+  check_int "points counted" 2 (row "tick").Obs.count
 
 (* ------------------------------------------------------------------ *)
 (* Validator                                                           *)
