@@ -162,6 +162,23 @@ case "$floor_stats" in
   *) echo "FAIL: want status=optimal on the solver stats line"; exit 1 ;;
 esac
 
+echo "== OBJ-DEL union-floor proof =="
+# OBJ-DEL's floor is taken per period over the union of the ready sets
+# of every task of that period or less. On this generator draw the
+# floor search at that floor proves a plan in 23 nodes; under the
+# per-task floor the solve ran to the 30 s limit (feasible(limit),
+# bound 0.00878, 7556-10285 nodes in two runs).
+timeout 120 $CLI solve --workload small --seed 863946837 --alpha 0.3 \
+  --objective del --time-limit 30 --stats \
+  > "$TMP/ci_del_floor.out" || {
+    echo "FAIL: OBJ-DEL union-floor solve exited $? (want 0)"; exit 1; }
+del_floor_stats=$(grep '^solver stats:' "$TMP/ci_del_floor.out" || true)
+echo "OBJ-DEL union-floor proof: ${del_floor_stats}"
+case "$del_floor_stats" in
+  *" status=optimal "*) ;;
+  *) echo "FAIL: want status=optimal on the solver stats line"; exit 1 ;;
+esac
+
 echo "== pipeline smoke (sequential ladder) =="
 # The degradation ladder on WATERS NO-OBJ: the primary rung must be
 # accepted on its own, so the outcome lists exactly one indented attempt

@@ -696,9 +696,15 @@ let set_objective inst =
      ready sets, C7 for the writes of a task that reads), so the K
      classes of C(s0) give max_i RGI_i >= K - 1.
    - OBJ-DEL: S_i, tau_i's ready set plus every write that C7 or C8
-     orders before one of its reads, sits in slots <= RGI_i. C9 at
-     gbar = RGI_i then charges lambda_i >= lambda_O |classes(S_i)|
-     + omega bytes(S_i), and Eq. (5) divides by T_i.
+     orders before one of its reads, sits in slots <= RGI_i. The tasks
+     share one DMA engine, so the floor is taken per period P over the
+     union U_P of the S_i with T_i <= P (Lawler's backward rule for
+     1|prec|f_max): of those tasks, the tau_j whose RGI is largest has
+     every such S_i in slots <= RGI_j. C9 at gbar = RGI_j then charges
+     lambda_j >= lambda_O |classes(U_P)| + omega bytes(U_P), one slot per
+     class and every byte copied once (C1), and Eq. (5) divides by
+     T_j <= P, so the objective is at least cost(U_P) / P. The P = T_i
+     term with S_i alone is the per-task floor.
    The argument uses C1-C3, C7-C9 and the class rows only, so the floor
    holds under lazy Constraint-6 rows and either form of Constraint 10.
    Returned with the objective variable it bounds (OBJ_W or OBJ_L), so a
@@ -722,31 +728,43 @@ let objective_floor inst =
           && (c.Comm.task = r.Comm.task || c.Comm.label = r.Comm.label))
         (List.init (Array.length inst.comms) Fun.id)
     in
-    let floor = ref 0.0 in
-    Array.iteri
-      (fun i ready ->
-        if ready <> [] then begin
-          let reads =
-            List.filter (fun z -> inst.comms.(z).Comm.kind = Comm.Read) ready
+    (* (T_i, S_i) for every task with a ready set *)
+    let sets =
+      List.filter_map
+        (fun i ->
+          match inst.ready_set.(i) with
+          | [] -> None
+          | ready ->
+            let reads =
+              List.filter (fun z -> inst.comms.(z).Comm.kind = Comm.Read) ready
+            in
+            Some
+              ( (App.task inst.app i).Task.period,
+                ready @ List.concat_map writes_before reads ))
+        (List.init (Array.length inst.ready_set) Fun.id)
+    in
+    let cost s =
+      let s = List.sort_uniq Int.compare s in
+      let classes =
+        List.length
+          (List.sort_uniq Int.compare (List.map (fun z -> inst.class_of.(z)) s))
+      in
+      let bytes = List.fold_left (fun acc z -> acc + size_of inst z) 0 s in
+      (float_of_int classes *. inst.lambda_o_us)
+      +. (inst.omega_us_per_byte *. float_of_int bytes)
+    in
+    let floor =
+      List.fold_left
+        (fun acc (p, _) ->
+          let union =
+            List.concat_map
+              (fun (t, s) -> if Time.compare t p <= 0 then s else [])
+              sets
           in
-          let s =
-            List.sort_uniq Int.compare (ready @ List.concat_map writes_before reads)
-          in
-          let classes =
-            List.length
-              (List.sort_uniq Int.compare (List.map (fun z -> inst.class_of.(z)) s))
-          in
-          let bytes = List.fold_left (fun acc z -> acc + size_of inst z) 0 s in
-          let lam =
-            (float_of_int classes *. inst.lambda_o_us)
-            +. (inst.omega_us_per_byte *. float_of_int bytes)
-          in
-          floor :=
-            Float.max !floor
-              (lam /. us_of_time (App.task inst.app i).Task.period)
-        end)
-      inst.ready_set;
-    Some (var (), !floor)
+          Float.max acc (cost union /. us_of_time p))
+        0.0 sets
+    in
+    Some (var (), floor)
 
 (* Build the whole model (without Constraint 6 unless [full_c6]). *)
 let make ?options objective app groups ~gamma =

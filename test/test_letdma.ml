@@ -1186,9 +1186,10 @@ let prop_milp_solutions_validate =
              r.Solve.stats.Solve.status = Milp.Branch_bound.Infeasible
              || r.Solve.stats.Solve.status = Milp.Branch_bound.Unknown))
 
-(* The objective floor is a proven bound: it never exceeds the objective
-   of a feasible heuristic plan, and branch-and-bound proves the same
-   optimum with and without it. *)
+(* The objective floor is a proven bound (OBJ-DEL's is the per-period
+   union floor): it never exceeds the objective of a feasible heuristic
+   plan, and branch-and-bound proves the same optimum with and without
+   it. *)
 let prop_objective_floor_sound =
   QCheck.Test.make ~name:"objective floor is sound on generator draws"
     ~count:8
@@ -1254,6 +1255,32 @@ let prop_objective_floor_sound =
             below_plans && agree)
           [ Formulation.Min_transfers; Formulation.Min_delay_ratio ]
       | _ -> true)
+
+(* No plan lies below the OBJ-DEL floor: with OBJ_L capped just under
+   it, a search of the full-C6 model that does not know the floor finds
+   no plan within 50 nodes. *)
+let prop_no_plan_below_del_floor =
+  QCheck.Test.make ~name:"no plan below the OBJ-DEL floor" ~count:20
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let app =
+        Workload.Generator.random ~seed ~config:Workload.Generator.small_config
+          ()
+      in
+      match Experiment.prepare app ~alpha:0.3 with
+      | Error _ -> true
+      | Ok (groups, gamma) ->
+        let inst =
+          Formulation.make
+            ~options:{ Formulation.default_options with full_c6 = true }
+            Formulation.Min_delay_ratio app groups ~gamma
+        in
+        let p = inst.Formulation.problem in
+        let var, floor = Option.get (Formulation.objective_floor inst) in
+        Milp.Problem.set_bounds ~hi:(floor -. 1e-7) p var;
+        (Milp.Branch_bound.solve ~node_limit:50 ~time_limit_s:20.0 p)
+          .Milp.Branch_bound.x
+        = None)
 
 (* Both heuristic granularities emit every write that Property 1 or 2
    puts before a read ahead of it: their encodings pass every C7 and C8
@@ -1394,6 +1421,7 @@ let () =
         prop_heuristic_plans_ordered;
         prop_floor_search_sound;
         prop_dmat_proves_at_floor;
+        prop_no_plan_below_del_floor;
       ]
   in
   Alcotest.run "letdma"

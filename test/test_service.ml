@@ -624,6 +624,18 @@ let test_engine_front_door_dmat_and_shed () =
       check_bool "fallback verdict" (Result.is_ok verdict)
         (J.as_bool "certified" (J.field "r" ms "certified")))
 
+(* OBJ-DEL on two draws that prove well within the deadline, so the
+   three paths explore the same nodes: the floor search proves seed
+   863946837 in 23 nodes, and seed 121024505's start meets the floor
+   (0 nodes). *)
+let test_engine_front_door_del () =
+  List.iter
+    (fun seed ->
+      match front_door_agrees ~objective:"del" ~alpha:0.3 seed with
+      | Some () -> ()
+      | None -> Alcotest.failf "seed %d turned away" seed)
+    [ 863946837; 121024505 ]
+
 (* ---------- daemon end-to-end ---------- *)
 
 let write_all fd s =
@@ -824,6 +836,8 @@ let () =
             `Quick test_engine_front_door_dmat_and_shed;
           Alcotest.test_case "two domains answer as one" `Quick
             test_engine_two_domains;
+          Alcotest.test_case "OBJ-DEL answers as the front door" `Quick
+            test_engine_front_door_del;
         ] );
       ( "daemon",
         [
